@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
 
 from . import io, learning, reduction, solvers
 from .core import (
@@ -66,12 +65,12 @@ def _result_report(result: solvers.SolveResult, method: str) -> dict:
 
 def _solve_with(method: str, inst: Instance, args) -> tuple[str, solvers.SolveResult]:
     if method == "auto":
-        states = prod(b + 1 for b in inst.upper_bounds)
-        if states <= args.max_states:
-            method = "dp"
-        else:
+        try:
+            solvers.dp_guard(inst, args.max_states)
+        except GuardExceededError:
             started = solvers.greedy_construct(inst)
             return "greedy+local", solvers.local_search(inst, started.matrix)
+        method = "dp"
     if method == "brute":
         return method, solvers.brute_force_solve(inst, max_cells=args.max_cells)
     if method == "dp":

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 class McapError(Exception):
     """Base class for all errors raised by this package."""

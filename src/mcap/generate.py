@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     AssignmentMatrix,
@@ -159,10 +158,3 @@ def random_feasible_matrix(seed: int, inst: Instance) -> AssignmentMatrix:
             rows[i][j] = 1
     return AssignmentMatrix.from_rows(rows)
 
-
-def assignments_of(formula: CnfFormula) -> Sequence[BooleanAssignment]:
-    """All 2^l assignments in lexicographic order (for small formulas)."""
-    l = formula.num_vars
-    return [
-        tuple(bool((code >> (l - 1 - i)) & 1) for i in range(l)) for code in range(1 << l)
-    ]

@@ -46,8 +46,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        n = int(data["n"])
-        k = int(data["k"])
+        n = _int_from_str(data["n"], "n")
+        k = _int_from_str(data["k"], "k")
         weights = [_int_from_str(w, "weight") for w in data["weights"]]
         preferences = [
             [_int_from_str(p, "preference") for p in row] for row in data["preferences"]
@@ -56,8 +56,8 @@ def instance_from_dict(data: dict) -> Instance:
             SuppressionTable(tuple(fraction_from_str(v) for v in row))
             for row in data["suppression"]
         ]
-        lower = [int(b) for b in data["lower_bounds"]]
-        upper = [int(b) for b in data["upper_bounds"]]
+        lower = [_int_from_str(b, "lower bound") for b in data["lower_bounds"]]
+        upper = [_int_from_str(b, "upper bound") for b in data["upper_bounds"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
     return Instance(
@@ -80,10 +80,12 @@ def matrix_from_dict(data: dict) -> AssignmentMatrix:
         rows = data["rows"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+        raise ValidationError("matrix rows must be a JSON list of '0'/'1' strings")
     entries = []
     for i, row in enumerate(rows):
         cells = []
-        for ch in str(row):
+        for ch in row:
             if ch not in "01":
                 raise ValidationError(f"matrix row {i}: character {ch!r} is not '0' or '1'")
             cells.append(int(ch))

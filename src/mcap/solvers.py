@@ -6,7 +6,12 @@ Exact routes:
   it exists as an independent oracle for the other solvers.
 * :func:`dp_solve` runs dynamic programming over capacity vectors: the state
   after the first ``m`` customers is the vector of column sums, and the layer
-  transition tries every campaign subset for customer ``m``.
+  transition tries every campaign subset for customer ``m``.  The transition
+  is a mask-major numpy sweep: one shifted, masked max over the whole flat
+  layer per campaign subset, visiting subsets by descending index offset so
+  the documented tie-break (ascending predecessor, then ascending subset)
+  holds exactly.  :func:`dp_guard` is its size check, shared with the CLI's
+  ``auto`` method.
 * :func:`solve_constant_suppression` and :func:`solve_unbounded` handle the
   two polynomially solvable special classes (per-customer constant
   suppression; no capacity constraints) by direct sorting arguments.
@@ -21,9 +26,12 @@ Heuristic routes (no optimality guarantee, always feasible):
 Internally the exact solvers score subsets with plain integers: every
 suppression value is multiplied by the least common denominator of all table
 entries, so candidate fitnesses become exact integers and the inner loops
-avoid Fraction arithmetic.  Every returned fitness is recomputed from the
-matrix with :func:`mcap.core.evaluate_fitness` and cross-checked against the
-solver's internal value.
+avoid Fraction arithmetic.  The DP keeps them in int64 arrays when a
+precomputed bound (the sum of every customer's best subset score) is below
+2^63, and in ``dtype=object`` arrays of Python integers otherwise.  Every
+returned fitness is recomputed from the matrix with
+:func:`mcap.core.evaluate_fitness` and cross-checked against the solver's
+internal value.
 
 All solvers are deterministic: every tie-breaking rule is fixed and
 documented on the operation.  Fitness equality across solvers is guaranteed;
@@ -36,7 +44,9 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
 
 from .capacity import CapacityBox
 from .core import (
@@ -54,6 +64,8 @@ from .core import (
 
 DEFAULT_BRUTE_FORCE_CELLS = 24
 DEFAULT_DP_STATE_LIMIT = 10_000_000
+# choice cells (customers x states per layer) the DP may record in total
+DP_CELL_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,18 @@ def _subset_scores(
         weighted[mask] = weighted[mask ^ low] + weighted_prefs[campaign_of_bit[low.bit_length() - 1]]
         scores[mask] = rates[mask.bit_count()] * weighted[mask]
     return scores
+
+
+def _best_subset_score(
+    weighted_prefs: list[int], rates: list[int], campaign_of_bit: list[int]
+) -> int:
+    """``max(_subset_scores(weighted_prefs, rates, campaign_of_bit))`` in O(b log b).
+
+    Rates are nonnegative, so the best subset of each size ``h`` holds the
+    ``h`` largest weighted preferences.
+    """
+    top = sorted((weighted_prefs[j] for j in campaign_of_bit), reverse=True)
+    return max(rates[h] * sum(top[:h]) for h in range(len(top) + 1))
 
 
 def _finish(
@@ -201,28 +225,59 @@ def brute_force_solve(
     return _finish(inst, rows, True, started, explored, Fraction(best_value, scale))
 
 
+def dp_guard(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> None:
+    """Raise :class:`GuardExceededError` when :func:`dp_solve` would be too large.
+
+    The DP keeps ``prod(upper_bounds[j] + 1)`` states per layer and one
+    recorded subset per state and customer, so both the layer and the
+    ``n`` layers of choices are bounded: the layer by ``max_states``, the
+    choice cells in total by :data:`DP_CELL_LIMIT`.
+    """
+    states = prod(b + 1 for b in inst.upper_bounds)
+    if states > max_states:
+        raise GuardExceededError(
+            f"DP needs {states} states per layer, over the {max_states} limit"
+        )
+    if inst.n * states > DP_CELL_LIMIT:
+        raise GuardExceededError(
+            f"DP needs {inst.n} x {states} choice cells, over the {DP_CELL_LIMIT} limit"
+        )
+
+
 def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveResult:
     """Globally optimal solve by dynamic programming over capacity vectors.
 
     ``best[m][c]`` is the maximum fitness over the first ``m`` customers whose
-    column sums equal the capacity vector ``c``; unreachable states carry an
-    explicit marker, never a sentinel value.  Customer ``m`` transitions by
-    every subset of campaigns that still has column headroom, and the answer
-    maximizes ``best[n][c]`` over the box ``lower_bounds <= c <= upper_bounds``.
-    The chosen subset of every reached state is recorded for reconstruction.
+    column sums equal the capacity vector ``c``; reachability is an explicit
+    boolean array beside the values, never a sentinel value.  Customer ``m``
+    transitions by every subset of campaigns that still has column headroom,
+    and the answer maximizes ``best[n][c]`` over the box ``lower_bounds <= c
+    <= upper_bounds``.  The chosen subset of every reached state is recorded
+    for reconstruction.
+
+    Each layer is a mask-major numpy sweep over the flat layer array.  A
+    subset mask adds a fixed offset ``d`` to the flat index, so for every
+    mask the reached states of ``[0, size - d)`` with headroom in each
+    campaign of the mask, plus the mask's score, are compared against the
+    next layer's ``[d, size)`` and replace the entries they beat.  Values are
+    int64 when the sum over customers of their best subset score fits, and
+    Python integers (``dtype=object``) otherwise, so the arithmetic is exact
+    at any magnitude; no float enters.  Choices are stored as one ``(n,
+    states)`` array of the smallest unsigned dtype that holds every mask.
+    :func:`dp_guard` bounds the states per layer and the choice cells in
+    total.
 
     Ties are broken toward the earliest candidate in scan order (ascending
     predecessor index, then ascending subset mask, then ascending terminal
-    index), which makes the result deterministic.
+    index), which makes the result deterministic.  The sweep visits masks by
+    descending index offset and replaces only on a strictly larger value;
+    offsets are distinct, so that is the same rule.
     """
     validate_instance(inst)
     started = time.perf_counter()
+    dp_guard(inst, max_states)
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
-    if box.size > max_states:
-        raise GuardExceededError(
-            f"DP needs {box.size} states per layer, over the {max_states} limit"
-        )
     scale = _suppression_scale(inst)
     rates = _scaled_rates(inst, scale)
 
@@ -234,64 +289,63 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     for mask in range(1, nmasks):
         low = mask & -mask
         deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
+    order = sorted(range(nmasks), key=deltas.__getitem__, reverse=True)
+    weighted = [[inst.weights[j] * inst.preferences[i][j] for j in range(k)] for i in range(n)]
+    # scores are nonnegative, so no reachable value exceeds this bound
+    bound = sum(_best_subset_score(weighted[i], rates[i], active) for i in range(n))
+    dtype = np.int64 if bound < 2**63 else object
+    mask_dtype = np.min_scalar_type(nmasks - 1)
 
-    # bitmask of active campaigns already at capacity, per state
-    caps = inst.upper_bounds
-    full_mask = [0] * box.size
-    vec = [0] * k
-    for idx in range(box.size):
-        fm = 0
-        for b, j in enumerate(active):
-            if vec[j] == caps[j]:
-                fm |= 1 << b
-        full_mask[idx] = fm
-        for j in range(k):
-            if vec[j] < caps[j]:
-                vec[j] += 1
-                break
-            vec[j] = 0
+    # per state: bitmask of active campaigns already at capacity, and
+    # whether every column meets its lower bound
+    size = box.size
+    state = np.arange(size)
+    full_mask = np.zeros(size, dtype=mask_dtype)
+    meets_lower = np.ones(size, dtype=bool)
+    bit = 0
+    for cap, stride, lower in zip(box.caps, box.strides, inst.lower_bounds):
+        digit = state // stride % (cap + 1)
+        meets_lower &= digit >= lower
+        if cap:
+            full_mask |= (digit == cap).astype(mask_dtype) << bit
+            bit += 1
+    del state, digit
 
-    masks = list(range(nmasks))
     explored = 0
-    layer: list[int | None] = [None] * box.size
-    layer[0] = 0
-    choices: list[list[int]] = []
+    values = np.zeros(size, dtype=dtype)
+    reached = np.zeros(size, dtype=bool)
+    reached[0] = True
+    choices = np.zeros((n, size), dtype=mask_dtype)
     for i in range(n):
-        weighted = [inst.weights[j] * inst.preferences[i][j] for j in range(k)]
-        scores = _subset_scores(weighted, rates[i], active)
-        nxt: list[int | None] = [None] * box.size
-        chosen = [0] * box.size
-        for idx, value in enumerate(layer):
-            if value is None:
-                continue
-            explored += 1
-            fm = full_mask[idx]
-            for mask, delta, score in zip(masks, deltas, scores):
-                if mask & fm:
-                    continue
-                tgt = idx + delta
-                cand = value + score
-                cur = nxt[tgt]
-                if cur is None or cand > cur:
-                    nxt[tgt] = cand
-                    chosen[tgt] = mask
-        choices.append(chosen)
-        layer = nxt
+        explored += int(np.count_nonzero(reached))
+        prev_values, prev_reached = values, reached
+        values = np.zeros(size, dtype=dtype)
+        reached = np.zeros(size, dtype=bool)
+        chosen = choices[i]
+        scores = _subset_scores(weighted[i], rates[i], active)
+        for mask in order:
+            # state s moves to s + d; a source needs headroom in every
+            # campaign of the mask, so no digit carries
+            d = deltas[mask]
+            m = size - d
+            ok = prev_reached[:m] & ((full_mask[:m] & mask) == 0)
+            cand = prev_values[:m] + scores[mask]
+            better = ok & (~reached[d:] | (cand > values[d:]))
+            np.copyto(values[d:], cand, where=better)
+            reached[d:] |= better
+            np.copyto(chosen[d:], mask, where=better)
 
-    best_value: int | None = None
-    best_idx = -1
-    for idx, _vec in box.iter_range(inst.lower_bounds):
-        value = layer[idx]
-        if value is not None and (best_value is None or value > best_value):
-            best_value = value
-            best_idx = idx
-    if best_value is None:
+    terminals = np.flatnonzero(reached & meets_lower)
+    if terminals.size == 0:
         raise InternalCheckError("no terminal capacity vector reachable")
+    # argmax returns the first maximum: the smallest terminal index
+    best_idx = int(terminals[np.argmax(values[terminals])])
+    best_value = int(values[best_idx])
 
     rows = [[0] * k for _ in range(n)]
     idx = best_idx
     for i in reversed(range(n)):
-        mask = choices[i][idx]
+        mask = int(choices[i, idx])
         for b, j in enumerate(active):
             if (mask >> b) & 1:
                 rows[i][j] = 1

@@ -1,11 +1,12 @@
 """End-to-end CLI tests, driven through main(argv) for exit codes."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from mcap import io
+from mcap import generate, io
 from mcap.cli import main
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable
 
@@ -96,6 +97,29 @@ class TestEvaluate:
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", "x"), ("k", 2.5), ("lower_bounds", ["a", 0]), ("upper_bounds", [2, True]),
+    ])
+    def test_non_integer_instance_field(self, capsys, small_instance, tmp_path, field, value):
+        inst, _ = small_instance
+        data = io.instance_to_dict(inst)
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        io.dump_json(data, bad)
+        code, report = run_json(capsys, "solve", "--instance", bad)
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+
+    def test_string_rows_matrix(self, capsys, small_instance, tmp_path):
+        _, inst_path = small_instance
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text('{"rows": "01"}')
+        code, report = run_json(
+            capsys, "evaluate", "--instance", inst_path, "--matrix", matrix
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+
 
 class TestSolve:
     def test_dp_solves_reduced_instance(self, capsys, reduced_files, tmp_path):
@@ -125,6 +149,20 @@ class TestSolve:
         assert code == 0
         assert report["method"] == "greedy+local"
         assert report["optimal"] is False
+
+    def test_auto_falls_back_on_tall_instance(self, capsys, tmp_path):
+        # 120 x 120^3 choice cells: each layer fits the state guard, the
+        # total does not
+        inst = generate.random_instance(seed=3, n=120, k=3, bounds="unbounded")
+        inst = dataclasses.replace(inst, upper_bounds=(119, 119, 119))
+        path = tmp_path / "tall.json"
+        io.write_instance(inst, path)
+        code, report = run_json(capsys, "solve", "--instance", path, "--method", "dp")
+        assert code == 4
+        assert "choice cells" in report["error"]["message"]
+        code, report = run_json(capsys, "solve", "--instance", path)
+        assert code == 0
+        assert report["method"] == "greedy+local"
 
     def test_brute_force_guard_exit(self, capsys, small_instance):
         _, inst_path = small_instance

@@ -68,6 +68,12 @@ def test_matrix_rejects_non_binary_characters():
         io.matrix_from_dict({"rows": ["01", "0x"]})
 
 
+@pytest.mark.parametrize("rows", ["01", [1, 0], None])
+def test_matrix_rows_must_be_a_list_of_strings(rows):
+    with pytest.raises(ValidationError, match="list of '0'/'1' strings"):
+        io.matrix_from_dict({"rows": rows})
+
+
 def test_instance_missing_field():
     data = io.instance_to_dict(
         Instance(n=1, k=1, weights=(1,), preferences=((0,),),

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from mcap import generate, reduction, solvers
 from mcap.core import (
     AssignmentMatrix,
     GuardExceededError,
@@ -14,6 +17,7 @@ from mcap.core import (
     SuppressionTable,
     check_feasibility,
     evaluate_fitness,
+    validate_instance,
 )
 from mcap.solvers import (
     brute_force_solve,
@@ -107,6 +111,14 @@ class TestDpSolve:
         with pytest.raises(GuardExceededError):
             dp_solve(inst, max_states=3)
 
+    def test_total_cell_guard(self, monkeypatch):
+        inst = single_customer_instance()  # 1 customer x 4 states
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 4)
+        assert dp_solve(inst).fitness == 21
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 3)
+        with pytest.raises(GuardExceededError, match="choice cells"):
+            dp_solve(inst)
+
     def test_deterministic(self):
         inst = Instance(
             n=3, k=2, weights=(1, 1), preferences=((5, 5), (5, 5), (5, 5)),
@@ -114,6 +126,73 @@ class TestDpSolve:
             lower_bounds=(0, 0), upper_bounds=(2, 2),
         )
         assert dp_solve(inst).matrix == dp_solve(inst).matrix
+
+
+def huge_preference_instance():
+    """Preferences near 10^20: the DP's value bound exceeds 2^63."""
+    rng = random.Random(2009)
+    n, k = 5, 3
+    prefs = tuple(tuple(rng.randint(0, 10**20) for _ in range(k)) for _ in range(n))
+    tables = tuple(
+        SuppressionTable(
+            (Fraction(0),) + tuple(Fraction(rng.randint(0, 4), 4) for _ in range(k))
+        )
+        for _ in range(n)
+    )
+    return validate_instance(Instance(
+        n=n, k=k, weights=(3, 1, 2), preferences=prefs, suppression=tables,
+        lower_bounds=(1, 0, 2), upper_bounds=(4, 3, 3),
+    ))
+
+
+# fitness, SHA-256 of the '\n'-joined row strings and explored states, as
+# recorded from the per-state reference implementation of dp_solve
+DP_PINS = {
+    "grid-30x4": (
+        lambda: generate.random_instance(seed=4, n=30, k=4),
+        "3095/4", "7e8cb33531c5fde0b9ec5248511708f48e8b4d0c530e9bdaaeb1767cd86df666", 396566,
+    ),
+    # upper bounds (23, 0, 25, 15): campaign 1 can never be assigned
+    "zero-upper": (
+        lambda: generate.random_instance(seed=7, n=30, k=4),
+        "2925/4", "81ab21df8e84e2e0bd9befcac93f1ac481d29ef1a4d55e0e4d77364e8fd3a607", 132480,
+    ),
+    "reduced-3sat": (
+        lambda: reduction.reduce_3sat(generate.random_planted_formula(3, 5, 3)[0]).instance,
+        "11111444", "638452d3ce669ed0f20e23e014c01d5c68df3a1471fc77fb7e3aa2d81f47586a", 63169,
+    ),
+    "huge-prefs": (
+        huge_preference_instance,
+        "2123777523131295373481/2",
+        "5563f3b2e5de95352b7cd39655fb761ef8ba7cdbe53214ab84eb3db5eb4079ca", 180,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DP_PINS))
+def test_dp_matches_recorded_tie_break(name):
+    build, fitness, sha, explored = DP_PINS[name]
+    result = dp_solve(build())
+    rows = "\n".join("".join(map(str, row)) for row in result.matrix.entries)
+    assert str(result.fitness) == fitness
+    assert hashlib.sha256(rows.encode()).hexdigest() == sha
+    assert result.stats.explored == explored
+
+
+@given(
+    st.lists(st.integers(0, 10**20), min_size=1, max_size=6),
+    st.lists(st.integers(0, 12), min_size=7, max_size=7),
+)
+@settings(max_examples=100, deadline=None)
+def test_best_subset_score_is_the_maximum(weighted, rates):
+    campaigns = list(range(len(weighted)))
+    best = solvers._best_subset_score(weighted, rates, campaigns)
+    assert best == max(solvers._subset_scores(weighted, rates, campaigns))
+
+
+def test_dp_exact_beyond_int64():
+    inst = huge_preference_instance()
+    assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
 
 
 class TestConstantSuppression:
