@@ -35,9 +35,6 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 
-METHODS = ("brute", "dp", "const", "unbounded", "greedy", "local", "auto")
-
-
 def _read_instance(path: str) -> Instance:
     return validate_instance(io.read_instance(path))
 
@@ -63,31 +60,36 @@ def _result_report(result: solvers.SolveResult, method: str) -> dict:
     }
 
 
+def _local(inst: Instance, args) -> solvers.SolveResult:
+    if args.start:
+        start = io.read_matrix(args.start)
+    else:
+        start = solvers.greedy_construct(inst).matrix
+    return solvers.local_search(inst, start)
+
+
+# name -> solve(inst, args), in bench order.  Entries look their solver up on
+# the module at call time, so a rebound module attribute (such as a tracing
+# wrapper) is the one that runs.
+SOLVERS = {
+    "brute": lambda inst, args: solvers.brute_force_solve(inst, max_cells=args.max_cells),
+    "dp": lambda inst, args: solvers.dp_solve(inst, max_states=args.max_states),
+    "const": lambda inst, args: solvers.solve_constant_suppression(inst),
+    "unbounded": lambda inst, args: solvers.solve_unbounded(inst),
+    "greedy": lambda inst, args: solvers.greedy_construct(inst),
+    "local": _local,
+}
+METHODS = (*SOLVERS, "auto")
+
+
 def _solve_with(method: str, inst: Instance, args) -> tuple[str, solvers.SolveResult]:
     if method == "auto":
         try:
             solvers.dp_guard(inst, args.max_states)
         except GuardExceededError:
-            started = solvers.greedy_construct(inst)
-            return "greedy+local", solvers.local_search(inst, started.matrix)
+            return "greedy+local", SOLVERS["local"](inst, args)
         method = "dp"
-    if method == "brute":
-        return method, solvers.brute_force_solve(inst, max_cells=args.max_cells)
-    if method == "dp":
-        return method, solvers.dp_solve(inst, max_states=args.max_states)
-    if method == "const":
-        return method, solvers.solve_constant_suppression(inst)
-    if method == "unbounded":
-        return method, solvers.solve_unbounded(inst)
-    if method == "greedy":
-        return method, solvers.greedy_construct(inst)
-    if method == "local":
-        if getattr(args, "start", None):
-            start = io.read_matrix(args.start)
-        else:
-            start = solvers.greedy_construct(inst).matrix
-        return method, solvers.local_search(inst, start)
-    raise ValidationError(f"unknown method {method!r}")
+    return method, SOLVERS[method](inst, args)
 
 
 def cmd_evaluate(args) -> dict:
@@ -214,7 +216,13 @@ def cmd_fit(args) -> dict:
         raw = io.load_json(args.labels)
         if not isinstance(raw, dict):
             raise ValidationError("labels file must be a JSON object customer -> label")
-        labels = {key: int(value) for key, value in raw.items()}
+        by_key = {key: io._int_from_str(value, f"label of {key!r}") for key, value in raw.items()}
+        # JSON object keys are always strings, record customers need not be
+        labels = {
+            rec.customer: by_key[str(rec.customer)]
+            for rec in records
+            if str(rec.customer) in by_key
+        }
     results = learning.fit_categories(
         records,
         labels,
@@ -252,29 +260,18 @@ def run_bench(
     precondition fails; the gap column is relative to the best exact fitness
     when one exists.
     """
+    args = argparse.Namespace(max_cells=max_cells, max_states=max_states, start=None)
     rows: list[dict] = []
     results: dict[str, solvers.SolveResult] = {}
-
-    def attempt(method: str, call) -> None:
+    for method, solve in SOLVERS.items():
         try:
-            results[method] = call()
+            results[method] = solve(inst, args)
         except (GuardExceededError, PreconditionError) as exc:
             rows.append({"method": method, "skipped": str(exc)})
 
-    attempt("brute", lambda: solvers.brute_force_solve(inst, max_cells=max_cells))
-    attempt("dp", lambda: solvers.dp_solve(inst, max_states=max_states))
-    attempt("const", lambda: solvers.solve_constant_suppression(inst))
-    attempt("unbounded", lambda: solvers.solve_unbounded(inst))
-    attempt("greedy", lambda: solvers.greedy_construct(inst))
-    if "greedy" in results:
-        attempt("local", lambda: solvers.local_search(inst, results["greedy"].matrix))
-
     exact = [r.fitness for r in results.values() if r.optimal]
     best = max(exact) if exact else None
-    for method in ("brute", "dp", "const", "unbounded", "greedy", "local"):
-        result = results.get(method)
-        if result is None:
-            continue
+    for method, result in results.items():
         gap = None
         if best is not None and best > 0:
             gap = str((best - result.fitness) / best)
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--out", help="write the matrix here")
-    p.add_argument("--start", help="starting matrix for --method local")
+    p.add_argument("--start", help="starting matrix for --method local and auto's local search")
     p.add_argument("--max-cells", type=int, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
     p.add_argument("--max-states", type=int, default=solvers.DEFAULT_DP_STATE_LIMIT)
 

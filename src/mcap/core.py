@@ -243,11 +243,6 @@ def check_matrix(inst: Instance, matrix: AssignmentMatrix) -> AssignmentMatrix:
     return matrix
 
 
-def recommendation_counts(matrix: AssignmentMatrix) -> tuple[int, ...]:
-    """Per-customer recommendation counts ``h_i`` (row sums of the matrix)."""
-    return matrix.row_sums()
-
-
 def evaluate_fitness(inst: Instance, matrix: AssignmentMatrix) -> Fraction:
     """Exact fitness F(M) of the matrix for the instance.
 

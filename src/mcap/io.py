@@ -19,6 +19,9 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def fraction_from_str(text: str) -> Fraction:
+    # no JSON numbers: a float would be silently inexact
+    if not isinstance(text, str):
+        raise ValidationError(f"rational literal must be a string such as \"1/2\", got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -30,6 +33,12 @@ def _int_from_str(text, what: str) -> int:
         return int(str(text).strip())
     except ValueError as exc:
         raise ValidationError(f"bad integer literal for {what}: {text!r}") from exc
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, got {value!r}")
+    return value
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -48,16 +57,21 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         n = _int_from_str(data["n"], "n")
         k = _int_from_str(data["k"], "k")
-        weights = [_int_from_str(w, "weight") for w in data["weights"]]
+        weights = [_int_from_str(w, "weight") for w in _list(data["weights"], "weights")]
         preferences = [
-            [_int_from_str(p, "preference") for p in row] for row in data["preferences"]
+            [_int_from_str(p, "preference") for p in _list(row, "a preference row")]
+            for row in _list(data["preferences"], "preferences")
         ]
         suppression = [
-            SuppressionTable(tuple(fraction_from_str(v) for v in row))
-            for row in data["suppression"]
+            SuppressionTable(tuple(fraction_from_str(v) for v in _list(row, "a suppression row")))
+            for row in _list(data["suppression"], "suppression")
         ]
-        lower = [_int_from_str(b, "lower bound") for b in data["lower_bounds"]]
-        upper = [_int_from_str(b, "upper bound") for b in data["upper_bounds"]]
+        lower = [
+            _int_from_str(b, "lower bound") for b in _list(data["lower_bounds"], "lower_bounds")
+        ]
+        upper = [
+            _int_from_str(b, "upper bound") for b in _list(data["upper_bounds"], "upper_bounds")
+        ]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
     return Instance(

@@ -45,7 +45,6 @@ from .core import (
     check_feasibility,
     check_matrix,
     evaluate_fitness,
-    recommendation_counts,
     validate_instance,
 )
 
@@ -380,7 +379,7 @@ def property_failures(red: ReducedInstance, matrix: AssignmentMatrix) -> list[st
     layout = red.layout
     inst = red.instance
     failures = []
-    counts = recommendation_counts(matrix)
+    counts = matrix.row_sums()
     for i, row in enumerate(matrix.entries):
         name = layout.customers[i]
         positive = {j for j in range(inst.k) if inst.preferences[i][j] > 0}

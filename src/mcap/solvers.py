@@ -23,15 +23,17 @@ Heuristic routes (no optimality guarantee, always feasible):
 * :func:`local_search` improves a feasible start by first-improvement scans
   over single-cell flips and within-column swaps.
 
-Internally the exact solvers score subsets with plain integers: every
-suppression value is multiplied by the least common denominator of all table
-entries, so candidate fitnesses become exact integers and the inner loops
-avoid Fraction arithmetic.  The DP keeps them in int64 arrays when a
-precomputed bound (the sum of every customer's best subset score) is below
+Internally every solver scores with plain integers: every suppression value
+is multiplied by the least common denominator of all table entries
+(:func:`_scaled`), so row scores and move gains (:func:`_gain`) are exact
+integers and no inner loop does Fraction arithmetic.  The scale is positive,
+so every comparison, heap order and tie is the same as for the unscaled
+fitness.  The DP keeps its values in int64 arrays when a precomputed bound
+(the sum of every customer's best row score, :func:`_best_row`) is below
 2^63, and in ``dtype=object`` arrays of Python integers otherwise.  Every
+solver passes its own scaled total, as a Fraction, to the final check: the
 returned fitness is recomputed from the matrix with
-:func:`mcap.core.evaluate_fitness` and cross-checked against the solver's
-internal value.
+:func:`mcap.core.evaluate_fitness` and must equal it.
 
 All solvers are deterministic: every tie-breaking rule is fixed and
 documented on the operation.  Fitness equality across solvers is guaranteed;
@@ -84,17 +86,27 @@ class SolveResult:
     stats: SolveStats
 
 
-def _suppression_scale(inst: Instance) -> int:
-    scale = 1
-    for table in inst.suppression:
-        for v in table.values:
-            scale = lcm(scale, v.denominator)
-    return scale
+def _scaled(inst: Instance) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The instance's scores as exact integers: ``(scale, rates, weighted)``.
+
+    ``scale`` is the least common denominator of every suppression value,
+    ``rates[i][h] = r_i(h) * scale`` and ``weighted[i][j] = w_j * p_ij``, so
+    a row holding ``h`` cells of weighted sum ``v`` scores ``rates[i][h] *
+    v``, its fitness times ``scale``.
+    """
+    scale = lcm(*(v.denominator for t in inst.suppression for v in t.values))
+    rates = [[int(v * scale) for v in t.values] for t in inst.suppression]
+    weighted = [[w * p for w, p in zip(inst.weights, row)] for row in inst.preferences]
+    return scale, rates, weighted
 
 
-def _scaled_rates(inst: Instance, scale: int) -> list[list[int]]:
-    # rate[i][h] = r_i(h) * scale, exact by construction of scale
-    return [[int(v * scale) for v in t.values] for t in inst.suppression]
+def _gain(rates_i: list[int], value: int, h: int, delta: int, step: int) -> int:
+    """Scaled score change of a row when one cell joins (``step = 1``) or leaves (``-1``).
+
+    The row holds ``h`` cells of weighted sum ``value``; ``delta`` is the
+    change of that sum, negative for a removal.
+    """
+    return rates_i[h + step] * (value + delta) - rates_i[h] * value
 
 
 def _subset_scores(
@@ -116,16 +128,24 @@ def _subset_scores(
     return scores
 
 
-def _best_subset_score(
-    weighted_prefs: list[int], rates: list[int], campaign_of_bit: list[int]
-) -> int:
-    """``max(_subset_scores(weighted_prefs, rates, campaign_of_bit))`` in O(b log b).
+def _best_row(
+    weighted_i: list[int], rates_i: list[int], campaigns
+) -> tuple[int, list[int]]:
+    """The best scaled score of one row over subsets of ``campaigns``, and its cells.
 
     Rates are nonnegative, so the best subset of each size ``h`` holds the
-    ``h`` largest weighted preferences.
+    ``h`` largest weighted preferences (ties to the earlier campaign); among
+    sizes with equal scores the smallest wins.  This is
+    ``max(_subset_scores(weighted_i, rates_i, campaigns))`` in O(b log b).
     """
-    top = sorted((weighted_prefs[j] for j in campaign_of_bit), reverse=True)
-    return max(rates[h] * sum(top[:h]) for h in range(len(top) + 1))
+    ranked = sorted(campaigns, key=lambda j: -weighted_i[j])
+    best, best_h, prefix = 0, 0, 0
+    for h, j in enumerate(ranked, 1):
+        prefix += weighted_i[j]
+        score = rates_i[h] * prefix
+        if score > best:
+            best, best_h = score, h
+    return best, ranked[:best_h]
 
 
 def _finish(
@@ -134,11 +154,11 @@ def _finish(
     optimal: bool,
     started: float,
     explored: int,
-    expected_fitness: Fraction | None = None,
+    expected_fitness: Fraction,
 ) -> SolveResult:
     matrix = AssignmentMatrix.from_rows(rows)
     fitness = evaluate_fitness(inst, matrix)
-    if expected_fitness is not None and fitness != expected_fitness:
+    if fitness != expected_fitness:
         raise InternalCheckError(
             f"solver bookkeeping disagrees with evaluation: {expected_fitness} != {fitness}"
         )
@@ -169,14 +189,10 @@ def brute_force_solve(
         raise GuardExceededError(
             f"brute force over {n}x{k} cells exceeds the {max_cells}-cell guard"
         )
-    scale = _suppression_scale(inst)
-    rates = _scaled_rates(inst, scale)
+    scale, rates, weighted = _scaled(inst)
     # bit (k-1-j) holds campaign j, so ascending masks enumerate rows in
     # lexicographic order of their '0'/'1' strings
     campaign_of_bit = [k - 1 - j for j in range(k)]
-    weighted = [
-        [inst.weights[j] * inst.preferences[i][j] for j in range(k)] for i in range(n)
-    ]
     scores = [_subset_scores(weighted[i], rates[i], campaign_of_bit) for i in range(n)]
     bits_of_mask = [
         [(mask >> (k - 1 - j)) & 1 for j in range(k)] for mask in range(1 << k)
@@ -278,8 +294,7 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     dp_guard(inst, max_states)
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
-    scale = _suppression_scale(inst)
-    rates = _scaled_rates(inst, scale)
+    scale, rates, weighted = _scaled(inst)
 
     # campaigns with a zero upper bound can never be assigned; subsets range
     # over the remaining ones only
@@ -290,9 +305,8 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
         low = mask & -mask
         deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
     order = sorted(range(nmasks), key=deltas.__getitem__, reverse=True)
-    weighted = [[inst.weights[j] * inst.preferences[i][j] for j in range(k)] for i in range(n)]
     # scores are nonnegative, so no reachable value exceeds this bound
-    bound = sum(_best_subset_score(weighted[i], rates[i], active) for i in range(n))
+    bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
     dtype = np.int64 if bound < 2**63 else object
     mask_dtype = np.min_scalar_type(nmasks - 1)
 
@@ -373,13 +387,16 @@ def solve_constant_suppression(inst: Instance) -> SolveResult:
                 f"customer {i}: suppression is not constant for h >= 1"
             )
     n, k = inst.n, inst.k
-    rho = [table[1] for table in inst.suppression]
+    scale, rates, weighted = _scaled(inst)
     rows = [[0] * k for _ in range(n)]
+    total = 0
     for j in range(k):
-        ranked = sorted(range(n), key=lambda i: (-(rho[i] * inst.preferences[i][j]), i))
+        # rho_i * w_j * p_ij ranks the column as rho_i * p_ij does
+        ranked = sorted(range(n), key=lambda i: (-(rates[i][1] * weighted[i][j]), i))
         for i in ranked[: inst.upper_bounds[j]]:
             rows[i][j] = 1
-    return _finish(inst, rows, True, started, explored=n * k)
+            total += rates[i][1] * weighted[i][j]
+    return _finish(inst, rows, True, started, n * k, Fraction(total, scale))
 
 
 def solve_unbounded(inst: Instance) -> SolveResult:
@@ -388,38 +405,23 @@ def solve_unbounded(inst: Instance) -> SolveResult:
     Requires ``lower_bounds = 0`` and ``upper_bounds = n`` everywhere; rows
     are then independent.  Per customer, sort the values ``w_j * p_ij``
     descending (ties to the smaller campaign index), and pick the count
-    ``h`` maximizing ``r_i(h) * prefix_sum(h)`` (ties to the smaller ``h``).
+    ``h`` maximizing ``r_i(h) * prefix_sum(h)`` (ties to the smaller ``h``):
+    that is :func:`_best_row` over all campaigns.
     """
     validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
     if any(b != 0 for b in inst.lower_bounds) or any(b != n for b in inst.upper_bounds):
         raise PreconditionError("instance has nontrivial capacity bounds")
+    scale, rates, weighted = _scaled(inst)
     rows = [[0] * k for _ in range(n)]
+    total = 0
     for i in range(n):
-        values = sorted(
-            ((inst.weights[j] * inst.preferences[i][j], j) for j in range(k)),
-            key=lambda vj: (-vj[0], vj[1]),
-        )
-        table = inst.suppression[i]
-        best_gain = Fraction(0)
-        best_h = 0
-        prefix = 0
-        for h in range(1, k + 1):
-            prefix += values[h - 1][0]
-            gain = table[h] * prefix
-            if gain > best_gain:
-                best_gain = gain
-                best_h = h
-        for _, j in values[:best_h]:
+        score, cells = _best_row(weighted[i], rates[i], range(k))
+        total += score
+        for j in cells:
             rows[i][j] = 1
-    return _finish(inst, rows, True, started, explored=n * k)
-
-
-def _marginal_gain(inst: Instance, row_value: int, h: int, i: int, j: int) -> Fraction:
-    added = inst.weights[j] * inst.preferences[i][j]
-    table = inst.suppression[i]
-    return table[h + 1] * (row_value + added) - table[h] * row_value
+    return _finish(inst, rows, True, started, n * k, Fraction(total, scale))
 
 
 def greedy_construct(inst: Instance) -> SolveResult:
@@ -440,20 +442,22 @@ def greedy_construct(inst: Instance) -> SolveResult:
     validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
+    scale, rates, weighted = _scaled(inst)
     rows = [[0] * k for _ in range(n)]
     h = [0] * n
     row_value = [0] * n
     cols = [0] * k
     pops = 0
+    total = 0
 
     def fill(limit: tuple[int, ...], positive_only: bool) -> None:
-        nonlocal pops
-        current: dict[tuple[int, int], Fraction] = {}
-        heap: list[tuple[Fraction, int, int]] = []
+        nonlocal pops, total
+        current: dict[tuple[int, int], int] = {}
+        heap: list[tuple[int, int, int]] = []
         for i in range(n):
             for j in range(k):
                 if rows[i][j] == 0 and cols[j] < limit[j]:
-                    gain = _marginal_gain(inst, row_value[i], h[i], i, j)
+                    gain = _gain(rates[i], row_value[i], h[i], weighted[i][j], 1)
                     current[(i, j)] = gain
                     heap.append((-gain, i, j))
         heapq.heapify(heap)
@@ -469,17 +473,18 @@ def greedy_construct(inst: Instance) -> SolveResult:
                 break
             rows[i][j] = 1
             cols[j] += 1
-            row_value[i] += inst.weights[j] * inst.preferences[i][j]
+            row_value[i] += weighted[i][j]
             h[i] += 1
+            total += gain
             for q in range(k):
                 if rows[i][q] == 0 and cols[q] < limit[q]:
-                    fresh = _marginal_gain(inst, row_value[i], h[i], i, q)
+                    fresh = _gain(rates[i], row_value[i], h[i], weighted[i][q], 1)
                     current[(i, q)] = fresh
                     heapq.heappush(heap, (-fresh, i, q))
 
     fill(inst.lower_bounds, positive_only=False)
     fill(inst.upper_bounds, positive_only=True)
-    return _finish(inst, rows, False, started, explored=pops)
+    return _finish(inst, rows, False, started, pops, Fraction(total, scale))
 
 
 def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
@@ -500,62 +505,51 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
         raise InfeasibleError(f"starting matrix violates bounds: {report.violations}")
     started = time.perf_counter()
     n, k = inst.n, inst.k
+    scale, rates, weighted = _scaled(inst)
     rows = [list(row) for row in start.entries]
     h = [sum(row) for row in rows]
-    row_value = [
-        sum(inst.weights[j] * inst.preferences[i][j] for j in range(k) if rows[i][j])
-        for i in range(n)
-    ]
+    row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]
     cols = list(report.column_sums)
+    total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
     moves_checked = 0
 
-    def add_gain(i: int, j: int) -> Fraction:
-        return _marginal_gain(inst, row_value[i], h[i], i, j)
+    def gain(i: int, j: int) -> int:
+        # scaled score change of flipping cell (i, j)
+        step = 1 - 2 * rows[i][j]
+        return _gain(rates[i], row_value[i], h[i], step * weighted[i][j], step)
 
-    def remove_gain(i: int, j: int) -> Fraction:
-        removed = inst.weights[j] * inst.preferences[i][j]
-        table = inst.suppression[i]
-        return table[h[i] - 1] * (row_value[i] - removed) - table[h[i]] * row_value[i]
+    def flip(i: int, j: int) -> None:
+        step = 1 - 2 * rows[i][j]
+        rows[i][j] += step
+        cols[j] += step
+        row_value[i] += step * weighted[i][j]
+        h[i] += step
 
-    def apply_add(i: int, j: int) -> None:
-        rows[i][j] = 1
-        cols[j] += 1
-        row_value[i] += inst.weights[j] * inst.preferences[i][j]
-        h[i] += 1
-
-    def apply_remove(i: int, j: int) -> None:
-        rows[i][j] = 0
-        cols[j] -= 1
-        row_value[i] -= inst.weights[j] * inst.preferences[i][j]
-        h[i] -= 1
-
-    improved = True
-    while improved:
-        improved = False
+    def improve() -> int:
+        # apply the first improving move in scan order and return its gain,
+        # or return 0 at a local optimum
+        nonlocal moves_checked
         for i in range(n):
             for j in range(k):
                 moves_checked += 1
                 if rows[i][j] == 0:
-                    if cols[j] < inst.upper_bounds[j] and add_gain(i, j) > 0:
-                        apply_add(i, j)
-                        improved = True
-                        break
-                else:
-                    if cols[j] > inst.lower_bounds[j] and remove_gain(i, j) > 0:
-                        apply_remove(i, j)
-                        improved = True
-                        break
-                    out_gain = remove_gain(i, j)
-                    for i2 in range(n):
-                        if rows[i2][j] == 0:
-                            moves_checked += 1
-                            if out_gain + add_gain(i2, j) > 0:
-                                apply_remove(i, j)
-                                apply_add(i2, j)
-                                improved = True
-                                break
-                    if improved:
-                        break
-            if improved:
-                break
-    return _finish(inst, rows, False, started, explored=moves_checked)
+                    if cols[j] < inst.upper_bounds[j] and (add := gain(i, j)) > 0:
+                        flip(i, j)
+                        return add
+                    continue
+                out_gain = gain(i, j)
+                if cols[j] > inst.lower_bounds[j] and out_gain > 0:
+                    flip(i, j)
+                    return out_gain
+                for i2 in range(n):
+                    if rows[i2][j] == 0:
+                        moves_checked += 1
+                        if (swap := out_gain + gain(i2, j)) > 0:
+                            flip(i, j)
+                            flip(i2, j)
+                            return swap
+        return 0
+
+    while (applied := improve()) > 0:
+        total += applied
+    return _finish(inst, rows, False, started, moves_checked, Fraction(total, scale))

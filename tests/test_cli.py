@@ -99,6 +99,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("field, value", [
         ("n", "x"), ("k", 2.5), ("lower_bounds", ["a", 0]), ("upper_bounds", [2, True]),
+        # strings in place of lists, once read digit by digit
+        ("lower_bounds", "00"), ("upper_bounds", "21"), ("weights", "23"),
+        ("preferences", ["57", "10"]), ("suppression", ["011", "011"]),
+        # suppression entries must be strings: JSON numbers are rejected
+        ("suppression", [[0, 1, 1], [0, 1, 1]]),
     ])
     def test_non_integer_instance_field(self, capsys, small_instance, tmp_path, field, value):
         inst, _ = small_instance
@@ -358,6 +363,38 @@ class TestFit:
         assert code == 0
         assert [c["label"] for c in report["categories"]] == [0, 1]
         assert all(c["total"] == 0 for c in report["categories"])
+
+    def test_labels_match_integer_customers(self, capsys, tmp_path):
+        records = [
+            {"customer": 1, "campaign": "c", "preference": 1, "h": 1, "responded": True},
+            {"customer": 2, "campaign": "c", "preference": 1, "h": 2, "responded": False},
+        ]
+        records_path = tmp_path / "records.json"
+        labels_path = tmp_path / "labels.json"
+        io.dump_json(records, records_path)
+        io.dump_json({"1": 0, "2": 1}, labels_path)
+        code, report = run_json(
+            capsys, "fit", "--records", records_path, "--labels", labels_path,
+            "--max-h", 2, "--grid", 4,
+        )
+        assert code == 0
+        assert [c["label"] for c in report["categories"]] == [0, 1]
+
+    @pytest.mark.parametrize("label", ["x", 1.7])
+    def test_non_integer_label(self, capsys, tmp_path, label):
+        records = [
+            {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
+        ]
+        records_path = tmp_path / "records.json"
+        labels_path = tmp_path / "labels.json"
+        io.dump_json(records, records_path)
+        io.dump_json({"a": label}, labels_path)
+        code, report = run_json(
+            capsys, "fit", "--records", records_path, "--labels", labels_path,
+            "--max-h", 2, "--grid", 4,
+        )
+        assert code == 2
+        assert report["error"]["type"] == "ValidationError"
 
 
 class TestBench:

@@ -11,7 +11,6 @@ from mcap.core import (
     ValidationError,
     check_feasibility,
     evaluate_fitness,
-    recommendation_counts,
     validate_instance,
 )
 from strategies import instance_matrix_pairs, instances
@@ -96,16 +95,18 @@ class TestSuppressionTable:
 
 
 class TestRecommendationCounts:
+    """The recommendation counts ``h_i`` are the matrix's row sums."""
+
     def test_zero_matrix(self):
-        assert recommendation_counts(AssignmentMatrix.zero(2, 3)) == (0, 0)
+        assert AssignmentMatrix.zero(2, 3).row_sums() == (0, 0)
 
     def test_mixed_rows(self):
         m = AssignmentMatrix(((1, 1, 0), (0, 0, 1)))
-        assert recommendation_counts(m) == (2, 1)
+        assert m.row_sums() == (2, 1)
 
     def test_full_matrix(self):
         m = AssignmentMatrix(((1, 1, 1), (1, 1, 1)))
-        assert recommendation_counts(m) == (3, 3)
+        assert m.row_sums() == (3, 3)
 
 
 class TestEvaluateFitness:

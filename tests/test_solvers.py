@@ -145,34 +145,78 @@ def huge_preference_instance():
     ))
 
 
-# fitness, SHA-256 of the '\n'-joined row strings and explored states, as
-# recorded from the per-state reference implementation of dp_solve
-DP_PINS = {
-    "grid-30x4": (
-        lambda: generate.random_instance(seed=4, n=30, k=4),
+PIN_INSTANCES = {
+    "grid-30x4": lambda: generate.random_instance(seed=4, n=30, k=4),
+    # upper bounds (23, 0, 25, 15): campaign 1 can never be assigned
+    "zero-upper": lambda: generate.random_instance(seed=7, n=30, k=4),
+    "reduced-3sat": lambda: reduction.reduce_3sat(
+        generate.random_planted_formula(3, 5, 3)[0]
+    ).instance,
+    "huge-prefs": huge_preference_instance,
+    # greedy's lower-bound phase applies nine negative gains here
+    "negative-phase-1": lambda: generate.random_instance(seed=15, n=20, k=4),
+    "constant-30x4": lambda: generate.random_instance(seed=5, n=30, k=4, family="constant"),
+    "unbounded-30x4": lambda: generate.random_instance(seed=6, n=30, k=4, bounds="unbounded"),
+}
+
+PIN_SOLVERS = {
+    "dp": dp_solve,
+    "greedy": greedy_construct,
+    "local": lambda inst: local_search(inst, greedy_construct(inst).matrix),
+    "const": solve_constant_suppression,
+    "unbounded": solve_unbounded,
+}
+
+# (solver, instance) -> fitness, SHA-256 of the '\n'-joined row strings and
+# explored, as recorded from the Fraction-scoring heuristics and closed forms
+# and from the per-state reference implementation of dp_solve
+PINS = {
+    ("dp", "grid-30x4"): (
         "3095/4", "7e8cb33531c5fde0b9ec5248511708f48e8b4d0c530e9bdaaeb1767cd86df666", 396566,
     ),
-    # upper bounds (23, 0, 25, 15): campaign 1 can never be assigned
-    "zero-upper": (
-        lambda: generate.random_instance(seed=7, n=30, k=4),
+    ("dp", "zero-upper"): (
         "2925/4", "81ab21df8e84e2e0bd9befcac93f1ac481d29ef1a4d55e0e4d77364e8fd3a607", 132480,
     ),
-    "reduced-3sat": (
-        lambda: reduction.reduce_3sat(generate.random_planted_formula(3, 5, 3)[0]).instance,
+    ("dp", "reduced-3sat"): (
         "11111444", "638452d3ce669ed0f20e23e014c01d5c68df3a1471fc77fb7e3aa2d81f47586a", 63169,
     ),
-    "huge-prefs": (
-        huge_preference_instance,
+    ("dp", "huge-prefs"): (
         "2123777523131295373481/2",
         "5563f3b2e5de95352b7cd39655fb761ef8ba7cdbe53214ab84eb3db5eb4079ca", 180,
+    ),
+    ("greedy", "grid-30x4"): (
+        "2379/4", "0ec08759af45da03b3aab3039b890a7529cb91d7f22cc8cf86246c2f33f03836", 210,
+    ),
+    ("greedy", "negative-phase-1"): (
+        "1045/2", "4c06fa0312697f310f12f103f5257ba4c4e66b414906b111c02cea1b12829cec", 179,
+    ),
+    ("greedy", "huge-prefs"): (
+        "2032298738718956958493/2",
+        "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 25,
+    ),
+    ("local", "grid-30x4"): (
+        "2379/4", "0ec08759af45da03b3aab3039b890a7529cb91d7f22cc8cf86246c2f33f03836", 741,
+    ),
+    ("local", "negative-phase-1"): (
+        "2233/4", "236e86e070a43723b6b0fa111a76f99478d7acc2553c70fce3575f8f0522aed9", 574,
+    ),
+    ("local", "huge-prefs"): (
+        "2032298738718956958493/2",
+        "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 33,
+    ),
+    ("const", "constant-30x4"): (
+        "3453/4", "b5e3e5f7ec408e47f7e0db268887c8c4c7ad9c8b0d426c34e603d6a15104bc1c", 120,
+    ),
+    ("unbounded", "unbounded-30x4"): (
+        "5219/4", "63c049328a404453e8dedd69e5abbd508ba636e9345835221e9eb81e3eeb641c", 120,
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(DP_PINS))
-def test_dp_matches_recorded_tie_break(name):
-    build, fitness, sha, explored = DP_PINS[name]
-    result = dp_solve(build())
+@pytest.mark.parametrize("solver, name", sorted(PINS))
+def test_matches_recorded_tie_break(solver, name):
+    fitness, sha, explored = PINS[solver, name]
+    result = PIN_SOLVERS[solver](PIN_INSTANCES[name]())
     rows = "\n".join("".join(map(str, row)) for row in result.matrix.entries)
     assert str(result.fitness) == fitness
     assert hashlib.sha256(rows.encode()).hexdigest() == sha
@@ -186,8 +230,10 @@ def test_dp_matches_recorded_tie_break(name):
 @settings(max_examples=100, deadline=None)
 def test_best_subset_score_is_the_maximum(weighted, rates):
     campaigns = list(range(len(weighted)))
-    best = solvers._best_subset_score(weighted, rates, campaigns)
+    best, cells = solvers._best_row(weighted, rates, campaigns)
     assert best == max(solvers._subset_scores(weighted, rates, campaigns))
+    assert len(set(cells)) == len(cells) and set(cells) <= set(campaigns)
+    assert rates[len(cells)] * sum(weighted[j] for j in cells) == best
 
 
 def test_dp_exact_beyond_int64():
