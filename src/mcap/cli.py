@@ -40,13 +40,10 @@ def _read_instance(path: str) -> Instance:
 
 
 def _read_reduced(instance_path: str, sidecar_path: str) -> ReducedInstance:
-    inst = _read_instance(instance_path)
-    threshold, layout = reduction.sidecar_from_dict(io.load_json(sidecar_path))
-    if len(layout.customers) != inst.n or len(layout.campaigns) != inst.k:
-        raise ValidationError(
-            "sidecar layout does not match the instance dimensions"
-        )
-    return ReducedInstance(instance=inst, layout=layout, threshold=threshold)
+    red = reduction.recover_reduction(_read_instance(instance_path))
+    if io.load_json(sidecar_path) != reduction.sidecar_dict(red):
+        raise ValidationError("sidecar does not match the reduced instance")
+    return red
 
 
 def _result_report(result: solvers.SolveResult, method: str) -> dict:

@@ -62,6 +62,12 @@ def random_instance(
     """
     if bounds not in BOUND_STYLES:
         raise ValidationError(f"unknown bound style {bounds!r}; expected one of {BOUND_STYLES}")
+    # k is left to validate_instance: no draw below fails on a bad k
+    for name, value, least in (
+        ("n", n, 1), ("pref_max", pref_max, 0), ("weight_max", weight_max, 1), ("grid", grid, 1),
+    ):
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
     rng = random.Random(seed)
     weights = tuple(rng.randint(1, weight_max) for _ in range(k))
     prefs = tuple(tuple(rng.randint(0, pref_max) for _ in range(k)) for _ in range(n))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -33,6 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import PreconditionError, SuppressionTable, ValidationError
+from .io import _int_from_str
 
 CustomerId = int | str
 CampaignId = int | str
@@ -85,16 +87,16 @@ def _conditions(records: Sequence[ResponseRecord]) -> dict[tuple[int, int, int, 
     Key ``(p_i, h_i, p_j, h_j)`` means: satisfied iff
     ``p_i * r(h_i) > p_j * r(h_j)``; the value is how many pairs share it.
     """
-    by_campaign: dict[CampaignId, tuple[list, list]] = {}
+    by_campaign: dict[CampaignId, tuple[Counter, Counter]] = {}
     for rec in records:
-        yes, no = by_campaign.setdefault(rec.campaign, ([], []))
-        (yes if rec.responded else no).append((rec.preference, rec.h))
+        yes, no = by_campaign.setdefault(rec.campaign, (Counter(), Counter()))
+        (yes if rec.responded else no)[rec.preference, rec.h] += 1
     conditions: dict[tuple[int, int, int, int], int] = {}
     for yes, no in by_campaign.values():
-        for p_i, h_i in yes:
-            for p_j, h_j in no:
+        for (p_i, h_i), yes_count in yes.items():
+            for (p_j, h_j), no_count in no.items():
                 key = (p_i, h_i, p_j, h_j)
-                conditions[key] = conditions.get(key, 0) + 1
+                conditions[key] = conditions.get(key, 0) + yes_count * no_count
     return conditions
 
 
@@ -346,24 +348,35 @@ def predict_preferences_cf(
     return 0
 
 
+def _record_id(value, what: str) -> CustomerId:
+    # bool is an int subclass, but JSON true/false is no identifier
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(f"{what} must be a string or an integer, got {value!r}")
+    return value
+
+
 def records_from_json(data) -> list[ResponseRecord]:
     """Decode the historical-data file: an array of record objects."""
     if not isinstance(data, list):
         raise ValidationError("historical data must be a JSON array of records")
     records = []
     for idx, obj in enumerate(data):
+        what = f"record {idx}"
         try:
+            responded = obj["responded"]
+            if not isinstance(responded, bool):
+                raise ValidationError(f"{what}: responded must be true or false, got {responded!r}")
             records.append(
                 ResponseRecord(
-                    customer=obj["customer"],
-                    campaign=obj["campaign"],
-                    preference=int(str(obj["preference"])),
-                    h=int(obj["h"]),
-                    responded=bool(obj["responded"]),
+                    customer=_record_id(obj["customer"], f"{what}: customer"),
+                    campaign=_record_id(obj["campaign"], f"{what}: campaign"),
+                    preference=_int_from_str(obj["preference"], f"{what} preference"),
+                    h=_int_from_str(obj["h"], f"{what} h"),
+                    responded=responded,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"record {idx} is malformed: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"{what} is malformed: {exc}") from exc
     validate_records(records)
     return records
 

@@ -27,6 +27,10 @@ fitness exactly ``t``; :func:`extract_assignment` inverts the construction,
 double-checking the structural facts that make the inversion sound (see
 :func:`property_failures`).  :func:`sat_brute_force` is the independent
 oracle the equivalence is tested against.
+
+A reduced instance describes itself: :func:`recover_reduction` rebuilds the
+layout, formula and threshold from the instance alone, so the sidecar
+(:func:`sidecar_dict`) is a derived copy that readers check, never read.
 """
 
 from __future__ import annotations
@@ -202,43 +206,36 @@ class ReductionLayout:
 
     num_vars: int
     num_clauses: int
-    customers: tuple[str, ...]
-    campaigns: tuple[str, ...]
     alphas: tuple[int, ...]
     alphas_prime: tuple[int, ...]
 
-    @classmethod
-    def build(
-        cls, num_vars: int, num_clauses: int, alphas: Sequence[int], alphas_prime: Sequence[int]
-    ) -> "ReductionLayout":
-        customers = []
-        for i in range(1, num_vars + 1):
-            customers += [f"u{i}", f"u{i}'"]
-        for j in range(1, num_clauses + 1):
-            customers += [f"s{j}", f"s{j}'", f"s{j}''"]
-        campaigns = [f"C{j}" for j in range(1, num_clauses + 1)]
-        campaigns += [f"x{i}" for i in range(1, num_vars + 1)]
-        return cls(
-            num_vars=num_vars,
-            num_clauses=num_clauses,
-            customers=tuple(customers),
-            campaigns=tuple(campaigns),
-            alphas=tuple(int(a) for a in alphas),
-            alphas_prime=tuple(int(a) for a in alphas_prime),
+    @property
+    def customers(self) -> tuple[str, ...]:
+        names = []
+        for i in range(1, self.num_vars + 1):
+            names += [f"u{i}", f"u{i}'"]
+        for j in range(1, self.num_clauses + 1):
+            names += [f"s{j}", f"s{j}'", f"s{j}''"]
+        return tuple(names)
+
+    @property
+    def campaigns(self) -> tuple[str, ...]:
+        return tuple(f"C{j}" for j in range(1, self.num_clauses + 1)) + tuple(
+            f"x{i}" for i in range(1, self.num_vars + 1)
         )
 
     # customer indices (variables and clauses are 1-based, copies 0-based)
-    def u_index(self, i: int) -> int:
-        return 2 * (i - 1)
-
-    def u_prime_index(self, i: int) -> int:
-        return 2 * (i - 1) + 1
+    @staticmethod
+    def literal_index(lit: int) -> int:
+        """``u_i`` for the literal ``x_i`` (``lit = i``), ``u_i'`` for ``~x_i`` (``-i``)."""
+        return 2 * (abs(lit) - 1) + (lit < 0)
 
     def s_index(self, j: int, copy: int) -> int:
         return 2 * self.num_vars + 3 * (j - 1) + copy
 
     # campaign indices
-    def clause_column(self, j: int) -> int:
+    @staticmethod
+    def clause_column(j: int) -> int:
         return j - 1
 
     def variable_column(self, i: int) -> int:
@@ -249,7 +246,12 @@ class ReductionLayout:
 class ReducedInstance:
     instance: Instance
     layout: ReductionLayout
-    threshold: int
+    formula: CnfFormula
+
+    @property
+    def threshold(self) -> int:
+        """The capacity vector read as base-10 digits, clause campaigns least significant."""
+        return sum(b * 10**j for j, b in enumerate(self.instance.lower_bounds))
 
 
 def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
@@ -258,43 +260,30 @@ def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
     l, m = formula.num_vars, len(formula.clauses)
     n, k = 2 * l + 3 * m, m + l
 
-    alphas = [1] * l
-    alphas_prime = [1] * l
+    # the row count at which each literal customer (the first 2l) responds
+    responds_at = [1] * (2 * l)
     for clause in formula.clauses:
         for lit in clause:
-            if lit > 0:
-                alphas[lit - 1] += 1
-            else:
-                alphas_prime[-lit - 1] += 1
-    layout = ReductionLayout.build(l, m, alphas, alphas_prime)
+            responds_at[ReductionLayout.literal_index(lit)] += 1
+    layout = ReductionLayout(l, m, tuple(responds_at[0::2]), tuple(responds_at[1::2]))
 
     prefs = [[0] * k for _ in range(n)]
     for i in range(1, l + 1):
         col = layout.variable_column(i)
-        prefs[layout.u_index(i)][col] = 10 ** col
-        prefs[layout.u_prime_index(i)][col] = 10 ** col
+        for lit in (i, -i):
+            prefs[layout.literal_index(lit)][col] = 10 ** col
     for j, clause in enumerate(formula.clauses, start=1):
         col = layout.clause_column(j)
         pay = 10 ** col
         for lit in clause:
-            if lit > 0:
-                prefs[layout.u_index(lit)][col] = pay
-            else:
-                prefs[layout.u_prime_index(-lit)][col] = pay
+            prefs[layout.literal_index(lit)][col] = pay
         for copy in range(3):
             prefs[layout.s_index(j, copy)][col] = pay
 
-    suppression: list[SuppressionTable] = [SuppressionTable.indicator(1, k)] * n
-    for i in range(1, l + 1):
-        suppression[layout.u_index(i)] = SuppressionTable.indicator(alphas[i - 1], k)
-        suppression[layout.u_prime_index(i)] = SuppressionTable.indicator(
-            alphas_prime[i - 1], k
-        )
+    suppression = [SuppressionTable.indicator(h, k) for h in responds_at]
+    suppression += [SuppressionTable.indicator(1, k)] * (3 * m)
 
     bounds = (4,) * m + (1,) * l
-    threshold = sum(4 * 10 ** (j - 1) for j in range(1, m + 1)) + sum(
-        10 ** (m + i - 1) for i in range(1, l + 1)
-    )
     inst = validate_instance(
         Instance(
             n=n,
@@ -306,28 +295,38 @@ def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
             upper_bounds=bounds,
         )
     )
-    return ReducedInstance(instance=inst, layout=layout, threshold=threshold)
+    return ReducedInstance(instance=inst, layout=layout, formula=formula)
 
 
-def recover_formula(red: ReducedInstance) -> CnfFormula:
-    """Reconstruct the clause list from a reduced instance's preferences.
+def recover_reduction(inst: Instance) -> ReducedInstance:
+    """The reduction ``inst`` is the output of, rebuilt from ``inst`` alone.
 
-    Literal ``x_i`` is in clause ``j`` exactly when ``u_i`` has a positive
-    preference in column ``C_j`` (and ``~x_i`` via ``u_i'``).
+    ``n = 2l + 3m`` and ``k = m + l`` fix the layout; a clause holds the
+    literals whose customer has a positive preference in its column, in
+    variable order.  Raises :class:`ValidationError` unless reducing that
+    formula gives back ``inst`` exactly.
     """
-    layout = red.layout
-    prefs = red.instance.preferences
-    clauses = []
-    for j in range(1, layout.num_clauses + 1):
-        col = layout.clause_column(j)
-        lits = []
-        for i in range(1, layout.num_vars + 1):
-            if prefs[layout.u_index(i)][col] > 0:
-                lits.append(i)
-            if prefs[layout.u_prime_index(i)][col] > 0:
-                lits.append(-i)
-        clauses.append(tuple(lits))
-    return CnfFormula(num_vars=layout.num_vars, clauses=tuple(clauses))
+    l, m = 3 * inst.k - inst.n, inst.n - 2 * inst.k
+    if l < 1 or m < 1:
+        raise ValidationError(f"instance does not match a reduction: {l} variables, {m} clauses")
+    clauses = tuple(
+        tuple(
+            lit
+            for i in range(1, l + 1)
+            for lit in (i, -i)
+            if inst.preferences[ReductionLayout.literal_index(lit)][j] > 0
+        )
+        for j in range(m)  # clause columns come first
+    )
+    try:
+        red = reduce_3sat(CnfFormula(num_vars=l, clauses=clauses))
+    except ValidationError as exc:
+        raise ValidationError(f"instance does not match a reduction: {exc}") from exc
+    if red.instance != inst:
+        raise ValidationError(
+            "instance does not match the reduction of the formula its preferences encode"
+        )
+    return red
 
 
 def embed_assignment(red: ReducedInstance, assignment: Sequence[bool]) -> AssignmentMatrix:
@@ -338,7 +337,7 @@ def embed_assignment(red: ReducedInstance, assignment: Sequence[bool]) -> Assign
     topped up to four recommendations using ``s_j, s_j', s_j''`` in that
     order.
     """
-    formula = recover_formula(red)
+    formula = red.formula
     assignment = tuple(bool(a) for a in assignment)
     if not satisfies(formula, assignment):
         for j, clause in enumerate(formula.clauses, start=1):
@@ -350,17 +349,14 @@ def embed_assignment(red: ReducedInstance, assignment: Sequence[bool]) -> Assign
     n, k = red.instance.n, red.instance.k
     rows = [[0] * k for _ in range(n)]
     for i in range(1, layout.num_vars + 1):
-        customer = layout.u_index(i) if assignment[i - 1] else layout.u_prime_index(i)
+        customer = layout.literal_index(i if assignment[i - 1] else -i)
         rows[customer][layout.variable_column(i)] = 1
     for j, clause in enumerate(formula.clauses, start=1):
         col = layout.clause_column(j)
         true_literals = 0
         for lit in clause:
             if (lit > 0) == assignment[abs(lit) - 1]:
-                customer = (
-                    layout.u_index(lit) if lit > 0 else layout.u_prime_index(-lit)
-                )
-                rows[customer][col] = 1
+                rows[layout.literal_index(lit)][col] = 1
                 true_literals += 1
         for copy in range(4 - true_literals):
             rows[layout.s_index(j, copy)][col] = 1
@@ -380,8 +376,9 @@ def property_failures(red: ReducedInstance, matrix: AssignmentMatrix) -> list[st
     inst = red.instance
     failures = []
     counts = matrix.row_sums()
+    names = layout.customers
     for i, row in enumerate(matrix.entries):
-        name = layout.customers[i]
+        name = names[i]
         positive = {j for j in range(inst.k) if inst.preferences[i][j] > 0}
         chosen = {j for j in range(inst.k) if row[j] == 1}
         if not chosen <= positive:
@@ -401,8 +398,8 @@ def property_failures(red: ReducedInstance, matrix: AssignmentMatrix) -> list[st
             )
     for i in range(1, layout.num_vars + 1):
         col = layout.variable_column(i)
-        u = matrix.entries[layout.u_index(i)][col]
-        up = matrix.entries[layout.u_prime_index(i)][col]
+        u = matrix.entries[layout.literal_index(i)][col]
+        up = matrix.entries[layout.literal_index(-i)][col]
         if u + up != 1:
             failures.append(
                 f"column x{i} must recommend exactly one of u{i}, u{i}'"
@@ -439,10 +436,10 @@ def extract_assignment(red: ReducedInstance, matrix: AssignmentMatrix) -> Boolea
         )
     layout = red.layout
     assignment = tuple(
-        matrix.entries[layout.u_index(i)][layout.variable_column(i)] == 1
+        matrix.entries[layout.literal_index(i)][layout.variable_column(i)] == 1
         for i in range(1, layout.num_vars + 1)
     )
-    if not satisfies(recover_formula(red), assignment):
+    if not satisfies(red.formula, assignment):
         raise InternalCheckError("extracted assignment fails the formula")
     return assignment
 
@@ -477,19 +474,3 @@ def sidecar_dict(red: ReducedInstance) -> dict:
         "alphas": list(layout.alphas),
         "alphas_prime": list(layout.alphas_prime),
     }
-
-
-def sidecar_from_dict(data: dict) -> tuple[int, ReductionLayout]:
-    try:
-        threshold = int(str(data["threshold"]))
-        layout = ReductionLayout(
-            num_vars=int(data["num_vars"]),
-            num_clauses=int(data["num_clauses"]),
-            customers=tuple(str(c) for c in data["customers"]),
-            campaigns=tuple(str(c) for c in data["campaigns"]),
-            alphas=tuple(int(a) for a in data["alphas"]),
-            alphas_prime=tuple(int(a) for a in data["alphas_prime"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed reduction sidecar: {exc}") from exc
-    return threshold, layout

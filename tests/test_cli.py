@@ -37,10 +37,9 @@ def small_instance(tmp_path):
     return inst, path
 
 
-@pytest.fixture
-def reduced_files(tmp_path, capsys):
+def reduce_files(tmp_path, capsys, cnf_text):
     cnf = tmp_path / "formula.cnf"
-    cnf.write_text(FOUR_CLAUSE_CNF)
+    cnf.write_text(cnf_text)
     instance = tmp_path / "reduced.json"
     sidecar = tmp_path / "sidecar.json"
     code = main([
@@ -50,6 +49,11 @@ def reduced_files(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     return instance, sidecar
+
+
+@pytest.fixture
+def reduced_files(tmp_path, capsys):
+    return reduce_files(tmp_path, capsys, FOUR_CLAUSE_CNF)
 
 
 class TestEvaluate:
@@ -304,6 +308,48 @@ class TestReductionFlow:
         assert code == 2
         assert "does not match" in report["error"]["message"]
 
+    def embedded_single_clause(self, tmp_path, capsys):
+        instance, sidecar = reduce_files(tmp_path, capsys, SINGLE_CLAUSE_CNF)
+        matrix = tmp_path / "m.json"
+        assert main(["embed", "--instance", str(instance), "--sidecar", str(sidecar),
+                     "--assignment", "100", "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        return instance, sidecar, matrix
+
+    @pytest.mark.parametrize("command", ["verify", "extract"])
+    @pytest.mark.parametrize("tamper", [
+        {"num_vars": 5, "num_clauses": 0},  # once an IndexError traceback
+        {"threshold": "1"},  # once read as the threshold
+        {"num_vars": 2, "num_clauses": 2},  # once an InternalCheckError, exit 1
+    ])
+    def test_tampered_sidecar(self, capsys, tmp_path, command, tamper):
+        instance, sidecar, matrix = self.embedded_single_clause(tmp_path, capsys)
+        io.dump_json({**io.load_json(sidecar), **tamper}, sidecar)
+        code, report = run_json(
+            capsys, command, "--instance", instance, "--sidecar", sidecar, "--matrix", matrix,
+        )
+        assert code == 2
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
+        assert "sidecar does not match" in report["error"]["message"]
+
+    @pytest.mark.parametrize("row, col, value", [
+        (1, 0, "1"),  # u1' joins clause C1: the formula has no such clause
+        (0, 1, "20"),  # u1's variable-column pay: the formula stays, the instance does not
+    ])
+    def test_edited_reduced_instance(self, capsys, tmp_path, row, col, value):
+        instance, sidecar, matrix = self.embedded_single_clause(tmp_path, capsys)
+        data = io.load_json(instance)
+        data["preferences"][row][col] = value
+        io.dump_json(data, instance)
+        code, report = run_json(
+            capsys, "verify", "--instance", instance, "--sidecar", sidecar, "--matrix", matrix,
+        )
+        assert code == 2
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
+        assert "does not match" in report["error"]["message"]
+
 
 class TestGen:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -328,6 +374,16 @@ class TestGen:
         inst = io.read_instance(path)
         assert inst.lower_bounds == (0, 0)
         assert inst.upper_bounds == (4, 4)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid", 0), ("--pref-max", -1), ("--weight-max", 0), ("--n", -1),
+    ])
+    def test_rejects_out_of_range_argument(self, capsys, flag, value):
+        args = {"--seed": 1, "--n": 3, "--k": 2, flag: value}
+        code, report = run_json(capsys, "gen", *(x for pair in args.items() for x in pair))
+        assert code == 2
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
 
 
 class TestFit:
@@ -394,6 +450,28 @@ class TestFit:
             "--max-h", 2, "--grid", 4,
         )
         assert code == 2
+        assert report["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", 1.7), ("h", True), ("responded", "no"), ("responded", 1),
+        ("campaign", [1]), ("customer", [1]),
+    ])
+    def test_malformed_record(self, capsys, tmp_path, field, value):
+        records = [
+            {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
+            {"customer": "b", "campaign": "c", "preference": 1, "h": 2, "responded": False},
+        ]
+        records[1][field] = value
+        records_path = tmp_path / "records.json"
+        labels_path = tmp_path / "labels.json"
+        io.dump_json(records, records_path)
+        io.dump_json({"a": 0, "b": 0}, labels_path)
+        code, report = run_json(
+            capsys, "fit", "--records", records_path, "--labels", labels_path,
+            "--max-h", 2, "--grid", 4,
+        )
+        assert code == 2
+        assert list(report) == ["error"]
         assert report["error"]["type"] == "ValidationError"
 
 

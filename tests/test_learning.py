@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +17,7 @@ from mcap.learning import (
     predict_preferences_cf,
     ratings_from_json,
     records_from_json,
+    _conditions,
     validate_records,
 )
 
@@ -168,6 +170,22 @@ records_strategy = st.lists(
 def test_fit_matches_exhaustive_oracle(records):
     result = fit_suppression(records, max_h=3, grid=4)
     assert result.satisfied == exhaustive_best(records, max_h=3, grid=4)
+
+
+@given(st.lists(
+    st.builds(rec, st.integers(0, 2), st.integers(1, 2), st.booleans(),
+              campaign=st.sampled_from(("a", "b", 1))),
+    max_size=30,
+))
+@settings(max_examples=100, deadline=None)
+def test_conditions_match_pair_enumeration(records):
+    pairs = Counter(
+        (yes.preference, yes.h, no.preference, no.h)
+        for yes in records
+        for no in records
+        if yes.responded and not no.responded and yes.campaign == no.campaign
+    )
+    assert _conditions(records) == dict(pairs)
 
 
 @given(records_strategy, st.integers(1, 4))

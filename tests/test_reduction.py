@@ -5,12 +5,15 @@ The running example throughout is the four-clause formula
 check every derived number by hand.
 """
 
+import json
 from itertools import product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from mcap import io
+from mcap.cli import main
 from mcap.core import (
     AssignmentMatrix,
     GuardExceededError,
@@ -27,12 +30,11 @@ from mcap.reduction import (
     format_dimacs,
     parse_dimacs,
     property_failures,
-    recover_formula,
+    recover_reduction,
     reduce_3sat,
     sat_brute_force,
     satisfies,
     sidecar_dict,
-    sidecar_from_dict,
     validate_formula,
 )
 from mcap.solvers import dp_solve
@@ -149,7 +151,7 @@ class TestReduce:
         red = reduce_3sat(four_clause_formula())
         layout = red.layout
         for i in range(1, 4):
-            table = red.instance.suppression[layout.u_index(i)]
+            table = red.instance.suppression[layout.literal_index(i)]
             alpha = layout.alphas[i - 1]
             assert [table[h] for h in range(8)] == [
                 1 if h == alpha else 0 for h in range(8)
@@ -172,7 +174,12 @@ class TestReduce:
 
     def test_recover_formula_roundtrip(self):
         for formula in (four_clause_formula(), single_clause_formula()):
-            assert recover_formula(reduce_3sat(formula)) == formula
+            assert recover_reduction(reduce_3sat(formula).instance).formula == formula
+        for seed in range(10):
+            formula = random_formula(seed, 4, 3)
+            # literal order within a clause leaves no trace in the instance
+            canonical = CnfFormula(4, tuple(tuple(sorted(cl, key=abs)) for cl in formula.clauses))
+            assert recover_reduction(reduce_3sat(formula).instance) == reduce_3sat(canonical)
 
 
 class TestEmbed:
@@ -199,7 +206,7 @@ class TestEmbed:
         col = layout.clause_column(1)
         recommended = [i for i in range(9) if matrix.entries[i][col] == 1]
         assert recommended == [
-            layout.u_index(1),
+            layout.literal_index(1),
             layout.s_index(1, 0),
             layout.s_index(1, 1),
             layout.s_index(1, 2),
@@ -236,8 +243,8 @@ class TestExtract:
         # preference is zero and whose row counts break their indicators
         rows = [[0] * 4 for _ in range(9)]
         for i in range(1, 4):
-            rows[layout.u_prime_index(i)][layout.clause_column(1)] = 1
-            rows[layout.u_prime_index(i)][layout.variable_column(i)] = 1
+            rows[layout.literal_index(-i)][layout.clause_column(1)] = 1
+            rows[layout.literal_index(-i)][layout.variable_column(i)] = 1
         rows[layout.s_index(1, 0)][layout.clause_column(1)] = 1
         matrix = AssignmentMatrix.from_rows(rows)
         assert check_feasibility(red.instance, matrix).feasible
@@ -268,7 +275,7 @@ class TestPropertyFailures:
         red = reduce_3sat(single_clause_formula())
         rows = [[0] * 4 for _ in range(9)]
         # u1 has alpha_1 = 2, so one recommendation leaves its indicator at 0
-        rows[red.layout.u_index(1)][red.layout.variable_column(1)] = 1
+        rows[red.layout.literal_index(1)][red.layout.variable_column(1)] = 1
         failures = property_failures(red, AssignmentMatrix.from_rows(rows))
         assert any("suppression value is not 1" in f for f in failures)
         assert any("part of its positive-preference cells" in f for f in failures)
@@ -277,7 +284,7 @@ class TestPropertyFailures:
         red = reduce_3sat(single_clause_formula())
         matrix = embed_assignment(red, (True, False, False))
         rows = [list(r) for r in matrix.entries]
-        rows[red.layout.u_prime_index(1)][red.layout.variable_column(1)] = 1
+        rows[red.layout.literal_index(-1)][red.layout.variable_column(1)] = 1
         failures = property_failures(red, AssignmentMatrix.from_rows(rows))
         assert any("exactly one of u1, u1'" in f for f in failures)
 
@@ -304,15 +311,38 @@ class TestSatBruteForce:
 
 
 class TestSidecar:
-    def test_roundtrip(self):
-        red = reduce_3sat(four_clause_formula())
-        threshold, layout = sidecar_from_dict(sidecar_dict(red))
-        assert threshold == red.threshold
-        assert layout == red.layout
+    """The sidecar is checked against the instance, never read."""
 
-    def test_malformed(self):
-        with pytest.raises(ValidationError, match="sidecar"):
-            sidecar_from_dict({"threshold": "12"})
+    def write_files(self, tmp_path, sidecar):
+        red = reduce_3sat(four_clause_formula())
+        paths = {name: tmp_path / f"{name}.json" for name in ("instance", "sidecar", "matrix")}
+        io.write_instance(red.instance, paths["instance"])
+        io.dump_json(sidecar, paths["sidecar"])
+        io.write_matrix(embed_assignment(red, (True, True, True)), paths["matrix"])
+        return [f"--{name}={path}" for name, path in paths.items()]
+
+    def test_roundtrip(self, tmp_path, capsys):
+        sidecar = sidecar_dict(reduce_3sat(four_clause_formula()))
+        assert main(["verify", *self.write_files(tmp_path, sidecar)]) == 0
+        assert "verified: True" in capsys.readouterr().out
+
+    def test_malformed(self, tmp_path, capsys):
+        written = sidecar_dict(reduce_3sat(four_clause_formula()))
+        tampered = [{"threshold": "12"}, []]
+        for field, value in written.items():
+            if isinstance(value, list):
+                changed = value + value[:1]
+            elif isinstance(value, int):
+                changed = value + 1
+            else:
+                changed = str(int(value) + 1)
+            tampered.append({**written, field: changed})
+        for sidecar in tampered:
+            argv = ["--format", "json", "verify", *self.write_files(tmp_path, sidecar)]
+            assert main(argv) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "ValidationError"
+            assert "sidecar does not match" in error["message"]
 
 
 @given(
