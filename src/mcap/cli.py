@@ -46,6 +46,12 @@ def _read_reduced(instance_path: str, sidecar_path: str) -> ReducedInstance:
     return red
 
 
+def _check_limits(args) -> None:
+    for flag, value in (("--max-cells", args.max_cells), ("--max-states", args.max_states)):
+        if value < 0:
+            raise ValidationError(f"{flag} must be >= 0, got {value}")
+
+
 def _result_report(result: solvers.SolveResult, method: str) -> dict:
     return {
         "method": method,
@@ -105,6 +111,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_solve(args) -> dict:
+    _check_limits(args)
     inst = _read_instance(args.instance)
     method, result = _solve_with(args.method, inst, args)
     if args.out:
@@ -288,6 +295,7 @@ def run_bench(
 
 
 def cmd_bench(args) -> dict:
+    _check_limits(args)
     inst = _read_instance(args.instance)
     return {"rows": run_bench(inst, max_cells=args.max_cells, max_states=args.max_states)}
 

@@ -8,8 +8,11 @@ Two independent estimation problems feed the assignment model:
   every (responder ``i``, non-responder ``j``) pair this yields one strict
   condition ``p_i * r(h_i) > p_j * r(h_j)``, and :func:`fit_suppression`
   searches a grid-valued table for ``r`` that satisfies as many conditions as
-  possible.  :func:`categorize_customers` supplies the grouping (small
-  seeded k-means over numeric profiles, or externally computed labels).
+  possible.  Its hill climb re-optimizes one level ``r(h)`` per step: one
+  pass over the conditions that mention ``h`` gives the count at every grid
+  level, then O(grid) picks the best.  :func:`categorize_customers`
+  supplies the grouping (small seeded k-means over numeric profiles, or
+  externally computed labels).
 
 * **Preferences.**  :func:`predict_preferences_cf` fills one missing entry
   of a sparse ratings matrix by nearest-neighbor collaborative filtering:
@@ -89,7 +92,9 @@ def _conditions(records: Sequence[ResponseRecord]) -> dict[tuple[int, int, int, 
     """
     by_campaign: dict[CampaignId, tuple[Counter, Counter]] = {}
     for rec in records:
-        yes, no = by_campaign.setdefault(rec.campaign, (Counter(), Counter()))
+        if rec.campaign not in by_campaign:
+            by_campaign[rec.campaign] = (Counter(), Counter())
+        yes, no = by_campaign[rec.campaign]
         (yes if rec.responded else no)[rec.preference, rec.h] += 1
     conditions: dict[tuple[int, int, int, int], int] = {}
     for yes, no in by_campaign.values():
@@ -112,9 +117,61 @@ def _satisfied_count(
     )
 
 
+Condition = tuple[int, int, int, int, int]
+
+
+def _touching(
+    conditions: Mapping[tuple[int, int, int, int], int], size: int
+) -> list[list[Condition]]:
+    """``groups[h]``: the conditions ``(p_i, h_i, p_j, h_j, mult)`` with ``h`` on a side."""
+    groups: list[list[Condition]] = [[] for _ in range(size)]
+    for (p_i, h_i, p_j, h_j), mult in conditions.items():
+        groups[h_i].append((p_i, h_i, p_j, h_j, mult))
+        if h_j != h_i:
+            groups[h_j].append((p_i, h_i, p_j, h_j, mult))
+    return groups
+
+
+def _level_counts(
+    levels: Sequence[int], h: int, touching: Sequence[Condition], grid: int
+) -> list[int]:
+    """Satisfied count of ``touching`` at every level ``x in 0..grid`` of ``h``.
+
+    Every condition must have ``h`` on a side; the other levels stay fixed,
+    so each one holds on a range of ``x``, found by integer floor division.
+    The ranges go into a difference array whose prefix sums are the counts.
+    """
+    diff = [0] * (grid + 2)
+    for p_i, h_i, p_j, h_j, mult in touching:
+        if h_i == h_j:
+            # p_i*x > p_j*x
+            if p_i <= p_j:
+                continue
+            lo, hi = 1, grid
+        elif h_i == h:
+            # p_i*x > p_j*L[h_j]
+            if p_i == 0:
+                continue
+            lo, hi = p_j * levels[h_j] // p_i + 1, grid
+        else:
+            # p_i*L[h_i] > p_j*x
+            lhs = p_i * levels[h_i]
+            if p_j == 0:
+                if lhs == 0:
+                    continue
+                lo, hi = 0, grid
+            else:
+                lo, hi = 0, min((lhs - 1) // p_j, grid)
+        if lo <= hi:
+            diff[lo] += mult
+            diff[hi + 1] -= mult
+    return list(itertools.accumulate(diff[:-1]))
+
+
 def _climb(
     levels: list[int],
     conditions: Mapping[tuple[int, int, int, int], int],
+    groups: Sequence[Sequence[Condition]],
     grid: int,
     monotone: bool,
 ) -> tuple[int, list[int]]:
@@ -125,6 +182,11 @@ def _climb(
     more conditions or the same number at a higher level.  Every accepted
     move increases the lexicographic objective ``(count, levels)``, which
     bounds the climb and guarantees termination.
+
+    ``groups`` is :func:`_touching` of ``conditions``.  One pass over the
+    conditions that mention ``h`` gives the count at every level of ``h``
+    (:func:`_level_counts`); the conditions without ``h`` add the same
+    amount to each level.  A step costs O(conditions + grid).
     """
     best = _satisfied_count(levels, conditions)
     changed = True
@@ -134,13 +196,12 @@ def _climb(
             current = levels[h]
             lo = levels[h + 1] if monotone and h + 1 < len(levels) else 0
             hi = levels[h - 1] if monotone and h > 1 else grid
+            counts = _level_counts(levels, h, groups[h], grid)
+            others = best - counts[current]
             top_count, top_level = best, current
             for candidate in range(lo, hi + 1):
-                if candidate == current:
-                    continue
-                levels[h] = candidate
-                count = _satisfied_count(levels, conditions)
-                if (count, candidate) > (top_count, top_level):
+                count = others + counts[candidate]
+                if candidate != current and (count, candidate) > (top_count, top_level):
                     top_count, top_level = count, candidate
             levels[h] = top_level
             if top_level != current:
@@ -173,6 +234,8 @@ def fit_suppression(
         raise ValidationError(f"max_h must be >= 1, got {max_h}")
     if grid < 1:
         raise ValidationError(f"grid resolution must be >= 1, got {grid}")
+    if restarts < 0:
+        raise ValidationError(f"restarts must be >= 0, got {restarts}")
     validate_records(records, max_h=max_h)
     conditions = _conditions(records)
     total = sum(conditions.values())
@@ -201,10 +264,11 @@ def fit_suppression(
             levels[1:] = sorted(levels[1:], reverse=True)
         starts.append(levels)
 
+    groups = _touching(conditions, max_h + 1)
     best_count = -1
     best_levels: list[int] = []
     for levels in starts:
-        count, final = _climb(levels, conditions, grid, monotone)
+        count, final = _climb(levels, conditions, groups, grid, monotone)
         if count > best_count or (count == best_count and final > best_levels):
             best_count = count
             best_levels = list(final)
@@ -388,7 +452,11 @@ def ratings_from_json(data) -> RatingsMatrix:
     triplets = []
     for idx, obj in enumerate(data):
         try:
-            triplets.append((obj["customer"], obj["campaign"], int(str(obj["rating"]))))
+            triplets.append((
+                _record_id(obj["customer"], f"rating {idx}: customer"),
+                _record_id(obj["campaign"], f"rating {idx}: campaign"),
+                int(str(obj["rating"])),
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"rating {idx} is malformed: {exc}") from exc
     return RatingsMatrix.from_triplets(triplets)

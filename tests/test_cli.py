@@ -182,6 +182,16 @@ class TestSolve:
         assert code == 4
         assert report["error"]["type"] == "GuardExceededError"
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("flag", ["--max-cells", "--max-states"])
+    def test_negative_guard_argument(self, capsys, small_instance, command, flag):
+        _, inst_path = small_instance
+        code, report = run_json(capsys, command, "--instance", inst_path, flag, -5)
+        assert code == 2
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
+        assert flag in report["error"]["message"]
+
     def test_const_method_rejects_varying_suppression(self, capsys, small_instance):
         _, inst_path = small_instance
         code, report = run_json(
@@ -402,6 +412,20 @@ class TestFit:
         assert category["label"] == 0
         assert category["table"] == ["0", "1", "1", "3/4"]
         assert (category["satisfied"], category["total"]) == (1, 1)
+
+    def test_negative_restarts(self, capsys, tmp_path):
+        records = [
+            {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
+        ]
+        records_path = tmp_path / "records.json"
+        io.dump_json(records, records_path)
+        code, report = run_json(
+            capsys, "fit", "--records", records_path, "--max-h", 3, "--restarts", -1,
+        )
+        assert code == 2
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
+        assert "restarts" in report["error"]["message"]
 
     def test_labels_split_categories(self, capsys, tmp_path):
         records = [

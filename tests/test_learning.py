@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,11 @@ from mcap.learning import (
     predict_preferences_cf,
     ratings_from_json,
     records_from_json,
+    _climb,
     _conditions,
+    _level_counts,
+    _satisfied_count,
+    _touching,
     validate_records,
 )
 
@@ -134,6 +139,8 @@ class TestFitSuppression:
             fit_suppression([], max_h=0)
         with pytest.raises(ValidationError, match="grid"):
             fit_suppression([], max_h=2, grid=0)
+        with pytest.raises(ValidationError, match="restarts"):
+            fit_suppression([], max_h=2, restarts=-1)
 
     def test_hill_climb_agrees_on_its_own_report(self):
         # grid large enough to skip the exhaustive path
@@ -201,6 +208,105 @@ def test_fit_is_scale_free_and_deterministic(records, factor):
     rescaled = fit_suppression(scaled, max_h=3, grid=4)
     assert rescaled.table == base.table
     assert rescaled.satisfied == base.satisfied
+
+
+def per_candidate_climb(levels, conditions, grid, monotone):
+    """Reference coordinate ascent: one full recount per candidate level."""
+    best = _satisfied_count(levels, conditions)
+    changed = True
+    while changed:
+        changed = False
+        for h in range(1, len(levels)):
+            current = levels[h]
+            lo = levels[h + 1] if monotone and h + 1 < len(levels) else 0
+            hi = levels[h - 1] if monotone and h > 1 else grid
+            top_count, top_level = best, current
+            for candidate in range(lo, hi + 1):
+                if candidate == current:
+                    continue
+                levels[h] = candidate
+                count = _satisfied_count(levels, conditions)
+                if (count, candidate) > (top_count, top_level):
+                    top_count, top_level = count, candidate
+            levels[h] = top_level
+            if top_level != current:
+                best = top_count
+                changed = True
+    return best, levels
+
+
+@st.composite
+def climb_cases(draw):
+    """(grid, max_h, monotone, conditions, start levels), preferences 0 to > 2^64."""
+    grid = draw(st.integers(1, 25))
+    max_h = draw(st.integers(1, 5))
+    monotone = draw(st.booleans())
+    pref = st.one_of(st.integers(0, 9), st.integers(2**64, 2**66))
+    h = st.integers(1, max_h)
+    conditions = draw(st.dictionaries(st.tuples(pref, h, pref, h), st.integers(1, 5), max_size=30))
+    levels = [0] + draw(st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h))
+    if monotone:
+        levels[1:] = sorted(levels[1:], reverse=True)
+    return grid, max_h, monotone, conditions, levels
+
+
+@given(climb_cases())
+@settings(max_examples=300, deadline=None)
+def test_climb_matches_per_candidate_loop(case):
+    grid, max_h, monotone, conditions, levels = case
+    groups = _touching(conditions, max_h + 1)
+    assert _climb(list(levels), conditions, groups, grid, monotone) == per_candidate_climb(
+        list(levels), conditions, grid, monotone
+    )
+
+
+@given(climb_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_level_counts_match_recount(case, data):
+    grid, max_h, _, conditions, levels = case
+    h = data.draw(st.integers(1, max_h))
+    touching = _touching(conditions, max_h + 1)[h]
+    mentioning_h = {key: mult for key, mult in conditions.items() if h in (key[1], key[3])}
+    assert {c[:4]: c[4] for c in touching} == mentioning_h
+    counts = _level_counts(levels, h, touching, grid)
+    assert len(counts) == grid + 1
+    start = _satisfied_count(levels, conditions)
+    for x in range(grid + 1):
+        substituted = [*levels[:h], x, *levels[h + 1:]]
+        assert counts[x] == _satisfied_count(substituted, mentioning_h)
+        # the conditions without h add the same count at every level
+        assert start - counts[levels[h]] + counts[x] == _satisfied_count(substituted, conditions)
+
+
+def seeded_history(seed, count=4500, max_h=4, campaigns=4):
+    """Noisy records whose response odds follow a hidden seeded table."""
+    rng = random.Random(seed)
+    hidden = [0.0] + [rng.randint(2, 10) / 10 for _ in range(max_h)]
+    records = []
+    for idx in range(count):
+        p, h = rng.randint(0, 9), rng.randint(1, max_h)
+        odds = 0.6 * (p / 9) * hidden[h] + 0.1 * rng.random()
+        records.append(ResponseRecord(idx, rng.randrange(campaigns), p, h, rng.random() < odds))
+    return records
+
+
+# (seed, monotone) -> (table, satisfied) of fit_suppression(max_h=4, grid=20),
+# recorded from the per-candidate hill climb
+HILL_CLIMB_PINS = {
+    (1, False): (("0", "13/20", "1/2", "17/20", "9/20"), 486688),
+    (1, True): (("0", "1", "19/20", "9/10", "13/20"), 477084),
+    (2, False): (("0", "3/20", "1/4", "1/5", "13/20"), 476283),
+    (2, True): (("0", "1", "1", "19/20", "9/10"), 430859),
+    (3, False): (("0", "2/5", "17/20", "7/20", "11/20"), 671612),
+    (3, True): (("0", "4/5", "3/4", "1/2", "9/20"), 640626),
+}
+
+
+@pytest.mark.parametrize("seed, monotone", sorted(HILL_CLIMB_PINS))
+def test_hill_climb_matches_recorded_fit(seed, monotone):
+    result = fit_suppression(seeded_history(seed), max_h=4, grid=20, monotone=monotone)
+    table, satisfied = HILL_CLIMB_PINS[seed, monotone]
+    assert (tuple(str(v) for v in result.table.values), result.satisfied) == (table, satisfied)
 
 
 class TestCategorize:
@@ -335,6 +441,13 @@ class TestJsonDecoding:
     def test_ratings_malformed(self):
         with pytest.raises(ValidationError, match="rating 0"):
             ratings_from_json([{"customer": "a"}])
+
+    @pytest.mark.parametrize("field", ["customer", "campaign"])
+    @pytest.mark.parametrize("value", [[1], {"id": 1}, True], ids=["list", "dict", "bool"])
+    def test_ratings_reject_non_scalar_ids(self, field, value):
+        obj = {"customer": "a", "campaign": "x", "rating": 3, field: value}
+        with pytest.raises(ValidationError, match=f"rating 0: {field}"):
+            ratings_from_json([obj])
 
 
 class TestFitCategories:
