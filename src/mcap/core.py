@@ -208,7 +208,8 @@ def validate_instance(inst: Instance) -> Instance:
         if table[0] != 0:
             raise ValidationError(f"customer {i}: r(0) must be 0, got {table[0]}")
         for h, v in enumerate(table.values):
-            if not 0 <= v <= 1:
+            # a Fraction's denominator is positive: this is 0 <= v <= 1
+            if not 0 <= v.numerator <= v.denominator:
                 raise ValidationError(
                     f"customer {i}: suppression value r({h}) = {v} outside [0, 1]"
                 )

@@ -3,11 +3,17 @@
 Weights and preferences travel as decimal strings so values may exceed 64
 bits; suppression values travel as ``"num/den"`` strings (plain ``"0"`` /
 ``"1"`` for integers).  Matrices travel as one ``'0'``/``'1'`` string per row.
+
+A suppression literal, after surrounding whitespace is stripped, is
+``[+-]?digits`` or ``[+-]?digits/digits`` (ASCII digits, no spaces inside).
+Decimal and exponent forms such as ``"0.5"`` or ``"1e-5"`` are rejected: an
+exponent literal can stand for a number with millions of digits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,12 +24,20 @@ def fraction_to_str(value: Fraction) -> str:
     return str(value)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def fraction_from_str(text: str) -> Fraction:
     # no JSON numbers: a float would be silently inexact
     if not isinstance(text, str):
         raise ValidationError(f"rational literal must be a string such as \"1/2\", got {text!r}")
+    literal = text.strip()
+    if not _RATIONAL.fullmatch(literal):
+        raise ValidationError(
+            f"bad rational literal {text!r}: expected an integer or \"num/den\" such as \"1/2\""
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational literal {text!r}: {exc}") from exc
 
@@ -62,8 +76,18 @@ def instance_from_dict(data: dict) -> Instance:
             [_int_from_str(p, "preference") for p in _list(row, "a preference row")]
             for row in _list(data["preferences"], "preferences")
         ]
+        # fitted and generated tables repeat a few grid values: parse each
+        # distinct literal once and share the (immutable) Fraction
+        parsed: dict[str, Fraction] = {}
+
+        def rational(text) -> Fraction:
+            value = parsed.get(text) if isinstance(text, str) else None
+            if value is None:
+                value = parsed[text] = fraction_from_str(text)
+            return value
+
         suppression = [
-            SuppressionTable(tuple(fraction_from_str(v) for v in _list(row, "a suppression row")))
+            SuppressionTable(tuple(rational(v) for v in _list(row, "a suppression row")))
             for row in _list(data["suppression"], "suppression")
         ]
         lower = [

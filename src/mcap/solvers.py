@@ -19,7 +19,8 @@ Exact routes:
 Heuristic routes (no optimality guarantee, always feasible):
 
 * :func:`greedy_construct` fills lower bounds first, then keeps adding the
-  cell with the best marginal fitness gain while one exists.
+  cell with the best marginal fitness gain while one exists, on a heap that
+  holds each row's best open cell.
 * :func:`local_search` improves a feasible start by first-improvement scans
   over single-cell flips and within-column swaps.
 
@@ -95,7 +96,11 @@ def _scaled(inst: Instance) -> tuple[int, list[list[int]], list[list[int]]]:
     v``, its fitness times ``scale``.
     """
     scale = lcm(*(v.denominator for t in inst.suppression for v in t.values))
-    rates = [[int(v * scale) for v in t.values] for t in inst.suppression]
+    # scale is a multiple of every denominator, so this is int(v * scale)
+    # without a Fraction multiply
+    rates = [
+        [v.numerator * (scale // v.denominator) for v in t.values] for t in inst.suppression
+    ]
     weighted = [[w * p for w, p in zip(inst.weights, row)] for row in inst.preferences]
     return scale, rates, weighted
 
@@ -434,15 +439,28 @@ def greedy_construct(inst: Instance) -> SolveResult:
     positive.  Ties break toward the smaller customer index, then the smaller
     campaign index.
 
-    Both phases run on a max-heap of cells keyed by gain.  Setting a cell
-    changes the gain of every other cell in its row, so fresh entries are
-    pushed for those cells and stale heap entries are dropped when popped
-    (each cell's current gain is tracked in a side map).
+    Both phases run on a min-heap holding one entry ``(-gain, i, j)`` per
+    row: the row's best open cell.  A cell's gain is ``rates[i][h+1]`` times
+    its weighted preference plus a term shared by the whole row, and rates
+    are nonnegative, so the best open cell is the open campaign with the
+    largest weighted preference (ties to the smaller ``j``) when
+    ``rates[i][h+1] > 0``, and the smallest open ``j`` when it is 0 (every
+    gain in the row is then equal).  Each row's campaign order is computed
+    once.  Setting a cell changes only its own row, which is re-ranked and
+    pushed again.  A popped entry whose column has closed is re-ranked and
+    pushed again: columns only close within a phase, so such a stale key is
+    never worse than the row's true one, and the first entry popped with an
+    open column is the global best by ``(gain desc, i asc, j asc)``, the
+    same cell a heap over every cell would pick.  ``explored`` counts the
+    row-heap pops.
     """
     validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
     scale, rates, weighted = _scaled(inst)
+    # campaigns by descending weighted preference; the sort is stable, so
+    # equal preferences keep the smaller campaign first
+    ranked = [sorted(range(k), key=lambda j: -row[j]) for row in weighted]
     rows = [[0] * k for _ in range(n)]
     h = [0] * n
     row_value = [0] * n
@@ -450,37 +468,34 @@ def greedy_construct(inst: Instance) -> SolveResult:
     pops = 0
     total = 0
 
+    def best_cell(i: int, limit: tuple[int, ...]) -> tuple[int, int, int] | None:
+        # heap entry for row i's best open cell, or None when it has none
+        row, h_i, rates_i = rows[i], h[i], rates[i]
+        if h_i == k:
+            return None
+        for j in ranked[i] if rates_i[h_i + 1] else range(k):
+            if not row[j] and cols[j] < limit[j]:
+                return (-_gain(rates_i, row_value[i], h_i, weighted[i][j], 1), i, j)
+        return None
+
     def fill(limit: tuple[int, ...], positive_only: bool) -> None:
         nonlocal pops, total
-        current: dict[tuple[int, int], int] = {}
-        heap: list[tuple[int, int, int]] = []
-        for i in range(n):
-            for j in range(k):
-                if rows[i][j] == 0 and cols[j] < limit[j]:
-                    gain = _gain(rates[i], row_value[i], h[i], weighted[i][j], 1)
-                    current[(i, j)] = gain
-                    heap.append((-gain, i, j))
+        heap = [entry for i in range(n) if (entry := best_cell(i, limit)) is not None]
         heapq.heapify(heap)
         while heap:
             neg_gain, i, j = heapq.heappop(heap)
             pops += 1
-            if rows[i][j] == 1 or cols[j] >= limit[j]:
-                continue
-            gain = -neg_gain
-            if current[(i, j)] != gain:
-                continue  # superseded by a fresher entry still in the heap
-            if positive_only and gain <= 0:
-                break
-            rows[i][j] = 1
-            cols[j] += 1
-            row_value[i] += weighted[i][j]
-            h[i] += 1
-            total += gain
-            for q in range(k):
-                if rows[i][q] == 0 and cols[q] < limit[q]:
-                    fresh = _gain(rates[i], row_value[i], h[i], weighted[i][q], 1)
-                    current[(i, q)] = fresh
-                    heapq.heappush(heap, (-fresh, i, q))
+            if cols[j] < limit[j]:
+                if positive_only and neg_gain >= 0:
+                    break
+                rows[i][j] = 1
+                cols[j] += 1
+                row_value[i] += weighted[i][j]
+                h[i] += 1
+                total -= neg_gain
+            # the row changed, or the entry's column closed: re-rank the row
+            if (entry := best_cell(i, limit)) is not None:
+                heapq.heappush(heap, entry)
 
     fill(inst.lower_bounds, positive_only=False)
     fill(inst.upper_bounds, positive_only=True)

@@ -108,6 +108,11 @@ class TestEvaluate:
         ("preferences", ["57", "10"]), ("suppression", ["011", "011"]),
         # suppression entries must be strings: JSON numbers are rejected
         ("suppression", [[0, 1, 1], [0, 1, 1]]),
+        # and integers or "num/den": "1e-3000000" once parsed, then broke
+        # printing the fitness
+        ("suppression", [["0", "1e-3000000", "1"], ["0", "1", "1"]]),
+        ("suppression", [["0", "1e-5", "1"], ["0", "1", "1"]]),
+        ("suppression", [["0", "0.5", "1"], ["0", "1", "1"]]),
     ])
     def test_non_integer_instance_field(self, capsys, small_instance, tmp_path, field, value):
         inst, _ = small_instance

@@ -62,6 +62,16 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
             validate_instance(bad)
 
+    @pytest.mark.parametrize("value", [Fraction(1), Fraction("4/4"), Fraction(0), Fraction(3, 4)])
+    def test_suppression_value_on_or_inside_the_boundary(self, value):
+        validate_instance(minimal_instance(suppression=(SuppressionTable((0, value)),)))
+
+    @pytest.mark.parametrize("value", [Fraction(5, 4), Fraction(-1, 4)])
+    def test_suppression_value_outside_the_boundary(self, value):
+        bad = minimal_instance(suppression=(SuppressionTable((0, value)),))
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            validate_instance(bad)
+
     def test_suppression_table_wrong_length(self):
         bad = minimal_instance(suppression=(SuppressionTable((0, 1, 1)),))
         with pytest.raises(ValidationError, match="entries"):

@@ -63,6 +63,32 @@ def test_fraction_strings():
         io.fraction_from_str("1/0")
 
 
+@pytest.mark.parametrize("text", [" 3/4 ", "+3/4", "-1/4", "007", "4/4"])
+def test_fraction_grammar_accepts_integers_and_ratios(text):
+    assert io.fraction_from_str(text) == Fraction(text.strip())
+
+
+@pytest.mark.parametrize("text", [
+    "1e-3000000", "1e-5", "0.5", ".5", "1/2.0", "1 / 2", "1/-2", "1_000", "\u0661", "", "/2", "1/",
+])
+def test_fraction_grammar_rejects_other_forms(text):
+    # exponent forms once parsed, and "1e-3000000" then broke printing the fitness
+    with pytest.raises(ValidationError, match="bad rational"):
+        io.fraction_from_str(text)
+
+
+def test_repeated_suppression_literals_share_one_fraction():
+    data = io.instance_to_dict(Instance(
+        n=2, k=2, weights=(1, 1), preferences=((1, 2), (3, 4)),
+        suppression=(SuppressionTable((0, Fraction(1, 2), Fraction(1, 2))),) * 2,
+        lower_bounds=(0, 0), upper_bounds=(2, 2),
+    ))
+    inst = io.instance_from_dict(data)
+    values = [v for t in inst.suppression for v in t.values]
+    assert values == [0, Fraction(1, 2), Fraction(1, 2)] * 2
+    assert values[1] is values[2] is values[4] and values[0] is values[3]
+
+
 def test_matrix_rejects_non_binary_characters():
     with pytest.raises(ValidationError, match="not '0' or '1'"):
         io.matrix_from_dict({"rows": ["01", "0x"]})
