@@ -24,7 +24,6 @@ from .core import (
     ValidationError,
     check_feasibility,
     evaluate_fitness,
-    validate_instance,
 )
 from .generate import random_instance
 from .reduction import ReducedInstance
@@ -35,12 +34,21 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 
-def _read_instance(path: str) -> Instance:
-    return validate_instance(io.read_instance(path))
+
+def _exact(value) -> str:
+    """The decimal text of an exact number in a report.
+
+    Python refuses to print an integer of more digits than
+    ``sys.get_int_max_str_digits()``; such a result is an input error.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise ValidationError(f"result too large to print: {exc}") from exc
 
 
 def _read_reduced(instance_path: str, sidecar_path: str) -> ReducedInstance:
-    red = reduction.recover_reduction(_read_instance(instance_path))
+    red = reduction.recover_reduction(io.read_instance(instance_path))
     if io.load_json(sidecar_path) != reduction.sidecar_dict(red):
         raise ValidationError("sidecar does not match the reduced instance")
     return red
@@ -55,7 +63,7 @@ def _check_limits(args) -> None:
 def _result_report(result: solvers.SolveResult, method: str) -> dict:
     return {
         "method": method,
-        "fitness": str(result.fitness),
+        "fitness": _exact(result.fitness),
         "optimal": result.optimal,
         "rows": io.matrix_to_dict(result.matrix)["rows"],
         "elapsed_s": round(result.stats.elapsed_s, 6),
@@ -96,12 +104,12 @@ def _solve_with(method: str, inst: Instance, args) -> tuple[str, solvers.SolveRe
 
 
 def cmd_evaluate(args) -> dict:
-    inst = _read_instance(args.instance)
+    inst = io.read_instance(args.instance)
     matrix = io.read_matrix(args.matrix)
     fitness = evaluate_fitness(inst, matrix)
     report = check_feasibility(inst, matrix)
     return {
-        "fitness": str(fitness),
+        "fitness": _exact(fitness),
         "feasible": report.feasible,
         "column_sums": list(report.column_sums),
         "violations": [
@@ -112,12 +120,11 @@ def cmd_evaluate(args) -> dict:
 
 def cmd_solve(args) -> dict:
     _check_limits(args)
-    inst = _read_instance(args.instance)
+    inst = io.read_instance(args.instance)
     method, result = _solve_with(args.method, inst, args)
-    if args.out:
-        io.write_matrix(result.matrix, args.out)
     report = _result_report(result, method)
     if args.out:
+        io.write_matrix(result.matrix, args.out)
         report["out"] = args.out
     return report
 
@@ -133,7 +140,7 @@ def cmd_reduce(args) -> dict:
         "num_clauses": len(formula.clauses),
         "n": red.instance.n,
         "k": red.instance.k,
-        "threshold": str(red.threshold),
+        "threshold": _exact(red.threshold),
         "out_instance": args.out_instance,
         "out_sidecar": args.out_sidecar,
     }
@@ -156,8 +163,8 @@ def cmd_embed(args) -> dict:
     fitness = evaluate_fitness(red.instance, matrix)
     return {
         "assignment": args.assignment.strip(),
-        "fitness": str(fitness),
-        "threshold": str(red.threshold),
+        "fitness": _exact(fitness),
+        "threshold": _exact(red.threshold),
         "meets_threshold": fitness >= red.threshold,
         "out": args.out,
     }
@@ -169,8 +176,8 @@ def cmd_extract(args) -> dict:
     assignment = reduction.extract_assignment(red, matrix)
     return {
         "assignment": "".join("1" if a else "0" for a in assignment),
-        "fitness": str(evaluate_fitness(red.instance, matrix)),
-        "threshold": str(red.threshold),
+        "fitness": _exact(evaluate_fitness(red.instance, matrix)),
+        "threshold": _exact(red.threshold),
     }
 
 
@@ -183,8 +190,8 @@ def cmd_verify(args) -> dict:
     verified = feas.feasible and fitness >= red.threshold and not failures
     report = {
         "feasible": feas.feasible,
-        "fitness": str(fitness),
-        "threshold": str(red.threshold),
+        "fitness": _exact(fitness),
+        "threshold": _exact(red.threshold),
         "meets_threshold": fitness >= red.threshold,
         "property_failures": failures,
         "verified": verified,
@@ -240,7 +247,7 @@ def cmd_fit(args) -> dict:
         "categories": [
             {
                 "label": label,
-                "table": [str(v) for v in fit.table.values],
+                "table": [_exact(v) for v in fit.table.values],
                 "satisfied": fit.satisfied,
                 "total": fit.total,
             }
@@ -278,13 +285,13 @@ def run_bench(
     for method, result in results.items():
         gap = None
         if best is not None and best > 0:
-            gap = str((best - result.fitness) / best)
+            gap = _exact((best - result.fitness) / best)
         elif best is not None:
             gap = "0"
         rows.append(
             {
                 "method": method,
-                "fitness": str(result.fitness),
+                "fitness": _exact(result.fitness),
                 "optimal": result.optimal,
                 "gap": gap,
                 "elapsed_s": round(result.stats.elapsed_s, 6),
@@ -296,7 +303,7 @@ def run_bench(
 
 def cmd_bench(args) -> dict:
     _check_limits(args)
-    inst = _read_instance(args.instance)
+    inst = io.read_instance(args.instance)
     return {"rows": run_bench(inst, max_cells=args.max_cells, max_states=args.max_states)}
 
 

@@ -102,9 +102,10 @@ class SuppressionTable:
 class Instance:
     """A full multicampaign assignment instance.
 
-    Construction only coerces containers; call :func:`validate_instance` to
-    enforce the invariants.  Instances are immutable and safe to share across
-    concurrent solver invocations.
+    Construction coerces containers, then checks every invariant with
+    :func:`validate_instance`, so an ``Instance`` that exists is valid.
+    Instances are immutable and safe to share across concurrent solver
+    invocations.
     """
 
     n: int
@@ -127,17 +128,32 @@ class Instance:
         object.__setattr__(self, "suppression", tables)
         object.__setattr__(self, "lower_bounds", tuple(int(b) for b in self.lower_bounds))
         object.__setattr__(self, "upper_bounds", tuple(int(b) for b in self.upper_bounds))
+        validate_instance(self)
 
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """An n-by-k binary matrix; ``entries[i][j] = 1`` assigns campaign j to customer i."""
+    """An n-by-k binary matrix; ``entries[i][j] = 1`` assigns campaign j to customer i.
+
+    Construction raises :class:`ValidationError` unless the rows all have the
+    same length and every entry is 0 or 1.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        entries = tuple(tuple(row) for row in self.entries)
+        width = len(entries[0]) if entries else 0
+        for i, row in enumerate(entries):
+            if len(row) != width:
+                raise ValidationError(
+                    f"matrix row {i} has {len(row)} entries, row 0 has {width}"
+                )
+            for j, m in enumerate(row):
+                if m not in (0, 1):
+                    raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
         object.__setattr__(
-            self, "entries", tuple(tuple(int(m) for m in row) for row in self.entries)
+            self, "entries", tuple(tuple(int(m) for m in row) for row in entries)
         )
 
     @property
@@ -175,8 +191,9 @@ class FeasibilityReport:
 def validate_instance(inst: Instance) -> Instance:
     """Return ``inst`` unchanged iff every instance invariant holds.
 
-    Raises :class:`ValidationError` naming the first violated invariant, in
-    the order: sizes, weights, preferences, suppression tables, bounds.
+    Every :class:`Instance` runs this when it is built.  Raises
+    :class:`ValidationError` naming the first violated invariant, in the
+    order: sizes, weights, preferences, suppression tables, bounds.
     """
     if inst.n < 1:
         raise ValidationError(f"n must be >= 1, got {inst.n}")
@@ -231,16 +248,12 @@ def validate_instance(inst: Instance) -> Instance:
 
 
 def check_matrix(inst: Instance, matrix: AssignmentMatrix) -> AssignmentMatrix:
-    """Validate that ``matrix`` is binary and dimensioned for ``inst``."""
+    """Validate that ``matrix`` is dimensioned for ``inst``."""
     if matrix.n != inst.n or (matrix.n and matrix.k != inst.k):
         raise ValidationError(
             f"dimension mismatch: instance is {inst.n}x{inst.k}, "
             f"matrix is {matrix.n}x{matrix.k}"
         )
-    for i, row in enumerate(matrix.entries):
-        for j, m in enumerate(row):
-            if m not in (0, 1):
-                raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
     return matrix
 
 

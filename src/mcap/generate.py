@@ -15,7 +15,6 @@ from .core import (
     Instance,
     SuppressionTable,
     ValidationError,
-    validate_instance,
 )
 from .reduction import BooleanAssignment, CnfFormula, validate_formula
 
@@ -62,7 +61,7 @@ def random_instance(
     """
     if bounds not in BOUND_STYLES:
         raise ValidationError(f"unknown bound style {bounds!r}; expected one of {BOUND_STYLES}")
-    # k is left to validate_instance: no draw below fails on a bad k
+    # k is left to Instance: no draw below fails on a bad k
     for name, value, least in (
         ("n", n, 1), ("pref_max", pref_max, 0), ("weight_max", weight_max, 1), ("grid", grid, 1),
     ):
@@ -78,16 +77,14 @@ def random_instance(
         pairs = [sorted((rng.randint(0, n), rng.randint(0, n))) for _ in range(k)]
         lower = tuple(p[0] for p in pairs)
         upper = tuple(p[1] for p in pairs)
-    return validate_instance(
-        Instance(
-            n=n,
-            k=k,
-            weights=weights,
-            preferences=prefs,
-            suppression=suppression,
-            lower_bounds=tuple(lower),
-            upper_bounds=tuple(upper),
-        )
+    return Instance(
+        n=n,
+        k=k,
+        weights=weights,
+        preferences=prefs,
+        suppression=suppression,
+        lower_bounds=tuple(lower),
+        upper_bounds=tuple(upper),
     )
 
 

@@ -138,7 +138,8 @@ def dump_json(data: dict, path: str | Path) -> None:
 def load_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    # also bad UTF-8, a number past the int digit limit, and deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -147,6 +148,7 @@ def write_instance(inst: Instance, path: str | Path) -> None:
 
 
 def read_instance(path: str | Path) -> Instance:
+    """The instance in ``path``; :class:`ValidationError` if it is malformed or invalid."""
     return instance_from_dict(load_json(path))
 
 

@@ -58,6 +58,7 @@ class ResponseRecord:
 
     ``h`` is the customer's total recommendation count at the time, so it is
     at least 1; ``preference`` is the (estimated) preference for the campaign.
+    Construction raises :class:`ValidationError` otherwise.
     """
 
     customer: CustomerId
@@ -66,14 +67,16 @@ class ResponseRecord:
     h: int
     responded: bool
 
+    def __post_init__(self) -> None:
+        if self.preference < 0:
+            raise ValidationError("preference must be nonnegative")
+        if self.h < 1:
+            raise ValidationError(f"h must be >= 1, got {self.h}")
 
-def validate_records(records: Sequence[ResponseRecord], max_h: int | None = None) -> None:
+
+def validate_records(records: Sequence[ResponseRecord], max_h: int) -> None:
     for idx, rec in enumerate(records):
-        if rec.preference < 0:
-            raise ValidationError(f"record {idx}: preference must be nonnegative")
-        if rec.h < 1:
-            raise ValidationError(f"record {idx}: h must be >= 1, got {rec.h}")
-        if max_h is not None and rec.h > max_h:
+        if rec.h > max_h:
             raise ValidationError(f"record {idx}: h={rec.h} exceeds max_h={max_h}")
 
 
@@ -430,36 +433,17 @@ def records_from_json(data) -> list[ResponseRecord]:
             responded = obj["responded"]
             if not isinstance(responded, bool):
                 raise ValidationError(f"{what}: responded must be true or false, got {responded!r}")
-            records.append(
-                ResponseRecord(
-                    customer=_record_id(obj["customer"], f"{what}: customer"),
-                    campaign=_record_id(obj["campaign"], f"{what}: campaign"),
-                    preference=_int_from_str(obj["preference"], f"{what} preference"),
-                    h=_int_from_str(obj["h"], f"{what} h"),
-                    responded=responded,
-                )
-            )
+            customer = _record_id(obj["customer"], f"{what}: customer")
+            campaign = _record_id(obj["campaign"], f"{what}: campaign")
+            preference = _int_from_str(obj["preference"], f"{what} preference")
+            h = _int_from_str(obj["h"], f"{what} h")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"{what} is malformed: {exc}") from exc
-    validate_records(records)
-    return records
-
-
-def ratings_from_json(data) -> RatingsMatrix:
-    """Decode the ratings file: an array of {customer, campaign, rating}."""
-    if not isinstance(data, list):
-        raise ValidationError("ratings must be a JSON array of triplets")
-    triplets = []
-    for idx, obj in enumerate(data):
         try:
-            triplets.append((
-                _record_id(obj["customer"], f"rating {idx}: customer"),
-                _record_id(obj["campaign"], f"rating {idx}: campaign"),
-                int(str(obj["rating"])),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"rating {idx} is malformed: {exc}") from exc
-    return RatingsMatrix.from_triplets(triplets)
+            records.append(ResponseRecord(customer, campaign, preference, h, responded))
+        except ValidationError as exc:
+            raise ValidationError(f"{what}: {exc}") from exc
+    return records
 
 
 def fit_categories(

@@ -47,9 +47,7 @@ from .core import (
     SuppressionTable,
     ValidationError,
     check_feasibility,
-    check_matrix,
     evaluate_fitness,
-    validate_instance,
 )
 
 BooleanAssignment = tuple[bool, ...]
@@ -284,16 +282,14 @@ def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
     suppression += [SuppressionTable.indicator(1, k)] * (3 * m)
 
     bounds = (4,) * m + (1,) * l
-    inst = validate_instance(
-        Instance(
-            n=n,
-            k=k,
-            weights=(1,) * k,
-            preferences=tuple(tuple(row) for row in prefs),
-            suppression=tuple(suppression),
-            lower_bounds=bounds,
-            upper_bounds=bounds,
-        )
+    inst = Instance(
+        n=n,
+        k=k,
+        weights=(1,) * k,
+        preferences=tuple(tuple(row) for row in prefs),
+        suppression=tuple(suppression),
+        lower_bounds=bounds,
+        upper_bounds=bounds,
     )
     return ReducedInstance(instance=inst, layout=layout, formula=formula)
 
@@ -417,7 +413,6 @@ def extract_assignment(red: ReducedInstance, matrix: AssignmentMatrix) -> Boolea
     construction makes them impossible to fail.
     """
     inst = red.instance
-    check_matrix(inst, matrix)
     report = check_feasibility(inst, matrix)
     if not report.feasible:
         raise PreconditionError(

@@ -60,9 +60,7 @@ from .core import (
     InternalCheckError,
     PreconditionError,
     check_feasibility,
-    check_matrix,
     evaluate_fitness,
-    validate_instance,
 )
 
 DEFAULT_BRUTE_FORCE_CELLS = 24
@@ -187,7 +185,6 @@ def brute_force_solve(
     Among equal-fitness optima the lexicographically smallest matrix wins,
     comparing the row-major concatenation of rows as a bit string.
     """
-    validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
     if n * k > max_cells:
@@ -294,7 +291,6 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     descending index offset and replaces only on a strictly larger value;
     offsets are distinct, so that is the same rule.
     """
-    validate_instance(inst)
     started = time.perf_counter()
     dp_guard(inst, max_states)
     n, k = inst.n, inst.k
@@ -384,7 +380,6 @@ def solve_constant_suppression(inst: Instance) -> SolveResult:
     nonnegative, so filling to the upper bound is optimal and automatically
     covers the lower bound.
     """
-    validate_instance(inst)
     started = time.perf_counter()
     for i, table in enumerate(inst.suppression):
         if not table.is_constant_above_zero():
@@ -413,7 +408,6 @@ def solve_unbounded(inst: Instance) -> SolveResult:
     ``h`` maximizing ``r_i(h) * prefix_sum(h)`` (ties to the smaller ``h``):
     that is :func:`_best_row` over all campaigns.
     """
-    validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
     if any(b != 0 for b in inst.lower_bounds) or any(b != n for b in inst.upper_bounds):
@@ -454,7 +448,6 @@ def greedy_construct(inst: Instance) -> SolveResult:
     same cell a heap over every cell would pick.  ``explored`` counts the
     row-heap pops.
     """
-    validate_instance(inst)
     started = time.perf_counter()
     n, k = inst.n, inst.k
     scale, rates, weighted = _scaled(inst)
@@ -513,8 +506,6 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     restarts, so the result is a deterministic local optimum; termination is
     guaranteed because fitness strictly increases over a finite lattice.
     """
-    validate_instance(inst)
-    check_matrix(inst, start)
     report = check_feasibility(inst, start)
     if not report.feasible:
         raise InfeasibleError(f"starting matrix violates bounds: {report.violations}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,33 @@ def small_instance(tmp_path):
     path = tmp_path / "instance.json"
     io.write_instance(inst, path)
     return inst, path
+
+
+RAGGED_ROWS = [["10", "1"], ["10", "111"]]
+
+
+def assert_one_error(captured, code, expected_code, error_type):
+    assert code == expected_code
+    report = json.loads(captured.out)
+    assert report == {"error": {"type": error_type, "message": report["error"]["message"]}}
+
+
+@pytest.fixture
+def huge_instance(tmp_path):
+    # fitness of the one cell has about 6,000 digits
+    inst = Instance(
+        n=1, k=1, weights=(int("9" * 3000),), preferences=((int("9" * 3000),),),
+        suppression=(SuppressionTable((0, 1)),),
+        lower_bounds=(0,), upper_bounds=(1,),
+    )
+    path = tmp_path / "huge.json"
+    io.write_instance(inst, path)
+    return path
+
+
+def digit_limited() -> bool:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return 0 < limit < 5999
 
 
 def reduce_files(tmp_path, capsys, cnf_text):
@@ -124,6 +152,29 @@ class TestEvaluate:
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("rows", RAGGED_ROWS)
+    def test_ragged_matrix(self, capsys, small_instance, tmp_path, rows):
+        _, inst_path = small_instance
+        matrix = tmp_path / "matrix.json"
+        io.dump_json({"rows": rows}, matrix)
+        code, captured = run(
+            capsys, "--format", "json", "evaluate", "--instance", inst_path, "--matrix", matrix
+        )
+        assert_one_error(captured, code, 2, "ValidationError")
+
+    def test_fitness_past_the_digit_limit(self, capsys, huge_instance, tmp_path):
+        matrix = tmp_path / "matrix.json"
+        io.dump_json({"rows": ["1"]}, matrix)
+        code, captured = run(
+            capsys, "--format", "json", "evaluate", "--instance", huge_instance, "--matrix", matrix
+        )
+        if digit_limited():
+            assert_one_error(captured, code, 2, "ValidationError")
+            assert "too large to print" in captured.out
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["fitness"] == str(int("9" * 3000) ** 2)
+
     def test_string_rows_matrix(self, capsys, small_instance, tmp_path):
         _, inst_path = small_instance
         matrix = tmp_path / "matrix.json"
@@ -204,6 +255,31 @@ class TestSolve:
         )
         assert code == 1
         assert report["error"]["type"] == "PreconditionError"
+
+    @pytest.mark.parametrize("rows", RAGGED_ROWS)
+    def test_local_with_ragged_start(self, capsys, small_instance, tmp_path, rows):
+        _, inst_path = small_instance
+        start = tmp_path / "start.json"
+        io.dump_json({"rows": rows}, start)
+        code, captured = run(
+            capsys, "--format", "json", "solve", "--instance", inst_path,
+            "--method", "local", "--start", start,
+        )
+        assert_one_error(captured, code, 2, "ValidationError")
+
+    def test_fitness_past_the_digit_limit(self, capsys, huge_instance, tmp_path):
+        out = tmp_path / "out.json"
+        code, captured = run(
+            capsys, "--format", "json", "solve", "--instance", huge_instance,
+            "--method", "greedy", "--out", out,
+        )
+        if digit_limited():
+            assert_one_error(captured, code, 2, "ValidationError")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["fitness"] == str(int("9" * 3000) ** 2)
+            assert out.exists()
 
     def test_local_with_infeasible_start(self, capsys, reduced_files, tmp_path):
         instance, _ = reduced_files

@@ -45,9 +45,8 @@ class TestValidateInstance:
             validate_instance(minimal_instance(lower_bounds=(2,), upper_bounds=(1,)))
 
     def test_r0_must_be_zero(self):
-        bad = minimal_instance(suppression=(SuppressionTable((Fraction(1, 2), 1)),))
         with pytest.raises(ValidationError, match=r"r\(0\) must be 0"):
-            validate_instance(bad)
+            minimal_instance(suppression=(SuppressionTable((Fraction(1, 2), 1)),))
 
     def test_nonpositive_weight(self):
         with pytest.raises(ValidationError, match="weight must be positive"):
@@ -58,9 +57,8 @@ class TestValidateInstance:
             validate_instance(minimal_instance(preferences=((-1,),)))
 
     def test_suppression_value_above_one(self):
-        bad = minimal_instance(suppression=(SuppressionTable((0, 2)),))
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-            validate_instance(bad)
+            minimal_instance(suppression=(SuppressionTable((0, 2)),))
 
     @pytest.mark.parametrize("value", [Fraction(1), Fraction("4/4"), Fraction(0), Fraction(3, 4)])
     def test_suppression_value_on_or_inside_the_boundary(self, value):
@@ -68,14 +66,12 @@ class TestValidateInstance:
 
     @pytest.mark.parametrize("value", [Fraction(5, 4), Fraction(-1, 4)])
     def test_suppression_value_outside_the_boundary(self, value):
-        bad = minimal_instance(suppression=(SuppressionTable((0, value)),))
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-            validate_instance(bad)
+            minimal_instance(suppression=(SuppressionTable((0, value)),))
 
     def test_suppression_table_wrong_length(self):
-        bad = minimal_instance(suppression=(SuppressionTable((0, 1, 1)),))
         with pytest.raises(ValidationError, match="entries"):
-            validate_instance(bad)
+            minimal_instance(suppression=(SuppressionTable((0, 1, 1)),))
 
     def test_upper_bound_above_n(self):
         with pytest.raises(ValidationError, match="exceeds customer count"):
@@ -117,6 +113,18 @@ class TestRecommendationCounts:
     def test_full_matrix(self):
         m = AssignmentMatrix(((1, 1, 1), (1, 1, 1)))
         assert m.row_sums() == (3, 3)
+
+
+class TestAssignmentMatrixConstruction:
+    @pytest.mark.parametrize("rows", [((1, 0), (1,)), ((1,), (1, 0)), ((), (0,))])
+    def test_ragged_rows(self, rows):
+        with pytest.raises(ValidationError, match="entries, row 0 has"):
+            AssignmentMatrix(rows)
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, "1"])
+    def test_non_binary_entry(self, value):
+        with pytest.raises(ValidationError, match=r"matrix entry \(1, 0\) must be 0 or 1"):
+            AssignmentMatrix(((0, 1), (value, 0)))
 
 
 class TestEvaluateFitness:

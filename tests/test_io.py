@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,3 +123,35 @@ def test_written_files_end_with_newline(tmp_path):
     path = tmp_path / "m.json"
     io.write_matrix(AssignmentMatrix(((1,),)), path)
     assert path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    pytest.param(
+        b"[" + b"1" * 5000 + b"]",  # past Python's int digit limit
+        marks=pytest.mark.skipif(
+            not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+            reason="this Python parses a 5000-digit integer",
+        ),
+    ),
+    b"[" * 100_000,  # nested past the recursion limit
+], ids=["bad-utf8", "long-number", "deep-nesting"])
+def test_load_json_rejects_unreadable_text(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        io.load_json(path)
+
+
+def test_read_instance_rejects_an_invalid_instance(tmp_path):
+    inst = Instance(
+        n=1, k=1, weights=(1,), preferences=((1,),),
+        suppression=(SuppressionTable((0, 1)),),
+        lower_bounds=(1,), upper_bounds=(1,),
+    )
+    data = io.instance_to_dict(inst)
+    data["lower_bounds"] = [2]
+    path = tmp_path / "bad.json"
+    io.dump_json(data, path)
+    with pytest.raises(ValidationError, match="lower bound exceeds upper bound"):
+        io.read_instance(path)

@@ -16,7 +16,6 @@ from mcap.learning import (
     fit_categories,
     fit_suppression,
     predict_preferences_cf,
-    ratings_from_json,
     records_from_json,
     _climb,
     _conditions,
@@ -72,13 +71,14 @@ def exhaustive_best(records, max_h, grid):
 
 
 class TestValidateRecords:
+    # a record checks its own preference and h when it is built
     def test_negative_preference(self):
         with pytest.raises(ValidationError, match="nonnegative"):
-            validate_records([rec(-1, 1, True)])
+            rec(-1, 1, True)
 
     def test_zero_h(self):
         with pytest.raises(ValidationError, match="h must be >= 1"):
-            validate_records([rec(1, 0, True)])
+            rec(1, 0, True)
 
     def test_h_above_max(self):
         with pytest.raises(ValidationError, match="exceeds max_h"):
@@ -432,22 +432,14 @@ class TestJsonDecoding:
         with pytest.raises(ValidationError, match="array"):
             records_from_json({"customer": "a"})
 
-    def test_ratings(self):
-        ratings = ratings_from_json(
-            [{"customer": "a", "campaign": "x", "rating": 3}]
-        )
-        assert ratings.rows == {"a": {"x": 3}}
-
-    def test_ratings_malformed(self):
-        with pytest.raises(ValidationError, match="rating 0"):
-            ratings_from_json([{"customer": "a"}])
-
-    @pytest.mark.parametrize("field", ["customer", "campaign"])
-    @pytest.mark.parametrize("value", [[1], {"id": 1}, True], ids=["list", "dict", "bool"])
-    def test_ratings_reject_non_scalar_ids(self, field, value):
-        obj = {"customer": "a", "campaign": "x", "rating": 3, field: value}
-        with pytest.raises(ValidationError, match=f"rating 0: {field}"):
-            ratings_from_json([obj])
+    @pytest.mark.parametrize("field, value, message", [
+        ("preference", "-1", "preference must be nonnegative"),
+        ("h", 0, r"h must be >= 1, got 0"),
+    ], ids=["preference", "h"])
+    def test_invalid_record_names_its_index(self, field, value, message):
+        good = {"customer": "a", "campaign": 1, "preference": "5", "h": 2, "responded": True}
+        with pytest.raises(ValidationError, match=f"^record 1: {message}$"):
+            records_from_json([good, {**good, field: value}])
 
 
 class TestFitCategories:
