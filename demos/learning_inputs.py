@@ -8,11 +8,11 @@ Run: python3 demos/learning_inputs.py
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from mcap import (
     RatingsMatrix,
-    ResponseRecord,
     categorize_customers,
     fit_suppression,
     predict_preferences_cf,
@@ -31,20 +31,15 @@ print(f"category labels: {labels}")
 # --- 2. suppression from history ---------------------------------------
 # Ground truth for the demo: full response to one recommendation, half to
 # two, a quarter to three.  Response happened when suppressed preference
-# exceeded 2; the fit sees only the (preference, h, responded) records.
+# exceeded 2.  The fit sees only how many times each outcome
+# (campaign, preference, h, responded) happened.
 true = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4)]
-records = []
-for i in range(60):
+history = Counter()
+for _ in range(60):
     preference = rng.randint(1, 9)
     h = rng.randint(1, 3)
-    responded = preference * true[h] > 2
-    records.append(
-        ResponseRecord(
-            customer=f"cust{i}", campaign="newsletter",
-            preference=preference, h=h, responded=responded,
-        )
-    )
-fit = fit_suppression(records, max_h=3, grid=4)
+    history["newsletter", preference, h, preference * true[h] > 2] += 1
+fit = fit_suppression(history, max_h=3, grid=4)
 print()
 print(f"fitted suppression table: {[str(v) for v in fit.table.values]}")
 print(f"  (true table was          {[str(v) for v in true]})")

@@ -221,7 +221,7 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
-    records = learning.records_from_json(io.load_json(args.records))
+    history = learning.records_from_json(io.load_json(args.records))
     labels = None
     if args.labels:
         raw = io.load_json(args.labels)
@@ -229,13 +229,10 @@ def cmd_fit(args) -> dict:
             raise ValidationError("labels file must be a JSON object customer -> label")
         by_key = {key: io._int_from_str(value, f"label of {key!r}") for key, value in raw.items()}
         # JSON object keys are always strings, record customers need not be
-        labels = {
-            rec.customer: by_key[str(rec.customer)]
-            for rec in records
-            if str(rec.customer) in by_key
-        }
+        customers = {customer for customer, *_ in history}
+        labels = {c: by_key[str(c)] for c in customers if str(c) in by_key}
     results = learning.fit_categories(
-        records,
+        history,
         labels,
         max_h=args.max_h,
         grid=args.grid,

@@ -50,27 +50,25 @@ class InternalCheckError(McapError):
     """A self-check that should be impossible to fail has failed."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class SuppressionTable:
     """Response multipliers ``r(0), r(1), ..., r(max_h)`` for one customer.
 
     ``r(h)`` scales the customer's preferences when they receive ``h``
     recommendations; ``r(0) = 0`` by convention (an unrecommended customer
-    contributes nothing) and every value lies in ``[0, 1]``.
+    contributes nothing) and every value lies in ``[0, 1]``.  Each value must
+    be an ``int`` or a ``Fraction``; construction raises
+    :class:`ValidationError` on anything else (a float, a string, a bool).
     """
 
-    values: tuple[Fraction, ...]
+    values: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
+        for v in self.values:
+            if type(v) is not int and not isinstance(v, Fraction):
+                raise ValidationError(f"suppression value {v!r} is not an int or a Fraction")
 
-    def __getitem__(self, h: int) -> Fraction:
+    def __getitem__(self, h: int) -> Fraction | int:
         return self.values[h]
 
     def __len__(self) -> int:
@@ -86,9 +84,8 @@ class SuppressionTable:
         return all(v == tail[0] for v in tail)
 
     @classmethod
-    def constant(cls, value, max_h: int) -> "SuppressionTable":
-        v = _as_fraction(value)
-        return cls((Fraction(0),) + (v,) * max_h)
+    def constant(cls, value: Fraction | int, max_h: int) -> "SuppressionTable":
+        return cls((Fraction(0),) + (value,) * max_h)
 
     @classmethod
     def indicator(cls, active_h: int, max_h: int) -> "SuppressionTable":
@@ -102,10 +99,10 @@ class SuppressionTable:
 class Instance:
     """A full multicampaign assignment instance.
 
-    Construction coerces containers, then checks every invariant with
-    :func:`validate_instance`, so an ``Instance`` that exists is valid.
-    Instances are immutable and safe to share across concurrent solver
-    invocations.
+    Construction checks every invariant with :func:`validate_instance` and
+    converts nothing, so an ``Instance`` that exists is valid.  Built from
+    tuples, as annotated, instances are immutable and safe to share across
+    concurrent solver invocations.
     """
 
     n: int
@@ -117,17 +114,6 @@ class Instance:
     upper_bounds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(
-            self, "preferences", tuple(tuple(int(p) for p in row) for row in self.preferences)
-        )
-        tables = tuple(
-            t if isinstance(t, SuppressionTable) else SuppressionTable(tuple(t))
-            for t in self.suppression
-        )
-        object.__setattr__(self, "suppression", tables)
-        object.__setattr__(self, "lower_bounds", tuple(int(b) for b in self.lower_bounds))
-        object.__setattr__(self, "upper_bounds", tuple(int(b) for b in self.upper_bounds))
         validate_instance(self)
 
 
@@ -193,8 +179,11 @@ def validate_instance(inst: Instance) -> Instance:
 
     Every :class:`Instance` runs this when it is built.  Raises
     :class:`ValidationError` naming the first violated invariant, in the
-    order: sizes, weights, preferences, suppression tables, bounds.
+    order: sizes, weights, preferences, suppression tables, bounds.  Sizes,
+    weights, preferences and bounds must be ``int`` (``bool`` is not one).
     """
+    if type(inst.n) is not int or type(inst.k) is not int:
+        raise ValidationError(f"n and k must be integers, got {inst.n!r} and {inst.k!r}")
     if inst.n < 1:
         raise ValidationError(f"n must be >= 1, got {inst.n}")
     if inst.k < 1:
@@ -202,6 +191,8 @@ def validate_instance(inst: Instance) -> Instance:
     if len(inst.weights) != inst.k:
         raise ValidationError(f"expected {inst.k} weights, got {len(inst.weights)}")
     for j, w in enumerate(inst.weights):
+        if type(w) is not int:
+            raise ValidationError(f"campaign {j}: weight must be an integer, got {w!r}")
         if w <= 0:
             raise ValidationError(f"campaign {j}: weight must be positive, got {w}")
     if len(inst.preferences) != inst.n:
@@ -210,13 +201,18 @@ def validate_instance(inst: Instance) -> Instance:
         if len(row) != inst.k:
             raise ValidationError(f"customer {i}: expected {inst.k} preferences, got {len(row)}")
         for j, p in enumerate(row):
-            if p < 0:
-                raise ValidationError(f"customer {i}: preference for campaign {j} is negative")
+            if type(p) is not int or p < 0:
+                raise ValidationError(
+                    f"customer {i}: preference for campaign {j} must be a nonnegative "
+                    f"integer, got {p!r}"
+                )
     if len(inst.suppression) != inst.n:
         raise ValidationError(
             f"expected {inst.n} suppression tables, got {len(inst.suppression)}"
         )
     for i, table in enumerate(inst.suppression):
+        if not isinstance(table, SuppressionTable):
+            raise ValidationError(f"customer {i}: {table!r} is not a SuppressionTable")
         if len(table) != inst.k + 1:
             raise ValidationError(
                 f"customer {i}: suppression table must have {inst.k + 1} entries, "
@@ -234,6 +230,8 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError("bound vectors must have one entry per campaign")
     for j in range(inst.k):
         lo, up = inst.lower_bounds[j], inst.upper_bounds[j]
+        if type(lo) is not int or type(up) is not int:
+            raise ValidationError(f"campaign {j}: bounds must be integers, got {lo!r} and {up!r}")
         if lo < 0:
             raise ValidationError(f"campaign {j}: lower bound must be nonnegative, got {lo}")
         if lo > up:

@@ -4,8 +4,10 @@ Weights and preferences travel as decimal strings so values may exceed 64
 bits; suppression values travel as ``"num/den"`` strings (plain ``"0"`` /
 ``"1"`` for integers).  Matrices travel as one ``'0'``/``'1'`` string per row.
 
-A suppression literal, after surrounding whitespace is stripped, is
-``[+-]?digits`` or ``[+-]?digits/digits`` (ASCII digits, no spaces inside).
+An integer is a JSON integer (not ``true``/``false``) or a string that,
+after surrounding whitespace is stripped, is ``[+-]?digits``.  A suppression
+literal, after the same stripping, is ``[+-]?digits`` or
+``[+-]?digits/digits``.  Digits are ASCII and there are no spaces inside.
 Decimal and exponent forms such as ``"0.5"`` or ``"1e-5"`` are rejected: an
 exponent literal can stand for a number with millions of digits.
 """
@@ -24,6 +26,7 @@ def fraction_to_str(value: Fraction) -> str:
     return str(value)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
@@ -43,10 +46,19 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def _int_from_str(text, what: str) -> int:
-    try:
-        return int(str(text).strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad integer literal for {what}: {text!r}") from exc
+    if type(text) is int:
+        return text
+    if type(text) is str:
+        try:
+            # plain ASCII digits are the usual form: no strip, no match
+            if text.isdigit() and text.isascii():
+                return int(text)
+            literal = text.strip()
+            if _INTEGER.fullmatch(literal):
+                return int(literal)
+        except ValueError:  # past the interpreter's int digit limit
+            pass
+    raise ValidationError(f"bad integer literal for {what}: {text!r}")
 
 
 def _list(value, what: str) -> list:

@@ -2,13 +2,13 @@
 
 Two independent estimation problems feed the assignment model:
 
-* **Response suppression.**  Historical single-campaign outcomes are grouped
-  by customer category; within a category, a responder should look more
-  attractive than a non-responder after suppression.  For every campaign and
-  every (responder ``i``, non-responder ``j``) pair this yields one strict
-  condition ``p_i * r(h_i) > p_j * r(h_j)``, and :func:`fit_suppression`
-  searches a grid-valued table for ``r`` that satisfies as many conditions as
-  possible.  Its hill climb re-optimizes one level ``r(h)`` per step: one
+* **Response suppression.**  A response history counts single-campaign
+  outcomes, which are added up per customer category; within a category, a
+  responder should look more attractive than a non-responder after
+  suppression.  For every campaign and every (responder ``i``, non-responder
+  ``j``) pair this yields one strict condition ``p_i * r(h_i) > p_j *
+  r(h_j)``, and :func:`fit_suppression` searches a grid-valued table for
+  ``r`` that satisfies as many conditions as possible.  Its hill climb re-optimizes one level ``r(h)`` per step: one
   pass over the conditions that mention ``h`` gives the count at every grid
   level, then O(grid) picks the best.  :func:`categorize_customers`
   supplies the grouping (small seeded k-means over numeric profiles, or
@@ -52,32 +52,18 @@ MIN_OVERLAP = 2
 EXHAUSTIVE_SPACE = 4096
 
 
-@dataclass(frozen=True)
-class ResponseRecord:
-    """One historical outcome: a customer was recommended and did (not) respond.
-
-    ``h`` is the customer's total recommendation count at the time, so it is
-    at least 1; ``preference`` is the (estimated) preference for the campaign.
-    Construction raises :class:`ValidationError` otherwise.
-    """
-
-    customer: CustomerId
-    campaign: CampaignId
-    preference: int
-    h: int
-    responded: bool
-
-    def __post_init__(self) -> None:
-        if self.preference < 0:
-            raise ValidationError("preference must be nonnegative")
-        if self.h < 1:
-            raise ValidationError(f"h must be >= 1, got {self.h}")
+# a customer recommended h campaigns in total did (not) respond to campaign
+Outcome = tuple[CampaignId, int, int, bool]  # (campaign, preference, h, responded)
 
 
-def validate_records(records: Sequence[ResponseRecord], max_h: int) -> None:
-    for idx, rec in enumerate(records):
-        if rec.h > max_h:
-            raise ValidationError(f"record {idx}: h={rec.h} exceeds max_h={max_h}")
+def _check_outcome(preference, h) -> None:
+    """Raise :class:`ValidationError` unless ``preference >= 0`` and ``h >= 1`` are integers."""
+    if type(preference) is not int or type(h) is not int:
+        raise ValidationError(f"preference and h must be integers, got {preference!r} and {h!r}")
+    if preference < 0:
+        raise ValidationError("preference must be nonnegative")
+    if h < 1:
+        raise ValidationError(f"h must be >= 1, got {h}")
 
 
 @dataclass(frozen=True)
@@ -87,18 +73,17 @@ class FitResult:
     total: int
 
 
-def _conditions(records: Sequence[ResponseRecord]) -> dict[tuple[int, int, int, int], int]:
+def _conditions(counts: Mapping[Outcome, int]) -> dict[tuple[int, int, int, int], int]:
     """Collapse responder/non-responder pairs into weighted conditions.
 
     Key ``(p_i, h_i, p_j, h_j)`` means: satisfied iff
-    ``p_i * r(h_i) > p_j * r(h_j)``; the value is how many pairs share it.
+    ``p_i * r(h_i) > p_j * r(h_j)``; the value is how many pairs share it,
+    the product of the two outcome counts summed over the campaigns.
     """
-    by_campaign: dict[CampaignId, tuple[Counter, Counter]] = {}
-    for rec in records:
-        if rec.campaign not in by_campaign:
-            by_campaign[rec.campaign] = (Counter(), Counter())
-        yes, no = by_campaign[rec.campaign]
-        (yes if rec.responded else no)[rec.preference, rec.h] += 1
+    by_campaign: dict[CampaignId, tuple[dict, dict]] = {}
+    for (campaign, preference, h, responded), count in counts.items():
+        yes, no = by_campaign.setdefault(campaign, ({}, {}))
+        (yes if responded else no)[preference, h] = count
     conditions: dict[tuple[int, int, int, int], int] = {}
     for yes, no in by_campaign.values():
         for (p_i, h_i), yes_count in yes.items():
@@ -214,7 +199,7 @@ def _climb(
 
 
 def fit_suppression(
-    records: Sequence[ResponseRecord],
+    counts: Mapping[Outcome, int],
     max_h: int,
     grid: int = DEFAULT_GRID,
     restarts: int = DEFAULT_RESTARTS,
@@ -223,8 +208,9 @@ def fit_suppression(
 ) -> FitResult:
     """Fit one category's suppression table to its response history.
 
-    The table takes values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and
-    maximizes the number of satisfied responder/non-responder conditions
+    ``counts`` maps each outcome ``(campaign, preference, h, responded)`` to
+    how many times it happened, with ``1 <= h <= max_h``.  The table takes
+    values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the number of satisfied responder/non-responder conditions
     (ties count as unsatisfied).  Small spaces (at most
     :data:`EXHAUSTIVE_SPACE` candidate tables) are enumerated exactly;
     otherwise the search is coordinate-ascent hill climbing from the
@@ -239,8 +225,13 @@ def fit_suppression(
         raise ValidationError(f"grid resolution must be >= 1, got {grid}")
     if restarts < 0:
         raise ValidationError(f"restarts must be >= 0, got {restarts}")
-    validate_records(records, max_h=max_h)
-    conditions = _conditions(records)
+    for (_, preference, h, _), count in counts.items():
+        _check_outcome(preference, h)
+        if h > max_h:
+            raise ValidationError(f"h={h} exceeds max_h={max_h}")
+        if type(count) is not int or count < 1:
+            raise ValidationError(f"count must be a positive integer, got {count!r}")
+    conditions = _conditions(counts)
     total = sum(conditions.values())
     if total == 0:
         return FitResult(SuppressionTable.constant(1, max_h), satisfied=0, total=0)
@@ -422,32 +413,31 @@ def _record_id(value, what: str) -> CustomerId:
     return value
 
 
-def records_from_json(data) -> list[ResponseRecord]:
-    """Decode the historical-data file: an array of record objects."""
+def records_from_json(data) -> Counter:
+    """Count the records of each ``(customer, campaign, preference, h, responded)``."""
     if not isinstance(data, list):
         raise ValidationError("historical data must be a JSON array of records")
-    records = []
+    history: Counter = Counter()
     for idx, obj in enumerate(data):
-        what = f"record {idx}"
         try:
             responded = obj["responded"]
             if not isinstance(responded, bool):
-                raise ValidationError(f"{what}: responded must be true or false, got {responded!r}")
-            customer = _record_id(obj["customer"], f"{what}: customer")
-            campaign = _record_id(obj["campaign"], f"{what}: campaign")
-            preference = _int_from_str(obj["preference"], f"{what} preference")
-            h = _int_from_str(obj["h"], f"{what} h")
+                raise ValidationError(f"responded must be true or false, got {responded!r}")
+            customer = _record_id(obj["customer"], "customer")
+            campaign = _record_id(obj["campaign"], "campaign")
+            preference = _int_from_str(obj["preference"], "preference")
+            h = _int_from_str(obj["h"], "h")
+            _check_outcome(preference, h)
         except (KeyError, TypeError) as exc:
-            raise ValidationError(f"{what} is malformed: {exc}") from exc
-        try:
-            records.append(ResponseRecord(customer, campaign, preference, h, responded))
+            raise ValidationError(f"record {idx} is malformed: {exc}") from exc
         except ValidationError as exc:
-            raise ValidationError(f"{what}: {exc}") from exc
-    return records
+            raise ValidationError(f"record {idx}: {exc}") from exc
+        history[customer, campaign, preference, h, responded] += 1
+    return history
 
 
 def fit_categories(
-    records: Sequence[ResponseRecord],
+    history: Mapping[tuple[CustomerId, CampaignId, int, int, bool], int],
     labels_by_customer: Mapping[CustomerId, int] | None,
     max_h: int,
     grid: int = DEFAULT_GRID,
@@ -455,19 +445,21 @@ def fit_categories(
     seed: int = 0,
     monotone: bool = False,
 ) -> dict[int, FitResult]:
-    """Fit one table per category; without labels, everyone is category 0."""
-    groups: dict[int, list[ResponseRecord]] = {}
-    for rec in records:
+    """Fit one table per category of ``history``; without labels, everyone is category 0."""
+    groups: dict[int, dict[Outcome, int]] = {}
+    for key, count in history.items():
         if labels_by_customer is None:
             label = 0
         else:
             try:
-                label = int(labels_by_customer[rec.customer])
+                label = int(labels_by_customer[key[0]])
             except KeyError as exc:
                 raise ValidationError(
-                    f"customer {rec.customer!r} has records but no category label"
+                    f"customer {key[0]!r} has records but no category label"
                 ) from exc
-        groups.setdefault(label, []).append(rec)
+        group = groups.setdefault(label, {})
+        outcome = key[1:]
+        group[outcome] = group.get(outcome, 0) + count
     return {
         label: fit_suppression(
             group, max_h=max_h, grid=grid, restarts=restarts, seed=seed, monotone=monotone

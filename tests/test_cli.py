@@ -1,7 +1,9 @@
 """End-to-end CLI tests, driven through main(argv) for exit codes."""
 
 import dataclasses
+import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -141,6 +143,9 @@ class TestEvaluate:
         ("suppression", [["0", "1e-3000000", "1"], ["0", "1", "1"]]),
         ("suppression", [["0", "1e-5", "1"], ["0", "1", "1"]]),
         ("suppression", [["0", "0.5", "1"], ["0", "1", "1"]]),
+        # int() also reads "1_0" as 10 and non-ASCII digits such as "٣"
+        ("weights", ["1_0", "3"]), ("preferences", [["٣", "7"], ["1", "0"]]),
+        ("n", " ２"),
     ])
     def test_non_integer_instance_field(self, capsys, small_instance, tmp_path, field, value):
         inst, _ = small_instance
@@ -477,6 +482,14 @@ class TestGen:
         assert report["error"]["type"] == "ValidationError"
 
 
+# monotone -> SHA-256 of the JSON stdout of test_fit_report_matches_recorded_hash,
+# recorded when the fit still decoded one object per record
+FIT_REPORT_SHA256 = {
+    False: "2363cd03b80dfc5fc9f82dbeda6a1c796a4c0633ae9e6df05a08ddc775c795be",
+    True: "7523c84cc2eedf9b00df4c0f1a5b8afb4a2a3295d133eaee0acc481879a56e16",
+}
+
+
 class TestFit:
     def test_fits_from_files(self, capsys, tmp_path):
         records = [
@@ -541,7 +554,7 @@ class TestFit:
         assert code == 0
         assert [c["label"] for c in report["categories"]] == [0, 1]
 
-    @pytest.mark.parametrize("label", ["x", 1.7])
+    @pytest.mark.parametrize("label", ["x", 1.7, "1_0", "٣"])
     def test_non_integer_label(self, capsys, tmp_path, label):
         records = [
             {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
@@ -557,9 +570,39 @@ class TestFit:
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("monotone", [False, True])
+    def test_fit_report_matches_recorded_hash(self, capsys, tmp_path, monotone):
+        # decoding, labels, grouping by label and the hill climb, end to end
+        rng = random.Random(8)
+        records = []
+        for _ in range(600):
+            idx = rng.randrange(60)
+            p, h = rng.randint(0, 9), rng.randint(1, 4)
+            records.append({
+                "customer": idx if idx % 2 else f"c{idx}",
+                "campaign": rng.randrange(3),
+                "preference": p if rng.random() < 0.5 else str(p),
+                "h": h,
+                "responded": rng.random() < 0.1 + p * (5 - h) / 45,
+            })
+        records += records[::7]
+        labels = {str(idx if idx % 2 else f"c{idx}"): int(idx < 25) for idx in range(60)}
+        records_path = tmp_path / "records.json"
+        labels_path = tmp_path / "labels.json"
+        io.dump_json(records, records_path)
+        io.dump_json(labels, labels_path)
+        code, captured = run(
+            capsys, "--format", "json", "fit", "--records", records_path,
+            "--labels", labels_path, "--max-h", 4, "--grid", 20,
+            *(["--monotone"] if monotone else []),
+        )
+        assert code == 0
+        assert [c["label"] for c in json.loads(captured.out)["categories"]] == [0, 1]
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == FIT_REPORT_SHA256[monotone]
+
     @pytest.mark.parametrize("field, value", [
         ("h", 1.7), ("h", True), ("responded", "no"), ("responded", 1),
-        ("campaign", [1]), ("customer", [1]),
+        ("campaign", [1]), ("customer", [1]), ("preference", "1_0"), ("h", "٢"),
     ])
     def test_malformed_record(self, capsys, tmp_path, field, value):
         records = [

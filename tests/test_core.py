@@ -80,6 +80,23 @@ class TestValidateInstance:
     def test_zero_lower_bound_is_allowed(self):
         validate_instance(minimal_instance(lower_bounds=(0,)))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(weights=(2.5,)),
+        dict(preferences=((True,),)),
+        dict(upper_bounds=(1.9,)),
+        dict(
+            n=2.0, preferences=((0,), (0,)), suppression=(SuppressionTable((0, 1)),) * 2,
+        ),
+    ], ids=["float-weight", "bool-preference", "float-upper-bound", "float-n"])
+    def test_non_integer_value_rejected(self, overrides):
+        # once truncated by int(), or accepted and a TypeError in a solver
+        with pytest.raises(ValidationError, match="integer"):
+            minimal_instance(**overrides)
+
+    def test_raw_suppression_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="not a SuppressionTable"):
+            minimal_instance(suppression=((0, 1),))
+
 
 class TestSuppressionTable:
     def test_constant_builder(self):
@@ -98,6 +115,12 @@ class TestSuppressionTable:
 
     def test_max_h(self):
         assert SuppressionTable((0, 1, 1)).max_h == 2
+
+    @pytest.mark.parametrize("values", [(0, 0.1), ("0", "1e-9", "0.5"), (0, True)])
+    def test_values_must_be_ints_or_fractions(self, values):
+        # a float once became its binary expansion, a string was parsed
+        with pytest.raises(ValidationError, match="not an int or a Fraction"):
+            SuppressionTable(values)
 
 
 class TestRecommendationCounts:

@@ -11,7 +11,6 @@ from mcap.core import PreconditionError, SuppressionTable, ValidationError
 from mcap.learning import (
     FitResult,
     RatingsMatrix,
-    ResponseRecord,
     categorize_customers,
     fit_categories,
     fit_suppression,
@@ -22,103 +21,107 @@ from mcap.learning import (
     _level_counts,
     _satisfied_count,
     _touching,
-    validate_records,
 )
 
 
-def rec(p, h, responded, campaign="c", customer=None):
-    return ResponseRecord(
-        customer=customer or f"{p}/{h}/{responded}",
-        campaign=campaign,
-        preference=p,
-        h=h,
-        responded=responded,
-    )
+def rec(p, h, responded, campaign="c"):
+    """One outcome ``(campaign, preference, h, responded)``: a key of a fit's counts."""
+    return (campaign, p, h, responded)
+
+
+def counts(*outcomes):
+    return Counter(outcomes)
 
 
 def noise_free_records(true_table, prefs=(1, 2, 3), threshold=2):
-    """Records whose responses are exactly thresholded true-table scores.
+    """Counts whose responses are exactly thresholded true-table scores.
 
     Any responder i and non-responder j then satisfy
     p_i*r(h_i) > threshold >= p_j*r(h_j), so the true table satisfies every
     pairwise condition.
     """
-    records = []
-    for idx, (p, h) in enumerate(product(prefs, range(1, len(true_table)))):
-        responded = p * true_table[h] > threshold
-        records.append(rec(p, h, responded, customer=f"cust{idx}"))
-    return records
+    return counts(*(
+        rec(p, h, p * true_table[h] > threshold)
+        for p, h in product(prefs, range(1, len(true_table)))
+    ))
 
 
-def exhaustive_best(records, max_h, grid):
+def exhaustive_best(outcome_counts, max_h, grid):
     """Independent search over every grid table, Fraction arithmetic."""
     by_campaign = {}
-    for r in records:
-        yes, no = by_campaign.setdefault(r.campaign, ([], []))
-        (yes if r.responded else no).append((r.preference, Fraction(r.h)))
+    for (campaign, p, h, responded), count in outcome_counts.items():
+        yes, no = by_campaign.setdefault(campaign, ([], []))
+        (yes if responded else no).append((p, h, count))
     best = -1
     for combo in product(range(grid + 1), repeat=max_h):
         table = [Fraction(0)] + [Fraction(q, grid) for q in combo]
         count = sum(
-            1
+            n_i * n_j
             for yes, no in by_campaign.values()
-            for (p_i, h_i) in yes
-            for (p_j, h_j) in no
-            if p_i * table[int(h_i)] > p_j * table[int(h_j)]
+            for (p_i, h_i, n_i) in yes
+            for (p_j, h_j, n_j) in no
+            if p_i * table[h_i] > p_j * table[h_j]
         )
         best = max(best, count)
     return best
 
 
 class TestValidateRecords:
-    # a record checks its own preference and h when it is built
+    # fit_suppression checks each distinct outcome of its counts once
     def test_negative_preference(self):
         with pytest.raises(ValidationError, match="nonnegative"):
-            rec(-1, 1, True)
+            fit_suppression(counts(rec(-1, 1, True)), max_h=3)
 
     def test_zero_h(self):
         with pytest.raises(ValidationError, match="h must be >= 1"):
-            rec(1, 0, True)
+            fit_suppression(counts(rec(1, 0, True)), max_h=3)
 
     def test_h_above_max(self):
         with pytest.raises(ValidationError, match="exceeds max_h"):
-            validate_records([rec(1, 4, True)], max_h=3)
+            fit_suppression(counts(rec(1, 4, True)), max_h=3)
+
+    @pytest.mark.parametrize("outcome, count, message", [
+        (rec(1, 1, True), 0, "positive integer"),
+        (rec(1, 1, True), 1.0, "positive integer"),
+        (rec(1, 1, True), True, "positive integer"),
+        (rec(True, 1, True), 1, "integers"),
+        (rec(1.0, 1, True), 1, "integers"),
+        (rec(1, 1.0, True), 1, "integers"),
+    ])
+    def test_malformed_counts(self, outcome, count, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_suppression({outcome: count}, max_h=3)
 
 
 class TestFitSuppression:
     def test_no_conditions_gives_all_ones(self):
-        result = fit_suppression([], max_h=3, grid=4)
+        result = fit_suppression(counts(), max_h=3, grid=4)
         assert result.table == SuppressionTable.constant(1, 3)
         assert (result.satisfied, result.total) == (0, 0)
 
     def test_single_condition_lexicographically_largest(self):
         # r(1) must beat r(3) at equal preference; the largest perfect
         # table keeps r(1)=r(2)=1 and drops r(3) one notch
-        records = [rec(1, 1, True), rec(1, 3, False)]
-        result = fit_suppression(records, max_h=3, grid=4)
+        history = counts(rec(1, 1, True), rec(1, 3, False))
+        result = fit_suppression(history, max_h=3, grid=4)
         assert result.table.values == (0, 1, 1, Fraction(3, 4))
         assert (result.satisfied, result.total) == (1, 1)
 
     def test_conditions_only_pair_within_campaign(self):
-        records = [rec(1, 1, True, campaign="a"), rec(1, 3, False, campaign="b")]
-        result = fit_suppression(records, max_h=3, grid=4)
+        history = counts(rec(1, 1, True, campaign="a"), rec(1, 3, False, campaign="b"))
+        result = fit_suppression(history, max_h=3, grid=4)
         assert result.total == 0
 
     def test_recovers_noise_free_table(self):
         true = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4)]
-        records = noise_free_records(true)
-        result = fit_suppression(records, max_h=3, grid=4)
+        history = noise_free_records(true)
+        result = fit_suppression(history, max_h=3, grid=4)
         assert result.satisfied == result.total > 0
 
     def test_contradictory_data_counts_exactly(self):
         # two opposite conditions at equal preferences: only one can hold
-        records = [
-            rec(1, 1, True, customer="a"),
-            rec(1, 2, False, customer="b"),
-            rec(1, 2, True, customer="c"),
-            rec(1, 1, False, customer="d"),
-        ]
-        result = fit_suppression(records, max_h=2, grid=4)
+        history = counts(rec(1, 1, True), rec(1, 2, False), rec(1, 2, True), rec(1, 1, False))
+        result = fit_suppression(history, max_h=2, grid=4)
         # a>b, a>d, c>b, c>d as conditions; a>d and c>b are r(1)>r(1),
         # r(2)>r(2): never satisfiable, and a>b contradicts c>d
         assert result.total == 4
@@ -126,9 +129,9 @@ class TestFitSuppression:
 
     def test_monotone_flag_restricts(self):
         # data preferring an increasing table
-        records = [rec(1, 3, True), rec(1, 1, False)]
-        free = fit_suppression(records, max_h=3, grid=4)
-        mono = fit_suppression(records, max_h=3, grid=4, monotone=True)
+        history = counts(rec(1, 3, True), rec(1, 1, False))
+        free = fit_suppression(history, max_h=3, grid=4)
+        mono = fit_suppression(history, max_h=3, grid=4, monotone=True)
         assert free.satisfied == 1
         assert mono.satisfied == 0
         values = mono.table.values
@@ -136,47 +139,47 @@ class TestFitSuppression:
 
     def test_validates_arguments(self):
         with pytest.raises(ValidationError, match="max_h"):
-            fit_suppression([], max_h=0)
+            fit_suppression(counts(), max_h=0)
         with pytest.raises(ValidationError, match="grid"):
-            fit_suppression([], max_h=2, grid=0)
+            fit_suppression(counts(), max_h=2, grid=0)
         with pytest.raises(ValidationError, match="restarts"):
-            fit_suppression([], max_h=2, restarts=-1)
+            fit_suppression(counts(), max_h=2, restarts=-1)
 
     def test_hill_climb_agrees_on_its_own_report(self):
         # grid large enough to skip the exhaustive path
         true = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(0)]
-        records = noise_free_records(true, prefs=(1, 2, 3, 5), threshold=1)
-        result = fit_suppression(records, max_h=4, grid=20)
+        history = noise_free_records(true, prefs=(1, 2, 3, 5), threshold=1)
+        result = fit_suppression(history, max_h=4, grid=20)
         table = result.table
         recount = 0
-        yes = [(r.preference, r.h) for r in records if r.responded]
-        no = [(r.preference, r.h) for r in records if not r.responded]
-        for p_i, h_i in yes:
-            for p_j, h_j in no:
+        yes = [(p, h, n) for (_, p, h, responded), n in history.items() if responded]
+        no = [(p, h, n) for (_, p, h, responded), n in history.items() if not responded]
+        for p_i, h_i, n_i in yes:
+            for p_j, h_j, n_j in no:
                 if p_i * table[h_i] > p_j * table[h_j]:
-                    recount += 1
+                    recount += n_i * n_j
         assert recount == result.satisfied
-        assert result.total == len(yes) * len(no)
+        assert result.total == sum(n for *_, n in yes) * sum(n for *_, n in no)
 
 
-records_strategy = st.lists(
+# up to 8 records, each one outcome, counted
+counts_strategy = st.lists(
     st.builds(
         rec,
         st.integers(0, 3),
         st.integers(1, 3),
         st.booleans(),
         campaign=st.sampled_from(("a", "b")),
-        customer=st.uuids().map(str),
     ),
     max_size=8,
-)
+).map(Counter)
 
 
-@given(records_strategy)
+@given(counts_strategy)
 @settings(max_examples=60, deadline=None)
-def test_fit_matches_exhaustive_oracle(records):
-    result = fit_suppression(records, max_h=3, grid=4)
-    assert result.satisfied == exhaustive_best(records, max_h=3, grid=4)
+def test_fit_matches_exhaustive_oracle(history):
+    result = fit_suppression(history, max_h=3, grid=4)
+    assert result.satisfied == exhaustive_best(history, max_h=3, grid=4)
 
 
 @given(st.lists(
@@ -186,25 +189,26 @@ def test_fit_matches_exhaustive_oracle(records):
 ))
 @settings(max_examples=100, deadline=None)
 def test_conditions_match_pair_enumeration(records):
+    # (campaign, preference, h, responded) per record, paired one by one
     pairs = Counter(
-        (yes.preference, yes.h, no.preference, no.h)
+        (yes[1], yes[2], no[1], no[2])
         for yes in records
         for no in records
-        if yes.responded and not no.responded and yes.campaign == no.campaign
+        if yes[3] and not no[3] and yes[0] == no[0]
     )
-    assert _conditions(records) == dict(pairs)
+    assert _conditions(Counter(records)) == dict(pairs)
 
 
-@given(records_strategy, st.integers(1, 4))
+@given(counts_strategy, st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_fit_is_scale_free_and_deterministic(records, factor):
-    base = fit_suppression(records, max_h=3, grid=4)
-    again = fit_suppression(records, max_h=3, grid=4)
+def test_fit_is_scale_free_and_deterministic(history, factor):
+    base = fit_suppression(history, max_h=3, grid=4)
+    again = fit_suppression(history, max_h=3, grid=4)
     assert (base.table, base.satisfied) == (again.table, again.satisfied)
-    scaled = [
-        ResponseRecord(r.customer, r.campaign, r.preference * factor, r.h, r.responded)
-        for r in records
-    ]
+    scaled = Counter({
+        (campaign, p * factor, h, responded): n
+        for (campaign, p, h, responded), n in history.items()
+    })
     rescaled = fit_suppression(scaled, max_h=3, grid=4)
     assert rescaled.table == base.table
     assert rescaled.satisfied == base.satisfied
@@ -279,15 +283,15 @@ def test_level_counts_match_recount(case, data):
 
 
 def seeded_history(seed, count=4500, max_h=4, campaigns=4):
-    """Noisy records whose response odds follow a hidden seeded table."""
+    """Counts of noisy records whose response odds follow a hidden seeded table."""
     rng = random.Random(seed)
     hidden = [0.0] + [rng.randint(2, 10) / 10 for _ in range(max_h)]
-    records = []
-    for idx in range(count):
+    history = Counter()
+    for _ in range(count):
         p, h = rng.randint(0, 9), rng.randint(1, max_h)
         odds = 0.6 * (p / 9) * hidden[h] + 0.1 * rng.random()
-        records.append(ResponseRecord(idx, rng.randrange(campaigns), p, h, rng.random() < odds))
-    return records
+        history[rng.randrange(campaigns), p, h, rng.random() < odds] += 1
+    return history
 
 
 # (seed, monotone) -> (table, satisfied) of fit_suppression(max_h=4, grid=20),
@@ -423,8 +427,14 @@ class TestJsonDecoding:
         data = [
             {"customer": "a", "campaign": 1, "preference": "5", "h": 2, "responded": True}
         ]
-        records = records_from_json(data)
-        assert records == [ResponseRecord("a", 1, 5, 2, True)]
+        assert records_from_json(data) == Counter({("a", 1, 5, 2, True): 1})
+
+    def test_repeated_records_count(self):
+        record = {"customer": 7, "campaign": "c", "preference": " 5 ", "h": "+2", "responded": False}
+        other = {**record, "customer": "7"}
+        assert records_from_json([record, other, record]) == Counter(
+            {(7, "c", 5, 2, False): 2, ("7", "c", 5, 2, False): 1}
+        )
 
     def test_records_malformed(self):
         with pytest.raises(ValidationError, match="record 0"):
@@ -444,23 +454,23 @@ class TestJsonDecoding:
 
 class TestFitCategories:
     def test_one_table_per_label(self):
-        records = [
-            rec(1, 1, True, customer="a"),
-            rec(1, 3, False, customer="a"),
-            rec(1, 2, True, customer="b"),
-        ]
-        results = fit_categories(records, {"a": 0, "b": 1}, max_h=3, grid=4)
+        history = Counter({
+            ("a", *rec(1, 1, True)): 1,
+            ("a", *rec(1, 3, False)): 2,
+            ("b", *rec(1, 2, True)): 1,
+        })
+        results = fit_categories(history, {"a": 0, "b": 1}, max_h=3, grid=4)
         assert sorted(results) == [0, 1]
         assert isinstance(results[0], FitResult)
-        assert results[0].total == 1  # a's responder/non-responder pair
+        assert results[0].total == 2  # a's responder with a's two non-responses
         assert results[1].total == 0
 
     def test_no_labels_means_one_category(self):
-        records = [rec(1, 1, True), rec(1, 3, False)]
-        results = fit_categories(records, None, max_h=3, grid=4)
+        history = Counter({("a", *rec(1, 1, True)): 1, ("b", *rec(1, 3, False)): 1})
+        results = fit_categories(history, None, max_h=3, grid=4)
         assert list(results) == [0]
         assert results[0].total == 1
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValidationError, match="no category label"):
-            fit_categories([rec(1, 1, True, customer="ghost")], {}, max_h=3)
+            fit_categories(Counter({("ghost", *rec(1, 1, True)): 1}), {}, max_h=3)
