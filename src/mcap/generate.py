@@ -1,4 +1,4 @@
-"""Seeded random generation of instances, formulas, and feasible matrices.
+"""Seeded random generation of instances and planted formulas.
 
 There is no published benchmark data for this problem, so test corpora are
 generated explicitly.  Everything here is a pure function of its seed: two
@@ -10,12 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import (
-    AssignmentMatrix,
-    Instance,
-    SuppressionTable,
-    ValidationError,
-)
+from .core import Instance, SuppressionTable, ValidationError
 from .reduction import BooleanAssignment, CnfFormula, validate_formula
 
 SUPPRESSION_FAMILIES = ("constant", "indicator", "linear", "grid")
@@ -111,16 +106,6 @@ def _clause_variables(rng: random.Random, num_vars: int, num_clauses: int) -> li
     return triples[:num_clauses]
 
 
-def random_formula(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
-    """A valid random 3-CNF formula (not necessarily satisfiable)."""
-    rng = random.Random(seed)
-    triples = _clause_variables(rng, num_vars, num_clauses)
-    clauses = tuple(
-        tuple(v if rng.random() < 0.5 else -v for v in triple) for triple in triples
-    )
-    return validate_formula(CnfFormula(num_vars=num_vars, clauses=clauses))
-
-
 def random_planted_formula(
     seed: int, num_vars: int, num_clauses: int
 ) -> tuple[CnfFormula, BooleanAssignment]:
@@ -144,20 +129,3 @@ def random_planted_formula(
         clauses.append(tuple(clause))
     formula = validate_formula(CnfFormula(num_vars=num_vars, clauses=tuple(clauses)))
     return formula, planted
-
-
-def random_feasible_matrix(seed: int, inst: Instance) -> AssignmentMatrix:
-    """A uniform-ish feasible matrix: per campaign, a random in-bounds column.
-
-    Each campaign independently draws a column sum within its bounds and
-    assigns that many distinct customers, so feasibility holds by
-    construction.
-    """
-    rng = random.Random(seed)
-    rows = [[0] * inst.k for _ in range(inst.n)]
-    for j in range(inst.k):
-        count = rng.randint(inst.lower_bounds[j], inst.upper_bounds[j])
-        for i in rng.sample(range(inst.n), count):
-            rows[i][j] = 1
-    return AssignmentMatrix.from_rows(rows)
-

@@ -56,6 +56,13 @@ EXHAUSTIVE_SPACE = 4096
 Outcome = tuple[CampaignId, int, int, bool]  # (campaign, preference, h, responded)
 
 
+def _check_int(value, what: str) -> int:
+    """Return ``value``; raise :class:`ValidationError` unless it is an ``int`` (not ``bool``)."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_outcome(preference, h) -> None:
     """Raise :class:`ValidationError` unless ``preference >= 0`` and ``h >= 1`` are integers."""
     if type(preference) is not int or type(h) is not int:
@@ -278,17 +285,18 @@ def categorize_customers(
 ) -> list[int]:
     """Partition customers into at most ``category_count`` categories.
 
-    Externally supplied ``labels`` are passed through unchanged (after a
-    length check).  Otherwise profiles are clustered with seeded k-means;
-    labels are renumbered densely in order of first appearance, so the
-    result is deterministic for a fixed seed.
+    Externally supplied ``labels`` are passed through unchanged after a
+    length check; each must be an ``int`` (``bool`` is not one).  Otherwise
+    profiles are clustered with seeded k-means; labels are renumbered
+    densely in order of first appearance, so the result is deterministic
+    for a fixed seed.
     """
     if labels is not None:
         if len(labels) != len(profiles):
             raise ValidationError(
                 f"{len(labels)} labels supplied for {len(profiles)} customers"
             )
-        return [int(c) for c in labels]
+        return [_check_int(c, f"label of customer {i}") for i, c in enumerate(labels)]
     if len(profiles) == 0:
         raise ValidationError("no profiles to categorize")
     if category_count < 1:
@@ -322,7 +330,10 @@ def categorize_customers(
 
 @dataclass(frozen=True)
 class RatingsMatrix:
-    """Sparse observed preferences: ``rows[customer][campaign] = rating``."""
+    """Sparse observed preferences: ``rows[customer][campaign] = rating``.
+
+    Every rating is a nonnegative ``int`` (``bool`` is not one).
+    """
 
     rows: Mapping[CustomerId, Mapping[CampaignId, int]]
 
@@ -332,7 +343,7 @@ class RatingsMatrix:
     ) -> "RatingsMatrix":
         rows: dict[CustomerId, dict[CampaignId, int]] = {}
         for customer, campaign, rating in triplets:
-            rating = int(rating)
+            _check_int(rating, f"rating for ({customer!r}, {campaign!r})")
             if rating < 0:
                 raise ValidationError(
                     f"rating for ({customer!r}, {campaign!r}) must be nonnegative"
@@ -445,18 +456,22 @@ def fit_categories(
     seed: int = 0,
     monotone: bool = False,
 ) -> dict[int, FitResult]:
-    """Fit one table per category of ``history``; without labels, everyone is category 0."""
+    """Fit one table per category of ``history``; without labels, everyone is category 0.
+
+    Labels must be ``int`` (``bool`` is not one), so no two labels merge.
+    """
     groups: dict[int, dict[Outcome, int]] = {}
     for key, count in history.items():
         if labels_by_customer is None:
             label = 0
         else:
             try:
-                label = int(labels_by_customer[key[0]])
+                label = labels_by_customer[key[0]]
             except KeyError as exc:
                 raise ValidationError(
                     f"customer {key[0]!r} has records but no category label"
                 ) from exc
+            _check_int(label, f"label of customer {key[0]!r}")
         group = groups.setdefault(label, {})
         outcome = key[1:]
         group[outcome] = group.get(outcome, 0) + count

@@ -22,7 +22,10 @@ Heuristic routes (no optimality guarantee, always feasible):
   cell with the best marginal fitness gain while one exists, on a heap that
   holds each row's best open cell.
 * :func:`local_search` improves a feasible start by first-improvement scans
-  over single-cell flips and within-column swaps.
+  over single-cell flips and within-column swaps.  It keeps a table of every
+  cell's flip gain, updates only the rows a move touches, and tests each set
+  cell against its column's best free-row gain before walking swap partners,
+  so each step is O(nk).
 
 Internally every solver scores with plain integers: every suppression value
 is multiplied by the least common denominator of all table entries
@@ -47,6 +50,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm, prod
 
 import numpy as np
@@ -505,12 +509,27 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     The first move that strictly increases fitness is applied and the scan
     restarts, so the result is a deterministic local optimum; termination is
     guaranteed because fitness strictly increases over a finite lattice.
+
+    The search keeps a gain table: ``gains[j][i]`` is the scaled score change
+    of flipping cell ``(i, j)`` (:func:`_gain`), the add gain of a 0 and the
+    remove gain of a 1.  A flip changes only its own row's score and its
+    column's count, so after a move only the touched rows are recomputed.
+    Two cells of one column lie in different rows, so a swap gains the sum of
+    its two flip gains.  Each scan first takes ``best_in[j]``, the largest
+    gain over the free rows of column ``j``: a set cell has an improving swap
+    iff its gain plus ``best_in[j]`` is positive, and only then are its
+    partners walked, up to the first improving one.  A scan step is O(nk).
+
+    ``explored`` counts checked moves as a scan that walks every swap
+    partner would: one per visited cell plus one per free row tried as a
+    partner, so a set cell without an improving swap adds ``n - cols[j]``.
     """
     report = check_feasibility(inst, start)
     if not report.feasible:
         raise InfeasibleError(f"starting matrix violates bounds: {report.violations}")
     started = time.perf_counter()
     n, k = inst.n, inst.k
+    lower, upper = inst.lower_bounds, inst.upper_bounds
     scale, rates, weighted = _scaled(inst)
     rows = [list(row) for row in start.entries]
     h = [sum(row) for row in rows]
@@ -518,44 +537,56 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     cols = list(report.column_sums)
     total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
     moves_checked = 0
+    # column-major, so a column's best free gain is one C-level max
+    gains = [[0] * n for _ in range(k)]
+    free = [[1 - row[j] for row in rows] for j in range(k)]
 
-    def gain(i: int, j: int) -> int:
-        # scaled score change of flipping cell (i, j)
-        step = 1 - 2 * rows[i][j]
-        return _gain(rates[i], row_value[i], h[i], step * weighted[i][j], step)
+    def set_gains(i: int) -> None:
+        rates_i, value, h_i, weighted_i = rates[i], row_value[i], h[i], weighted[i]
+        for j, cell in enumerate(rows[i]):
+            step = 1 - 2 * cell
+            gains[j][i] = _gain(rates_i, value, h_i, step * weighted_i[j], step)
 
     def flip(i: int, j: int) -> None:
         step = 1 - 2 * rows[i][j]
         rows[i][j] += step
+        free[j][i] -= step
         cols[j] += step
         row_value[i] += step * weighted[i][j]
         h[i] += step
+        set_gains(i)
 
     def improve() -> int:
         # apply the first improving move in scan order and return its gain,
         # or return 0 at a local optimum
         nonlocal moves_checked
-        for i in range(n):
+        best_in = [max(compress(gains[j], free[j]), default=None) for j in range(k)]
+        for i, row in enumerate(rows):
             for j in range(k):
                 moves_checked += 1
-                if rows[i][j] == 0:
-                    if cols[j] < inst.upper_bounds[j] and (add := gain(i, j)) > 0:
+                gain = gains[j][i]
+                if row[j] == 0:
+                    if cols[j] < upper[j] and gain > 0:
                         flip(i, j)
-                        return add
+                        return gain
                     continue
-                out_gain = gain(i, j)
-                if cols[j] > inst.lower_bounds[j] and out_gain > 0:
+                if cols[j] > lower[j] and gain > 0:
                     flip(i, j)
-                    return out_gain
-                for i2 in range(n):
-                    if rows[i2][j] == 0:
-                        moves_checked += 1
-                        if (swap := out_gain + gain(i2, j)) > 0:
-                            flip(i, j)
-                            flip(i2, j)
-                            return swap
+                    return gain
+                best = best_in[j]
+                if best is None or gain + best <= 0:
+                    moves_checked += n - cols[j]
+                    continue
+                for i2, partner in compress(enumerate(gains[j]), free[j]):
+                    moves_checked += 1
+                    if gain + partner > 0:
+                        flip(i, j)
+                        flip(i2, j)
+                        return gain + partner
         return 0
 
+    for i in range(n):
+        set_gains(i)
     while (applied := improve()) > 0:
         total += applied
     return _finish(inst, rows, False, started, moves_checked, Fraction(total, scale))

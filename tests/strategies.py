@@ -1,10 +1,13 @@
-"""Shared hypothesis strategies for instance/matrix generation."""
+"""Shared hypothesis strategies and seeded generators for test inputs."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable, validate_instance
+from mcap.generate import _clause_variables
+from mcap.reduction import CnfFormula, validate_formula
 
 FAMILIES = ("grid", "constant", "zero_one")
 
@@ -59,3 +62,29 @@ def feasible_pairs(draw, **kwargs):
         for i in order[:count]:
             rows[i][j] = 1
     return inst, AssignmentMatrix.from_rows(rows)
+
+
+def random_formula(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
+    """A valid random 3-CNF formula (not necessarily satisfiable)."""
+    rng = random.Random(seed)
+    triples = _clause_variables(rng, num_vars, num_clauses)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in triple) for triple in triples
+    )
+    return validate_formula(CnfFormula(num_vars=num_vars, clauses=clauses))
+
+
+def random_feasible_matrix(seed: int, inst: Instance) -> AssignmentMatrix:
+    """A uniform-ish feasible matrix: per campaign, a random in-bounds column.
+
+    Each campaign independently draws a column sum within its bounds and
+    assigns that many distinct customers, so feasibility holds by
+    construction.
+    """
+    rng = random.Random(seed)
+    rows = [[0] * inst.k for _ in range(inst.n)]
+    for j in range(inst.k):
+        count = rng.randint(inst.lower_bounds[j], inst.upper_bounds[j])
+        for i in rng.sample(range(inst.n), count):
+            rows[i][j] = 1
+    return AssignmentMatrix.from_rows(rows)

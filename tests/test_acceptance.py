@@ -12,12 +12,7 @@ from fractions import Fraction
 
 from mcap.cli import run_bench
 from mcap.core import AssignmentMatrix, check_feasibility, evaluate_fitness
-from mcap.generate import (
-    random_feasible_matrix,
-    random_formula,
-    random_instance,
-    random_planted_formula,
-)
+from mcap.generate import random_instance, random_planted_formula
 from mcap.learning import fit_suppression
 from mcap.reduction import (
     CnfFormula,
@@ -35,6 +30,7 @@ from mcap.solvers import (
     solve_constant_suppression,
     solve_unbounded,
 )
+from strategies import random_feasible_matrix, random_formula
 from test_learning import exhaustive_best, noise_free_records
 
 FOUR_CLAUSE = CnfFormula(

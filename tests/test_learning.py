@@ -317,6 +317,11 @@ class TestCategorize:
     def test_labels_pass_through(self):
         assert categorize_customers([(0,), (1,)], 5, labels=[7, 9]) == [7, 9]
 
+    @pytest.mark.parametrize("labels", [[1.7, True], [1, True], [1, 2.0]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            categorize_customers([(0,), (1,)], 2, labels=labels)
+
     def test_label_length_mismatch(self):
         with pytest.raises(ValidationError, match="labels"):
             categorize_customers([(0,), (1,)], 2, labels=[1])
@@ -406,6 +411,11 @@ class TestCollaborativeFiltering:
         with pytest.raises(ValidationError, match="nonnegative"):
             RatingsMatrix.from_triplets([("t", "x", -1)])
 
+    @pytest.mark.parametrize("rating", [2.7, 2.0, True, "2"])
+    def test_non_integer_rating_rejected(self, rating):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            RatingsMatrix.from_triplets([("t", "x", rating)])
+
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
@@ -474,3 +484,9 @@ class TestFitCategories:
     def test_missing_label_rejected(self):
         with pytest.raises(ValidationError, match="no category label"):
             fit_categories(Counter({("ghost", *rec(1, 1, True)): 1}), {}, max_h=3)
+
+    @pytest.mark.parametrize("label", [1.7, True, "1"])
+    def test_non_integer_label_rejected(self, label):
+        history = Counter({("a", *rec(1, 1, True)): 1, ("b", *rec(1, 3, False)): 1})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            fit_categories(history, {"a": 1, "b": label}, max_h=2)

@@ -22,7 +22,6 @@ from mcap.core import (
     check_feasibility,
     evaluate_fitness,
 )
-from mcap.generate import random_feasible_matrix, random_formula
 from mcap.reduction import (
     CnfFormula,
     embed_assignment,
@@ -38,6 +37,7 @@ from mcap.reduction import (
     validate_formula,
 )
 from mcap.solvers import dp_solve
+from strategies import random_feasible_matrix, random_formula
 
 
 def four_clause_formula():

@@ -28,7 +28,7 @@ from mcap.solvers import (
     solve_constant_suppression,
     solve_unbounded,
 )
-from strategies import feasible_pairs, instances
+from strategies import feasible_pairs, instances, random_feasible_matrix
 
 
 def single_customer_instance(lower=(0, 0)):
@@ -158,6 +158,8 @@ PIN_INSTANCES = {
     "negative-phase-1": lambda: generate.random_instance(seed=15, n=20, k=4),
     "constant-30x4": lambda: generate.random_instance(seed=5, n=30, k=4, family="constant"),
     "unbounded-30x4": lambda: generate.random_instance(seed=6, n=30, k=4, bounds="unbounded"),
+    # local search climbs 9% above its greedy start over 137,859 checked moves
+    "improving-100x8": lambda: generate.random_instance(seed=6, n=100, k=8),
 }
 
 PIN_SOLVERS = {
@@ -205,6 +207,12 @@ PINS = {
     ("local", "huge-prefs"): (
         "2032298738718956958493/2",
         "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 33,
+    ),
+    ("greedy", "improving-100x8"): (
+        "14183/4", "8677dcbfd747222e8d606203d17dba2568116dae6012feba68795d424c53f353", 410,
+    ),
+    ("local", "improving-100x8"): (
+        "3870", "72ef4a74ab3ff0d5780af04ff893b059ccca94fabfdd7444c17830b46b1e869a", 137859,
     ),
     ("const", "constant-30x4"): (
         "3453/4", "b5e3e5f7ec408e47f7e0db268887c8c4c7ad9c8b0d426c34e603d6a15104bc1c", 120,
@@ -408,6 +416,87 @@ def test_scaled_rates_equal_fraction_products(levels):
     ))
     scale, rates, _ = solvers._scaled(inst)
     assert rates == [[int(v * scale) for v in t.values] for t in inst.suppression]
+
+
+def rescan_local_search(inst, start):
+    """Local search that rescans every swap partner: the oracle for the gain table.
+
+    Returns the rows, the scaled total and the checked moves.  Each step
+    scans the cells in row-major order and applies the first improving move:
+    a flip within the column bounds, or else a swap with the first free row
+    of the column, counting every partner it tries.
+    """
+    n, k = inst.n, inst.k
+    _, rates, weighted = solvers._scaled(inst)
+    rows = [list(row) for row in start.entries]
+    h = [sum(row) for row in rows]
+    row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]
+    cols = [sum(column) for column in zip(*rows)]
+    total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
+    moves_checked = 0
+
+    def gain(i, j):
+        step = 1 - 2 * rows[i][j]
+        return solvers._gain(rates[i], row_value[i], h[i], step * weighted[i][j], step)
+
+    def flip(i, j):
+        step = 1 - 2 * rows[i][j]
+        rows[i][j] += step
+        cols[j] += step
+        row_value[i] += step * weighted[i][j]
+        h[i] += step
+
+    def improve():
+        nonlocal moves_checked
+        for i in range(n):
+            for j in range(k):
+                moves_checked += 1
+                if rows[i][j] == 0:
+                    if cols[j] < inst.upper_bounds[j] and (add := gain(i, j)) > 0:
+                        flip(i, j)
+                        return add
+                    continue
+                out_gain = gain(i, j)
+                if cols[j] > inst.lower_bounds[j] and out_gain > 0:
+                    flip(i, j)
+                    return out_gain
+                for i2 in range(n):
+                    if rows[i2][j] == 0:
+                        moves_checked += 1
+                        if (swap := out_gain + gain(i2, j)) > 0:
+                            flip(i, j)
+                            flip(i2, j)
+                            return swap
+        return 0
+
+    while (applied := improve()) > 0:
+        total += applied
+    return rows, total, moves_checked
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.sampled_from((0, 1, 9, 10**20)),
+    st.sampled_from(generate.SUPPRESSION_FAMILIES),
+    st.sampled_from(("random", "unbounded")),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_local_search_matches_rescan(seed, n, k, pref_max, family, bounds, from_greedy):
+    # pref_max 0 and 1 tie gains; indicator tables give zero rates; random
+    # bounds block flips, so the scan reaches the swaps
+    inst = generate.random_instance(
+        seed=seed, n=n, k=k, pref_max=pref_max, family=family, bounds=bounds
+    )
+    start = greedy_construct(inst).matrix if from_greedy else random_feasible_matrix(seed, inst)
+    scale = solvers._scaled(inst)[0]
+    rows, total, explored = rescan_local_search(inst, start)
+    result = local_search(inst, start)
+    assert result.matrix == AssignmentMatrix.from_rows(rows)
+    assert result.fitness == Fraction(total, scale)
+    assert result.stats.explored == explored
 
 
 class TestLocalSearch:
