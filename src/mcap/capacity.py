@@ -38,15 +38,6 @@ class CapacityBox:
             idx += c * stride
         return idx
 
-    def decode(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise ValueError(f"index {idx} outside 0..{self.size - 1}")
-        out = []
-        for cap in self.caps:
-            out.append(idx % (cap + 1))
-            idx //= cap + 1
-        return tuple(out)
-
     def iter_range(self, lower: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Yield ``(index, vector)`` for every vector with ``lower <= c <= caps``.
 

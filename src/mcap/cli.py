@@ -11,6 +11,7 @@ error in JSON mode is an object ``{"error": {"type", "message"}}``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -130,8 +131,7 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    with open(args.cnf, "r") as fh:
-        formula = reduction.parse_dimacs(fh.read(), sanitize=args.sanitize)
+    formula = reduction.parse_dimacs(io.read_text(args.cnf), sanitize=args.sanitize)
     red = reduction.reduce_3sat(formula)
     io.write_instance(red.instance, args.out_instance)
     io.dump_json(reduction.sidecar_dict(red), args.out_sidecar)
@@ -227,7 +227,7 @@ def cmd_fit(args) -> dict:
         raw = io.load_json(args.labels)
         if not isinstance(raw, dict):
             raise ValidationError("labels file must be a JSON object customer -> label")
-        by_key = {key: io._int_from_str(value, f"label of {key!r}") for key, value in raw.items()}
+        by_key = {key: io.parse_int(value, f"label of {key!r}") for key, value in raw.items()}
         # JSON object keys are always strings, record customers need not be
         customers = {customer for customer, *_ in history}
         labels = {c: by_key[str(c)] for c in customers if str(c) in by_key}
@@ -329,7 +329,9 @@ def _render_human(command: str, report: dict) -> str:
     return "\n".join(f"{key}: {value}" for key, value in report.items())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="mcap",
         description="Multicampaign assignment: solve instances, run the 3-CNF "
@@ -426,8 +428,7 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = COMMANDS[args.command](args)
     except tuple(exc for exc, _ in _EXIT_CODES) as exc:

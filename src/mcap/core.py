@@ -117,30 +117,35 @@ class Instance:
         validate_instance(self)
 
 
+# a 0 or 1 of any numeric type (True, 1.0) hashes equal to a key: one lookup checks and normalizes
+_BIT = {0: 0, 1: 1}
+
+
 @dataclass(frozen=True)
 class AssignmentMatrix:
     """An n-by-k binary matrix; ``entries[i][j] = 1`` assigns campaign j to customer i.
 
     Construction raises :class:`ValidationError` unless the rows all have the
-    same length and every entry is 0 or 1.
+    same length and every entry is 0 or 1; ``True`` and ``1.0`` are stored as ``1``.
     """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(row) for row in self.entries)
-        width = len(entries[0]) if entries else 0
-        for i, row in enumerate(entries):
-            if len(row) != width:
+        entries: list[tuple[int, ...]] = []
+        for i, row in enumerate(self.entries):
+            if entries and len(row) != len(entries[0]):
                 raise ValidationError(
-                    f"matrix row {i} has {len(row)} entries, row 0 has {width}"
+                    f"matrix row {i} has {len(row)} entries, row 0 has {len(entries[0])}"
                 )
-            for j, m in enumerate(row):
-                if m not in (0, 1):
-                    raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(m) for m in row) for row in entries)
-        )
+            try:
+                entries.append(tuple(map(_BIT.__getitem__, row)))
+            except (KeyError, TypeError):  # not 0 or 1, or unhashable (a 0-d numpy array)
+                for j, m in enumerate(row):
+                    if m not in (0, 1):
+                        raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
+                entries.append(tuple(int(m) for m in row))
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def n(self) -> int:
@@ -162,7 +167,7 @@ class AssignmentMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "AssignmentMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
 
 @dataclass(frozen=True)

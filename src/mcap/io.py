@@ -10,6 +10,9 @@ literal, after the same stripping, is ``[+-]?digits`` or
 ``[+-]?digits/digits``.  Digits are ASCII and there are no spaces inside.
 Decimal and exponent forms such as ``"0.5"`` or ``"1e-5"`` are rejected: an
 exponent literal can stand for a number with millions of digits.
+
+:func:`parse_int` is the one integer grammar of every input file, DIMACS
+included, and :func:`read_text` the one reader: UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import AssignmentMatrix, Instance, SuppressionTable, ValidationError
-
-
-def fraction_to_str(value: Fraction) -> str:
-    return str(value)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -45,7 +44,8 @@ def fraction_from_str(text: str) -> Fraction:
         raise ValidationError(f"bad rational literal {text!r}: {exc}") from exc
 
 
-def _int_from_str(text, what: str) -> int:
+def parse_int(text, what: str) -> int:
+    """``text`` as an integer under the module's grammar; ``what`` names it in the error."""
     if type(text) is int:
         return text
     if type(text) is str:
@@ -73,7 +73,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "k": inst.k,
         "weights": [str(w) for w in inst.weights],
         "preferences": [[str(p) for p in row] for row in inst.preferences],
-        "suppression": [[fraction_to_str(v) for v in t.values] for t in inst.suppression],
+        "suppression": [[str(v) for v in t.values] for t in inst.suppression],
         "lower_bounds": list(inst.lower_bounds),
         "upper_bounds": list(inst.upper_bounds),
     }
@@ -81,11 +81,11 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        n = _int_from_str(data["n"], "n")
-        k = _int_from_str(data["k"], "k")
-        weights = [_int_from_str(w, "weight") for w in _list(data["weights"], "weights")]
+        n = parse_int(data["n"], "n")
+        k = parse_int(data["k"], "k")
+        weights = [parse_int(w, "weight") for w in _list(data["weights"], "weights")]
         preferences = [
-            [_int_from_str(p, "preference") for p in _list(row, "a preference row")]
+            [parse_int(p, "preference") for p in _list(row, "a preference row")]
             for row in _list(data["preferences"], "preferences")
         ]
         # fitted and generated tables repeat a few grid values: parse each
@@ -103,10 +103,10 @@ def instance_from_dict(data: dict) -> Instance:
             for row in _list(data["suppression"], "suppression")
         ]
         lower = [
-            _int_from_str(b, "lower bound") for b in _list(data["lower_bounds"], "lower_bounds")
+            parse_int(b, "lower bound") for b in _list(data["lower_bounds"], "lower_bounds")
         ]
         upper = [
-            _int_from_str(b, "upper bound") for b in _list(data["upper_bounds"], "upper_bounds")
+            parse_int(b, "upper bound") for b in _list(data["upper_bounds"], "upper_bounds")
         ]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance object: {exc}") from exc
@@ -132,25 +132,31 @@ def matrix_from_dict(data: dict) -> AssignmentMatrix:
         raise ValidationError(f"malformed matrix object: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
         raise ValidationError("matrix rows must be a JSON list of '0'/'1' strings")
-    entries = []
     for i, row in enumerate(rows):
-        cells = []
         for ch in row:
             if ch not in "01":
                 raise ValidationError(f"matrix row {i}: character {ch!r} is not '0' or '1'")
-            cells.append(int(ch))
-        entries.append(tuple(cells))
-    return AssignmentMatrix(tuple(entries))
+    return AssignmentMatrix.from_rows(tuple(map(int, row)) for row in rows)
 
 
 def dump_json(data: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the file at ``path``; :class:`ValidationError` if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_json(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    # also bad UTF-8, a number past the int digit limit, and deep nesting
+        return json.loads(read_text(path))
+    except ValidationError as exc:  # not UTF-8
+        raise ValidationError(f"{exc}, so not valid JSON") from exc
+    # also a number past the int digit limit, and deep nesting
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import PreconditionError, SuppressionTable, ValidationError
-from .io import _int_from_str
+from .io import parse_int
 
 CustomerId = int | str
 CampaignId = int | str
@@ -436,8 +436,8 @@ def records_from_json(data) -> Counter:
                 raise ValidationError(f"responded must be true or false, got {responded!r}")
             customer = _record_id(obj["customer"], "customer")
             campaign = _record_id(obj["campaign"], "campaign")
-            preference = _int_from_str(obj["preference"], "preference")
-            h = _int_from_str(obj["h"], "h")
+            preference = parse_int(obj["preference"], "preference")
+            h = parse_int(obj["h"], "h")
             _check_outcome(preference, h)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"record {idx} is malformed: {exc}") from exc

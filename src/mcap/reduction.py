@@ -49,6 +49,7 @@ from .core import (
     check_feasibility,
     evaluate_fitness,
 )
+from .io import parse_int
 
 BooleanAssignment = tuple[bool, ...]
 
@@ -114,12 +115,14 @@ def satisfies(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
 def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
     """Parse DIMACS CNF ("p cnf <vars> <clauses>", 0-terminated clauses).
 
+    Header counts and literals are integers under :func:`mcap.io.parse_int`.
+
     With ``sanitize=True``, tautological clauses are dropped and variables
     left unused are removed with dense renumbering; everything else (wrong
     literal counts, repeated variables, malformed syntax) is still an error,
     because no faithful repair exists for those.
     """
-    header: tuple[int, int] | None = None
+    header: tuple[int, ...] | None = None
     tokens: list[int] = []
     for line in text.splitlines():
         line = line.strip()
@@ -131,18 +134,11 @@ def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise ValidationError(f"malformed header line {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError as exc:
-                raise ValidationError(f"malformed header line {line!r}") from exc
+            header = tuple(parse_int(part, "a header count") for part in parts[2:])
             continue
         if header is None:
             raise ValidationError("clause data before the 'p cnf' header")
-        for tok in line.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError as exc:
-                raise ValidationError(f"bad literal token {tok!r}") from exc
+        tokens.extend(parse_int(tok, "a literal") for tok in line.split())
     if header is None:
         raise ValidationError("missing 'p cnf' header")
     num_vars, num_clauses = header

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcap import generate, io
+from mcap import cli, generate, io
 from mcap.cli import main
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable
 
@@ -319,6 +319,23 @@ class TestReductionFlow:
         )
         assert code == 2
         assert report["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("content", [
+        b"p cnf 3 1\n1 2 3 0\n\xff\n",
+        "p cnf 3 1\n1 2 1_0 0\n".encode(),
+        "p cnf 3 1\n1 2 \u0663 0\n".encode(),  # Arabic-Indic 3
+        "p cnf \uff13 1\n1 2 3 0\n".encode(),  # fullwidth 3
+    ], ids=["not-utf8", "underscore", "arabic-indic-digit", "fullwidth-header"])
+    def test_malformed_cnf_is_one_error(self, capsys, tmp_path, content):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_bytes(content)
+        instance, sidecar = tmp_path / "i.json", tmp_path / "s.json"
+        code, captured = run(
+            capsys, "--format", "json", "reduce", "--cnf", cnf,
+            "--out-instance", instance, "--out-sidecar", sidecar,
+        )
+        assert_one_error(captured, code, 2, "ValidationError")
+        assert not instance.exists() and not sidecar.exists()
 
     def test_embed_extract_verify_roundtrip(self, capsys, reduced_files, tmp_path):
         instance, sidecar = reduced_files
@@ -641,3 +658,48 @@ class TestBench:
         code, captured = run(capsys, "bench", "--instance", inst_path)
         assert code == 0
         assert captured.out.splitlines()[0].startswith("method")
+
+
+def run_alone(capsys, *argv):
+    """``run`` on a parser built for this call only, as in a fresh process."""
+    cli.build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def without_elapsed(text):
+    return [line for line in text.splitlines() if "elapsed_s" not in line]
+
+
+class TestRepeatedCalls:
+    """Calls in one process share one parser, and no call's arguments reach the next."""
+
+    def test_parser_is_built_once(self, capsys, small_instance):
+        _, inst_path = small_instance
+        run(capsys, "solve", "--instance", inst_path)
+        parser = cli.build_parser()
+        run(capsys, "--format", "json", "bench", "--instance", inst_path)
+        assert cli.build_parser() is parser
+
+    @pytest.mark.parametrize("first, second", [
+        (("--format", "json"), ("--format", "json")),
+        (("--format", "human"), ()),
+        (("--format", "json"), ()),
+    ], ids=["out-then-no-out", "human-then-default", "json-then-default"])
+    def test_each_call_prints_as_if_alone(self, capsys, small_instance, tmp_path, first, second):
+        _, inst_path = small_instance
+        out = tmp_path / "m.json"
+        calls = [
+            (*first, "solve", "--instance", inst_path, "--method", "greedy", "--out", out),
+            (*second, "solve", "--instance", inst_path),
+        ]
+        in_sequence = [run(capsys, *argv) for argv in calls]
+        if first == ("--format", "human"):
+            assert in_sequence[0][1].out.startswith("method: greedy\n")
+        if second:
+            assert "out" not in json.loads(in_sequence[1][1].out)
+        else:
+            assert in_sequence[1][1].out.startswith("method: dp\n")
+        for argv, (code, captured) in zip(calls, in_sequence):
+            alone_code, alone = run_alone(capsys, *argv)
+            assert code == alone_code == 0
+            assert without_elapsed(captured.out) == without_elapsed(alone.out)

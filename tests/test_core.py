@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -143,6 +144,13 @@ class TestAssignmentMatrixConstruction:
     def test_ragged_rows(self, rows):
         with pytest.raises(ValidationError, match="entries, row 0 has"):
             AssignmentMatrix(rows)
+
+    @pytest.mark.parametrize("one", [1, True, 1.0, Fraction(1), np.int64(1), np.array(1)],
+                             ids=["int", "bool", "float", "fraction", "numpy-int", "numpy-0d"])
+    def test_numeric_bits_are_stored_as_int(self, one):
+        matrix = AssignmentMatrix.from_rows([[0, one], [one, 0 * one]])
+        assert matrix.entries == ((0, 1), (1, 0))
+        assert {type(m) for row in matrix.entries for m in row} == {int}
 
     @pytest.mark.parametrize("value", [2, -1, 0.5, "1"])
     def test_non_binary_entry(self, value):

@@ -54,8 +54,6 @@ def test_weights_and_preferences_serialize_as_decimal_strings():
 
 
 def test_fraction_strings():
-    assert io.fraction_to_str(Fraction(1, 2)) == "1/2"
-    assert io.fraction_to_str(Fraction(1)) == "1"
     assert io.fraction_from_str("3/4") == Fraction(3, 4)
     assert io.fraction_from_str("0") == 0
     with pytest.raises(ValidationError, match="bad rational"):
@@ -141,6 +139,15 @@ def test_load_json_rejects_unreadable_text(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ValidationError, match="not valid JSON"):
         io.load_json(path)
+
+
+def test_read_text_is_utf8_or_a_validation_error(tmp_path):
+    path = tmp_path / "formula.cnf"
+    path.write_bytes("c caf\u00e9\n".encode("utf-8"))
+    assert io.read_text(path) == "c caf\u00e9\n"
+    path.write_bytes(b"c caf\xe9\n")  # Latin-1
+    with pytest.raises(ValidationError, match="formula.cnf: not UTF-8"):
+        io.read_text(path)
 
 
 def test_read_instance_rejects_an_invalid_instance(tmp_path):

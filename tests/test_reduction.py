@@ -102,6 +102,18 @@ class TestDimacs:
         with pytest.raises(ValidationError, match="header"):
             parse_dimacs("1 2 3 0\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13"],
+                             ids=["underscore", "arabic-indic-3", "fullwidth-3"])
+    @pytest.mark.parametrize("template", [
+        "p cnf {} 1\n1 2 3 0\n",
+        "p cnf 3 {}\n1 2 3 0\n",
+        "p cnf 3 1\n1 2 {} 0\n",
+    ], ids=["variable-count", "clause-count", "literal"])
+    def test_integers_are_ascii_digits(self, template, token):
+        # each is an int() literal (10 or 3), but not [+-]?digits in ASCII
+        with pytest.raises(ValidationError, match="bad integer literal"):
+            parse_dimacs(template.format(token))
+
     def test_unterminated_clause(self):
         with pytest.raises(ValidationError, match="not 0-terminated"):
             parse_dimacs("p cnf 3 1\n1 2 3\n")
