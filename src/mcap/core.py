@@ -117,10 +117,6 @@ class Instance:
         validate_instance(self)
 
 
-# a 0 or 1 of any numeric type (True, 1.0) hashes equal to a key: one lookup checks and normalizes
-_BIT = {0: 0, 1: 1}
-
-
 @dataclass(frozen=True)
 class AssignmentMatrix:
     """An n-by-k binary matrix; ``entries[i][j] = 1`` assigns campaign j to customer i.
@@ -138,13 +134,12 @@ class AssignmentMatrix:
                 raise ValidationError(
                     f"matrix row {i} has {len(row)} entries, row 0 has {len(entries[0])}"
                 )
-            try:
-                entries.append(tuple(map(_BIT.__getitem__, row)))
-            except (KeyError, TypeError):  # not 0 or 1, or unhashable (a 0-d numpy array)
-                for j, m in enumerate(row):
-                    if m not in (0, 1):
-                        raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
-                entries.append(tuple(int(m) for m in row))
+            cells = []
+            for j, m in enumerate(row):
+                if m not in (0, 1):
+                    raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
+                cells.append(int(m))
+            entries.append(tuple(cells))
         object.__setattr__(self, "entries", tuple(entries))
 
     @property

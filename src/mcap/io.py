@@ -148,17 +148,16 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{path}: not valid UTF-8 text: {exc}") from exc
 
 
 def load_json(path: str | Path) -> dict:
     try:
         return json.loads(read_text(path))
-    except ValidationError as exc:  # not UTF-8
-        raise ValidationError(f"{exc}, so not valid JSON") from exc
-    # also a number past the int digit limit, and deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    # also bad UTF-8 (read_text's error, named by its cause), a number past
+    # the int digit limit, and deep nesting
+    except (ValidationError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc.__cause__ or exc}") from exc
 
 
 def write_instance(inst: Instance, path: str | Path) -> None:

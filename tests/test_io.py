@@ -146,7 +146,7 @@ def test_read_text_is_utf8_or_a_validation_error(tmp_path):
     path.write_bytes("c caf\u00e9\n".encode("utf-8"))
     assert io.read_text(path) == "c caf\u00e9\n"
     path.write_bytes(b"c caf\xe9\n")  # Latin-1
-    with pytest.raises(ValidationError, match="formula.cnf: not UTF-8"):
+    with pytest.raises(ValidationError, match="formula.cnf: not valid UTF-8 text"):
         io.read_text(path)
 
 
