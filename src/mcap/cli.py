@@ -55,12 +55,6 @@ def _read_reduced(instance_path: str, sidecar_path: str) -> ReducedInstance:
     return red
 
 
-def _check_limits(args) -> None:
-    for flag, value in (("--max-cells", args.max_cells), ("--max-states", args.max_states)):
-        if value < 0:
-            raise ValidationError(f"{flag} must be >= 0, got {value}")
-
-
 def _result_report(result: solvers.SolveResult, method: str) -> dict:
     return {
         "method": method,
@@ -120,7 +114,6 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_solve(args) -> dict:
-    _check_limits(args)
     inst = io.read_instance(args.instance)
     method, result = _solve_with(args.method, inst, args)
     report = _result_report(result, method)
@@ -299,7 +292,6 @@ def run_bench(
 
 
 def cmd_bench(args) -> dict:
-    _check_limits(args)
     inst = io.read_instance(args.instance)
     return {"rows": run_bench(inst, max_cells=args.max_cells, max_states=args.max_states)}
 
@@ -329,10 +321,29 @@ def _render_human(command: str, report: dict) -> str:
     return "\n".join(f"{key}: {value}" for key, value in report.items())
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise :class:`ValidationError` instead of exiting."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _int_option(parser, flag: str, minimum: int | None = None, **kwargs) -> None:
+    """Add an integer option, read by the file integer grammar and at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = io.parse_int(text, flag)
+        if minimum is not None and value < minimum:
+            raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
+        return value
+
+    parser.add_argument(flag, type=parse, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcap",
         description="Multicampaign assignment: solve instances, run the 3-CNF "
         "reduction, and fit suppression tables from history.",
@@ -349,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--out", help="write the matrix here")
     p.add_argument("--start", help="starting matrix for --method local and auto's local search")
-    p.add_argument("--max-cells", type=int, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
-    p.add_argument("--max-states", type=int, default=solvers.DEFAULT_DP_STATE_LIMIT)
+    _int_option(p, "--max-cells", minimum=0, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
+    _int_option(p, "--max-states", minimum=0, default=solvers.DEFAULT_DP_STATE_LIMIT)
 
     p = sub.add_parser("reduce", help="3-CNF (DIMACS) to instance + sidecar")
     p.add_argument("--cnf", required=True)
@@ -376,31 +387,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pref-max", type=int, default=9)
-    p.add_argument("--weight-max", type=int, default=5)
+    _int_option(p, "--seed", required=True)
+    _int_option(p, "--n", required=True)
+    _int_option(p, "--k", required=True)
+    _int_option(p, "--pref-max", default=9)
+    _int_option(p, "--weight-max", default=5)
     p.add_argument("--family", choices=("constant", "indicator", "linear", "grid"),
                    default="grid")
-    p.add_argument("--grid", type=int, default=4)
+    _int_option(p, "--grid", default=4)
     p.add_argument("--bounds", choices=("random", "unbounded"), default="random")
     p.add_argument("--out")
 
     p = sub.add_parser("fit", help="fit suppression tables from response history")
     p.add_argument("--records", required=True)
     p.add_argument("--labels", help="JSON object mapping customer id to category label")
-    p.add_argument("--max-h", type=int, required=True)
-    p.add_argument("--grid", type=int, default=learning.DEFAULT_GRID)
-    p.add_argument("--restarts", type=int, default=learning.DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=int, default=0)
+    _int_option(p, "--max-h", required=True)
+    _int_option(p, "--grid", default=learning.DEFAULT_GRID)
+    _int_option(p, "--restarts", default=learning.DEFAULT_RESTARTS)
+    _int_option(p, "--seed", default=0)
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="run all applicable solvers, print a table")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-cells", type=int, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
-    p.add_argument("--max-states", type=int, default=solvers.DEFAULT_DP_STATE_LIMIT)
+    _int_option(p, "--max-cells", minimum=0, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
+    _int_option(p, "--max-states", minimum=0, default=solvers.DEFAULT_DP_STATE_LIMIT)
 
     return parser
 
@@ -428,8 +439,11 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # parsed into a namespace made before the parse, so a usage error after
+    # --format json is still reported as JSON
+    args = argparse.Namespace(format="human")
     try:
+        build_parser().parse_args(argv, namespace=args)
         report = COMMANDS[args.command](args)
     except tuple(exc for exc, _ in _EXIT_CODES) as exc:
         code = next(code for klass, code in _EXIT_CODES if isinstance(exc, klass))

@@ -8,9 +8,12 @@ Two independent estimation problems feed the assignment model:
   suppression.  For every campaign and every (responder ``i``, non-responder
   ``j``) pair this yields one strict condition ``p_i * r(h_i) > p_j *
   r(h_j)``, and :func:`fit_suppression` searches a grid-valued table for
-  ``r`` that satisfies as many conditions as possible.  Its hill climb re-optimizes one level ``r(h)`` per step: one
-  pass over the conditions that mention ``h`` gives the count at every grid
-  level, then O(grid) picks the best.  :func:`categorize_customers`
+  ``r`` that satisfies as many conditions as possible.  A condition
+  mentions two levels only, so the satisfied count is a sum over pairs
+  ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built once per fit;
+  the enumeration of small spaces and each hill-climb step (one level
+  ``r(h)`` swept over the grid) score many candidate tables in one
+  lookup.  :func:`categorize_customers`
   supplies the grouping (small seeded k-means over numeric profiles, or
   externally computed labels).
 
@@ -36,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import PreconditionError, SuppressionTable, ValidationError
+from .core import GuardExceededError, PreconditionError, SuppressionTable, ValidationError
 from .io import parse_int
 
 CustomerId = int | str
@@ -50,6 +53,10 @@ MIN_OVERLAP = 2
 # up to this many candidate tables the fit enumerates them all instead of
 # hill climbing, making small fits exactly optimal
 EXHAUSTIVE_SPACE = 4096
+
+# the fit's pairwise level tables hold (max_h + 1)^2 * (grid + 1)^2 cells;
+# a fit needing more is refused before they are allocated
+TABLE_CELL_LIMIT = 10**7
 
 
 # a customer recommended h campaigns in total did (not) respond to campaign
@@ -100,75 +107,49 @@ def _conditions(counts: Mapping[Outcome, int]) -> dict[tuple[int, int, int, int]
     return conditions
 
 
-def _satisfied_count(
-    levels: Sequence[int], conditions: Mapping[tuple[int, int, int, int], int]
-) -> int:
-    # levels[h] is r(h) * Q; the grid denominator cancels from the strict
-    # inequality, so this is pure integer arithmetic
-    return sum(
-        mult
-        for (p_i, h_i, p_j, h_j), mult in conditions.items()
-        if p_i * levels[h_i] > p_j * levels[h_j]
-    )
+def _tables(
+    conditions: Mapping[tuple[int, int, int, int], int], max_h: int, grid: int
+) -> np.ndarray:
+    """Pairwise level tables: the satisfied count of ``conditions`` is a sum of lookups.
 
-
-Condition = tuple[int, int, int, int, int]
-
-
-def _touching(
-    conditions: Mapping[tuple[int, int, int, int], int], size: int
-) -> list[list[Condition]]:
-    """``groups[h]``: the conditions ``(p_i, h_i, p_j, h_j, mult)`` with ``h`` on a side."""
-    groups: list[list[Condition]] = [[] for _ in range(size)]
-    for (p_i, h_i, p_j, h_j), mult in conditions.items():
-        groups[h_i].append((p_i, h_i, p_j, h_j, mult))
-        if h_j != h_i:
-            groups[h_j].append((p_i, h_i, p_j, h_j, mult))
-    return groups
-
-
-def _level_counts(
-    levels: Sequence[int], h: int, touching: Sequence[Condition], grid: int
-) -> list[int]:
-    """Satisfied count of ``touching`` at every level ``x in 0..grid`` of ``h``.
-
-    Every condition must have ``h`` on a side; the other levels stay fixed,
-    so each one holds on a range of ``x``, found by integer floor division.
-    The ranges go into a difference array whose prefix sums are the counts.
+    ``tables[a, b, x, y]`` is the total multiplicity of the conditions with
+    ``(h_i, h_j) = (a, b)`` that hold at ``r(a) = x/grid``, ``r(b) =
+    y/grid``; a condition with ``a == b`` is read on the diagonal ``x == y``
+    only.  Each ``(a, b)`` group fills its ``(grid+1)^2`` block one row of
+    ``x`` at a time, as the multiplicities times the ``(group, grid+1)``
+    truth matrix of ``p_i*x > p_j*y``.  Entries are int64 when every
+    product ``p*level`` and the condition total fit, and Python integers
+    (``dtype=object``) otherwise, so the counts are exact at any magnitude.
     """
-    diff = [0] * (grid + 2)
-    for p_i, h_i, p_j, h_j, mult in touching:
-        if h_i == h_j:
-            # p_i*x > p_j*x
-            if p_i <= p_j:
-                continue
-            lo, hi = 1, grid
-        elif h_i == h:
-            # p_i*x > p_j*L[h_j]
-            if p_i == 0:
-                continue
-            lo, hi = p_j * levels[h_j] // p_i + 1, grid
-        else:
-            # p_i*L[h_i] > p_j*x
-            lhs = p_i * levels[h_i]
-            if p_j == 0:
-                if lhs == 0:
-                    continue
-                lo, hi = 0, grid
-            else:
-                lo, hi = 0, min((lhs - 1) // p_j, grid)
-        if lo <= hi:
-            diff[lo] += mult
-            diff[hi + 1] -= mult
-    return list(itertools.accumulate(diff[:-1]))
+    top = max((max(p_i, p_j) for p_i, _, p_j, _ in conditions), default=0)
+    small = top * grid < 2**63 and sum(conditions.values()) < 2**63
+    dtype = np.int64 if small else object
+    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for (p_i, h_i, p_j, h_j), mult in conditions.items():
+        groups.setdefault((h_i, h_j), []).append((p_i, p_j, mult))
+    tables = np.zeros((max_h + 1, max_h + 1, grid + 1, grid + 1), dtype=dtype)
+    levels = np.arange(grid + 1, dtype=dtype)
+    for (a, b), group in groups.items():
+        p_i, p_j, mult = np.array(group, dtype=dtype).T
+        lhs = p_i[:, None] * levels
+        rhs = p_j[:, None] * levels
+        for x in range(grid + 1):
+            tables[a, b, x] = mult @ (lhs[:, x, None] > rhs)
+    return tables
+
+
+def _satisfied(tables: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The satisfied count of each row of the levels matrix ``levels``.
+
+    ``levels[row, h]`` is ``r(h) * grid``; every ``(a, b)`` pair's table is
+    looked up at the row's two levels, and the lookups add up.
+    """
+    a, b = np.indices(tables.shape[:2]).reshape(2, -1)
+    return tables[a, b, levels[:, a], levels[:, b]].sum(axis=1)
 
 
 def _climb(
-    levels: list[int],
-    conditions: Mapping[tuple[int, int, int, int], int],
-    groups: Sequence[Sequence[Condition]],
-    grid: int,
-    monotone: bool,
+    levels: list[int], tables: np.ndarray, grid: int, monotone: bool
 ) -> tuple[int, list[int]]:
     """Coordinate ascent from ``levels``; returns (count, final levels).
 
@@ -178,29 +159,24 @@ def _climb(
     move increases the lexicographic objective ``(count, levels)``, which
     bounds the climb and guarantees termination.
 
-    ``groups`` is :func:`_touching` of ``conditions``.  One pass over the
-    conditions that mention ``h`` gives the count at every level of ``h``
-    (:func:`_level_counts`); the conditions without ``h`` add the same
-    amount to each level.  A step costs O(conditions + grid).
+    A step scores its range as one levels matrix in :func:`_satisfied`, in
+    descending level order, so the first maximum is the largest level among
+    the best counts.
     """
-    best = _satisfied_count(levels, conditions)
+    best = int(_satisfied(tables, np.array([levels]))[0])
     changed = True
     while changed:
         changed = False
         for h in range(1, len(levels)):
-            current = levels[h]
             lo = levels[h + 1] if monotone and h + 1 < len(levels) else 0
             hi = levels[h - 1] if monotone and h > 1 else grid
-            counts = _level_counts(levels, h, groups[h], grid)
-            others = best - counts[current]
-            top_count, top_level = best, current
-            for candidate in range(lo, hi + 1):
-                count = others + counts[candidate]
-                if candidate != current and (count, candidate) > (top_count, top_level):
-                    top_count, top_level = count, candidate
-            levels[h] = top_level
-            if top_level != current:
-                best = top_count
+            sweep = np.tile(levels, (hi - lo + 1, 1))
+            sweep[:, h] = np.arange(hi, lo - 1, -1)
+            counts = _satisfied(tables, sweep)
+            top = int(np.argmax(counts))
+            if hi - top != levels[h]:
+                levels[h] = hi - top
+                best = int(counts[top])
                 changed = True
     return best, levels
 
@@ -217,14 +193,20 @@ def fit_suppression(
 
     ``counts`` maps each outcome ``(campaign, preference, h, responded)`` to
     how many times it happened, with ``1 <= h <= max_h``.  The table takes
-    values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the number of satisfied responder/non-responder conditions
-    (ties count as unsatisfied).  Small spaces (at most
-    :data:`EXHAUSTIVE_SPACE` candidate tables) are enumerated exactly;
-    otherwise the search is coordinate-ascent hill climbing from the
-    all-ones table plus ``restarts`` random starts.  Among equal-count
-    optima the lexicographically largest table wins (larger values at
-    smaller ``h`` preferred).  With ``monotone=True`` the search is
-    restricted to non-increasing tables.
+    values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the
+    number of satisfied responder/non-responder conditions (ties count as
+    unsatisfied).  Small spaces (at most :data:`EXHAUSTIVE_SPACE` candidate
+    tables) are enumerated exactly; otherwise the search is
+    coordinate-ascent hill climbing from the all-ones table plus
+    ``restarts`` random starts.  Among equal-count optima the
+    lexicographically largest table wins (larger values at smaller ``h``
+    preferred).  With ``monotone=True`` the search is restricted to
+    non-increasing tables.
+
+    Every count comes from the pairwise level tables of :func:`_tables`,
+    built once per fit: a candidate's count is one lookup per pair of
+    levels.  They hold ``(max_h + 1)^2 * (grid + 1)^2`` cells; over
+    :data:`TABLE_CELL_LIMIT` the fit raises :class:`GuardExceededError`.
     """
     if max_h < 1:
         raise ValidationError(f"max_h must be >= 1, got {max_h}")
@@ -238,41 +220,41 @@ def fit_suppression(
             raise ValidationError(f"h={h} exceeds max_h={max_h}")
         if type(count) is not int or count < 1:
             raise ValidationError(f"count must be a positive integer, got {count!r}")
+    cells = (max_h + 1) ** 2 * (grid + 1) ** 2
+    if cells > TABLE_CELL_LIMIT:
+        raise GuardExceededError(
+            f"the fit needs {cells} table cells, over the {TABLE_CELL_LIMIT} limit"
+        )
     conditions = _conditions(counts)
     total = sum(conditions.values())
     if total == 0:
         return FitResult(SuppressionTable.constant(1, max_h), satisfied=0, total=0)
 
+    tables = _tables(conditions, max_h, grid)
     if (grid + 1) ** max_h <= EXHAUSTIVE_SPACE:
         # descending enumeration: the first table reaching the maximum count
         # is automatically the lexicographically largest one
-        best_count, best_levels = -1, [0] * (max_h + 1)
-        for combo in itertools.product(range(grid, -1, -1), repeat=max_h):
-            if monotone and any(combo[i] < combo[i + 1] for i in range(max_h - 1)):
-                continue
-            levels = [0, *combo]
-            count = _satisfied_count(levels, conditions)
-            if count > best_count:
-                best_count, best_levels = count, levels
-        table = SuppressionTable(tuple(Fraction(q, grid) for q in best_levels))
-        return FitResult(table=table, satisfied=best_count, total=total)
-
-    rng = random.Random(seed)
-    starts = [[0] + [grid] * max_h]
-    for _ in range(restarts):
-        levels = [0] + [rng.randint(0, grid) for _ in range(max_h)]
-        if monotone:
-            levels[1:] = sorted(levels[1:], reverse=True)
-        starts.append(levels)
-
-    groups = _touching(conditions, max_h + 1)
-    best_count = -1
-    best_levels: list[int] = []
-    for levels in starts:
-        count, final = _climb(levels, conditions, groups, grid, monotone)
-        if count > best_count or (count == best_count and final > best_levels):
-            best_count = count
-            best_levels = list(final)
+        candidates = np.array([
+            (0, *combo)
+            for combo in itertools.product(range(grid, -1, -1), repeat=max_h)
+            if not monotone or all(combo[i] >= combo[i + 1] for i in range(max_h - 1))
+        ])
+        scores = _satisfied(tables, candidates)
+        top = int(np.argmax(scores))
+        best_count, best_levels = int(scores[top]), candidates[top].tolist()
+    else:
+        rng = random.Random(seed)
+        starts = [[0] + [grid] * max_h]
+        for _ in range(restarts):
+            levels = [0] + [rng.randint(0, grid) for _ in range(max_h)]
+            if monotone:
+                levels[1:] = sorted(levels[1:], reverse=True)
+            starts.append(levels)
+        best_count, best_levels = -1, []
+        for levels in starts:
+            count, final = _climb(levels, tables, grid, monotone)
+            if count > best_count or (count == best_count and final > best_levels):
+                best_count, best_levels = count, list(final)
     table = SuppressionTable(tuple(Fraction(q, grid) for q in best_levels))
     return FitResult(table=table, satisfied=best_count, total=total)
 

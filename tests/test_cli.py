@@ -617,6 +617,20 @@ class TestFit:
         assert [c["label"] for c in json.loads(captured.out)["categories"]] == [0, 1]
         assert hashlib.sha256(captured.out.encode()).hexdigest() == FIT_REPORT_SHA256[monotone]
 
+    def test_table_guard_exit(self, capsys, tmp_path):
+        records = [
+            {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
+            {"customer": "b", "campaign": "c", "preference": 1, "h": 2, "responded": False},
+        ]
+        records_path = tmp_path / "records.json"
+        io.dump_json(records, records_path)
+        code, report = run_json(
+            capsys, "fit", "--records", records_path, "--max-h", 2, "--grid", 100000,
+        )
+        assert code == 4
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "GuardExceededError"
+
     @pytest.mark.parametrize("field, value", [
         ("h", 1.7), ("h", True), ("responded", "no"), ("responded", 1),
         ("campaign", [1]), ("customer", [1]), ("preference", "1_0"), ("h", "٢"),
@@ -638,6 +652,42 @@ class TestFit:
         assert code == 2
         assert list(report) == ["error"]
         assert report["error"]["type"] == "ValidationError"
+
+
+# argv after the optional --format: each is a usage error the parser reports
+USAGE_ERRORS = {
+    "bad-integer": ("solve", "--instance", "x", "--max-states", "abc"),
+    "underscore-integer": ("gen", "--seed", "1_0", "--n", 3, "--k", 2),
+    "non-ascii-digits": ("gen", "--seed", 1, "--n", "٣", "--k", "２"),
+    "missing-flag": ("solve",),
+    "bad-method": ("solve", "--instance", "x", "--method", "nope"),
+    "unknown-subcommand": ("nosuch",),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_json_error_object(self, capsys, argv):
+        code, captured = run(capsys, "--format", "json", *argv)
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_human_error_line(self, capsys, argv):
+        code, captured = run(capsys, *argv)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", "gen", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mcap gen")
 
 
 class TestBench:

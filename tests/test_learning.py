@@ -4,11 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mcap.core import PreconditionError, SuppressionTable, ValidationError
+from mcap.core import GuardExceededError, PreconditionError, SuppressionTable, ValidationError
 from mcap.learning import (
+    TABLE_CELL_LIMIT,
     FitResult,
     RatingsMatrix,
     categorize_customers,
@@ -18,9 +20,8 @@ from mcap.learning import (
     records_from_json,
     _climb,
     _conditions,
-    _level_counts,
-    _satisfied_count,
-    _touching,
+    _satisfied,
+    _tables,
 )
 
 
@@ -214,9 +215,18 @@ def test_fit_is_scale_free_and_deterministic(history, factor):
     assert rescaled.satisfied == base.satisfied
 
 
+def recount(levels, conditions):
+    """Satisfied count of ``conditions`` at ``levels``, one condition at a time."""
+    return sum(
+        mult
+        for (p_i, h_i, p_j, h_j), mult in conditions.items()
+        if p_i * levels[h_i] > p_j * levels[h_j]
+    )
+
+
 def per_candidate_climb(levels, conditions, grid, monotone):
     """Reference coordinate ascent: one full recount per candidate level."""
-    best = _satisfied_count(levels, conditions)
+    best = recount(levels, conditions)
     changed = True
     while changed:
         changed = False
@@ -229,7 +239,7 @@ def per_candidate_climb(levels, conditions, grid, monotone):
                 if candidate == current:
                     continue
                 levels[h] = candidate
-                count = _satisfied_count(levels, conditions)
+                count = recount(levels, conditions)
                 if (count, candidate) > (top_count, top_level):
                     top_count, top_level = count, candidate
             levels[h] = top_level
@@ -258,28 +268,29 @@ def climb_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_climb_matches_per_candidate_loop(case):
     grid, max_h, monotone, conditions, levels = case
-    groups = _touching(conditions, max_h + 1)
-    assert _climb(list(levels), conditions, groups, grid, monotone) == per_candidate_climb(
+    tables = _tables(conditions, max_h, grid)
+    assert _climb(list(levels), tables, grid, monotone) == per_candidate_climb(
         list(levels), conditions, grid, monotone
     )
 
 
 @given(climb_cases(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_level_counts_match_recount(case, data):
-    grid, max_h, _, conditions, levels = case
-    h = data.draw(st.integers(1, max_h))
-    touching = _touching(conditions, max_h + 1)[h]
-    mentioning_h = {key: mult for key, mult in conditions.items() if h in (key[1], key[3])}
-    assert {c[:4]: c[4] for c in touching} == mentioning_h
-    counts = _level_counts(levels, h, touching, grid)
-    assert len(counts) == grid + 1
-    start = _satisfied_count(levels, conditions)
-    for x in range(grid + 1):
-        substituted = [*levels[:h], x, *levels[h + 1:]]
-        assert counts[x] == _satisfied_count(substituted, mentioning_h)
-        # the conditions without h add the same count at every level
-        assert start - counts[levels[h]] + counts[x] == _satisfied_count(substituted, conditions)
+def test_table_counts_match_recount(case, data):
+    grid, max_h, _, conditions, _ = case
+    level_row = st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h)
+    levels = data.draw(st.lists(level_row.map(lambda r: [0, *r]), min_size=1, max_size=8))
+    counts = _satisfied(_tables(conditions, max_h, grid), np.array(levels))
+    assert [int(c) for c in counts] == [recount(row, conditions) for row in levels]
+
+
+def test_table_guard():
+    # (max_h + 1)^2 * (grid + 1)^2 cells: max_h=4 allows grids up to 631
+    history = counts(rec(1, 1, True), rec(1, 3, False))
+    assert fit_suppression(history, max_h=4, grid=631).satisfied == 1
+    assert 25 * 632**2 <= TABLE_CELL_LIMIT < 25 * 633**2
+    with pytest.raises(GuardExceededError, match="table cells"):
+        fit_suppression(history, max_h=4, grid=632)
 
 
 def seeded_history(seed, count=4500, max_h=4, campaigns=4):
