@@ -181,6 +181,21 @@ def _climb(
     return best, levels
 
 
+def _check_fit_options(max_h: int, grid: int, restarts: int) -> None:
+    """Raise unless the fit options are in range and the level tables fit the guard."""
+    if max_h < 1:
+        raise ValidationError(f"max_h must be >= 1, got {max_h}")
+    if grid < 1:
+        raise ValidationError(f"grid resolution must be >= 1, got {grid}")
+    if restarts < 0:
+        raise ValidationError(f"restarts must be >= 0, got {restarts}")
+    cells = (max_h + 1) ** 2 * (grid + 1) ** 2
+    if cells > TABLE_CELL_LIMIT:
+        raise GuardExceededError(
+            f"the fit needs {cells} table cells, over the {TABLE_CELL_LIMIT} limit"
+        )
+
+
 def fit_suppression(
     counts: Mapping[Outcome, int],
     max_h: int,
@@ -208,23 +223,13 @@ def fit_suppression(
     levels.  They hold ``(max_h + 1)^2 * (grid + 1)^2`` cells; over
     :data:`TABLE_CELL_LIMIT` the fit raises :class:`GuardExceededError`.
     """
-    if max_h < 1:
-        raise ValidationError(f"max_h must be >= 1, got {max_h}")
-    if grid < 1:
-        raise ValidationError(f"grid resolution must be >= 1, got {grid}")
-    if restarts < 0:
-        raise ValidationError(f"restarts must be >= 0, got {restarts}")
+    _check_fit_options(max_h, grid, restarts)
     for (_, preference, h, _), count in counts.items():
         _check_outcome(preference, h)
         if h > max_h:
             raise ValidationError(f"h={h} exceeds max_h={max_h}")
         if type(count) is not int or count < 1:
             raise ValidationError(f"count must be a positive integer, got {count!r}")
-    cells = (max_h + 1) ** 2 * (grid + 1) ** 2
-    if cells > TABLE_CELL_LIMIT:
-        raise GuardExceededError(
-            f"the fit needs {cells} table cells, over the {TABLE_CELL_LIMIT} limit"
-        )
     conditions = _conditions(counts)
     total = sum(conditions.values())
     if total == 0:
@@ -441,7 +446,10 @@ def fit_categories(
     """Fit one table per category of ``history``; without labels, everyone is category 0.
 
     Labels must be ``int`` (``bool`` is not one), so no two labels merge.
+    The options are checked as :func:`fit_suppression` checks them, also for
+    an empty history.
     """
+    _check_fit_options(max_h, grid, restarts)
     groups: dict[int, dict[Outcome, int]] = {}
     for key, count in history.items():
         if labels_by_customer is None:

@@ -7,11 +7,12 @@ Exact routes:
 * :func:`dp_solve` runs dynamic programming over capacity vectors: the state
   after the first ``m`` customers is the vector of column sums, and the layer
   transition tries every campaign subset for customer ``m``.  The transition
-  is a mask-major numpy sweep: one shifted, masked max over the whole flat
-  layer per campaign subset, visiting subsets by descending index offset so
-  the documented tie-break (ascending predecessor, then ascending subset)
-  holds exactly.  :func:`dp_guard` is its size check, shared with the CLI's
-  ``auto`` method.
+  is a mask-major numpy sweep: one shifted add and one masked
+  ``np.maximum`` over the flat layer per campaign subset, on integer keys
+  that pack each value with the rank of its subset, so the documented
+  tie-break (ascending predecessor, then ascending subset) holds exactly.
+  :func:`dp_guard` is its size check, shared with the CLI's ``auto``
+  method.
 * :func:`solve_constant_suppression` and :func:`solve_unbounded` handle the
   two polynomially solvable special classes (per-customer constant
   suppression; no capacity constraints) by direct sorting arguments.
@@ -32,12 +33,12 @@ is multiplied by the least common denominator of all table entries
 (:func:`_scaled`), so row scores and move gains (:func:`_gain`) are exact
 integers and no inner loop does Fraction arithmetic.  The scale is positive,
 so every comparison, heap order and tie is the same as for the unscaled
-fitness.  The DP keeps its values in int64 arrays when a precomputed bound
-(the sum of every customer's best row score, :func:`_best_row`) is below
-2^63, and in ``dtype=object`` arrays of Python integers otherwise.  Every
-solver passes its own scaled total, as a Fraction, to the final check: the
-returned fitness is recomputed from the matrix with
-:func:`mcap.core.evaluate_fitness` and must equal it.
+fitness.  The DP keeps its keys in int64 arrays when a precomputed bound
+(the sum of every customer's best row score, :func:`_best_row`), shifted
+past the subset rank bits, is below 2^63, and in ``dtype=object`` arrays of
+Python integers otherwise.  Every solver passes its own scaled total, as a
+Fraction, to the final check: the returned fitness is recomputed from the
+matrix with :func:`mcap.core.evaluate_fitness` and must equal it.
 
 All solvers are deterministic: every tie-breaking rule is fixed and
 documented on the operation.  Fitness equality across solvers is guaranteed;
@@ -270,30 +271,31 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     """Globally optimal solve by dynamic programming over capacity vectors.
 
     ``best[m][c]`` is the maximum fitness over the first ``m`` customers whose
-    column sums equal the capacity vector ``c``; reachability is an explicit
-    boolean array beside the values, never a sentinel value.  Customer ``m``
-    transitions by every subset of campaigns that still has column headroom,
-    and the answer maximizes ``best[n][c]`` over the box ``lower_bounds <= c
-    <= upper_bounds``.  The chosen subset of every reached state is recorded
-    for reconstruction.
+    column sums equal the capacity vector ``c``.  Customer ``m`` transitions
+    by every subset of campaigns that still has column headroom, and the
+    answer maximizes ``best[n][c]`` over the box ``lower_bounds <= c <=
+    upper_bounds``.
 
-    Each layer is a mask-major numpy sweep over the flat layer array.  A
-    subset mask adds a fixed offset ``d`` to the flat index, so for every
-    mask the reached states of ``[0, size - d)`` with headroom in each
-    campaign of the mask, plus the mask's score, are compared against the
-    next layer's ``[d, size)`` and replace the entries they beat.  Values are
-    int64 when the sum over customers of their best subset score fits, and
-    Python integers (``dtype=object``) otherwise, so the arithmetic is exact
-    at any magnitude; no float enters.  Choices are stored as one ``(n,
-    states)`` array of the smallest unsigned dtype that holds every mask.
-    :func:`dp_guard` bounds the states per layer and the choice cells in
-    total.
+    Each state holds one integer key ``value << bits | rank``; a subset's
+    rank counts down the scan order of descending index offset ``d``.  Per
+    layer and subset, the sources ``[0, size - d)`` with headroom in each of
+    its campaigns, trimmed to the box that ``m`` customers can reach, plus
+    its packed score, go into the next layer's ``[d, size)`` by one masked
+    ``np.maximum``; then the layer's ranks are recorded and dropped.
+    Unreached states hold the floor ``-((bound + 1) << bits)``, ``bound``
+    being the sum of every customer's best subset score.  Scores are
+    nonnegative and no path adds more than ``bound``, so ``key >= 0`` is
+    exactly reachability.  Keys are int64 when ``(bound + 1) << bits`` is
+    below 2^63 and Python integers (``dtype=object``) otherwise, so no float
+    enters.  Choices are ranks in one ``(n, states)`` array of the smallest
+    unsigned dtype; :func:`dp_guard` bounds the states per layer and the
+    choice cells in total.
 
-    Ties are broken toward the earliest candidate in scan order (ascending
-    predecessor index, then ascending subset mask, then ascending terminal
-    index), which makes the result deterministic.  The sweep visits masks by
-    descending index offset and replaces only on a strictly larger value;
-    offsets are distinct, so that is the same rule.
+    Ties go to the earliest candidate in scan order (ascending predecessor
+    index, then ascending subset mask, then ascending terminal index).
+    Offsets are distinct, so of equal values into one state the earliest
+    has the largest rank and key; the terminal scan takes the first maximum
+    of the values, not the keys.
     """
     started = time.perf_counter()
     dp_guard(inst, max_states)
@@ -309,10 +311,13 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     for mask in range(1, nmasks):
         low = mask & -mask
         deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
-    order = sorted(range(nmasks), key=deltas.__getitem__, reverse=True)
+    # ranked[rank] is the mask: ascending offset counts down the scan order
+    ranked = sorted(range(nmasks), key=deltas.__getitem__)
+    bits = (nmasks - 1).bit_length()
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
-    dtype = np.int64 if bound < 2**63 else object
+    floor = -((bound + 1) << bits)
+    dtype = np.int64 if (bound + 1) << bits < 2**63 else object
     mask_dtype = np.min_scalar_type(nmasks - 1)
 
     # per state: bitmask of active campaigns already at capacity, and
@@ -330,48 +335,44 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
             bit += 1
     del state, digit
 
+    # keys pack value << bits | rank; key >= 0 is reachability
     explored = 0
-    values = np.zeros(size, dtype=dtype)
-    reached = np.zeros(size, dtype=bool)
-    reached[0] = True
+    keys = np.full(size, floor, dtype=dtype)
+    keys[0] = 0
     choices = np.zeros((n, size), dtype=mask_dtype)
     for i in range(n):
-        explored += int(np.count_nonzero(reached))
-        prev_values, prev_reached = values, reached
-        values = np.zeros(size, dtype=dtype)
-        reached = np.zeros(size, dtype=bool)
-        chosen = choices[i]
+        explored += int(np.count_nonzero(keys >= 0))
+        prev = keys & -(1 << bits)
+        keys = np.full(size, floor, dtype=dtype)
+        hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
         scores = _subset_scores(weighted[i], rates[i], active)
-        for mask in order:
+        for rank, mask in enumerate(ranked):
             # state s moves to s + d; a source needs headroom in every
             # campaign of the mask, so no digit carries
             d = deltas[mask]
-            m = size - d
-            ok = prev_reached[:m] & ((full_mask[:m] & mask) == 0)
-            cand = prev_values[:m] + scores[mask]
-            better = ok & (~reached[d:] | (cand > values[d:]))
-            np.copyto(values[d:], cand, where=better)
-            reached[d:] |= better
-            np.copyto(chosen[d:], mask, where=better)
+            m = min(size - d, hi)
+            tgt = keys[d:d + m]
+            np.maximum(tgt, prev[:m] + ((scores[mask] << bits) | rank), out=tgt,
+                       where=(full_mask[:m] & mask) == 0)
+        choices[i] = keys & (nmasks - 1)
 
-    terminals = np.flatnonzero(reached & meets_lower)
+    terminals = np.flatnonzero((keys >= 0) & meets_lower)
     if terminals.size == 0:
         raise InternalCheckError("no terminal capacity vector reachable")
-    # argmax returns the first maximum: the smallest terminal index
-    best_idx = int(terminals[np.argmax(values[terminals])])
-    best_value = int(values[best_idx])
+    # the first maximum of the values, not the keys: the smallest terminal index
+    idx = int(terminals[np.argmax(keys[terminals] >> bits)])
+    best = Fraction(int(keys[idx]) >> bits, scale)
 
     rows = [[0] * k for _ in range(n)]
-    idx = best_idx
     for i in reversed(range(n)):
-        mask = int(choices[i, idx])
+        mask = ranked[choices[i, idx]]
         for b, j in enumerate(active):
             if (mask >> b) & 1:
                 rows[i][j] = 1
         idx -= deltas[mask]
     if idx != 0:
         raise InternalCheckError("DP reconstruction did not land on the empty state")
-    return _finish(inst, rows, True, started, explored, Fraction(best_value, scale))
+    return _finish(inst, rows, True, started, explored, best)
 
 
 def solve_constant_suppression(inst: Instance) -> SolveResult:

@@ -631,6 +631,22 @@ class TestFit:
         assert list(report) == ["error"]
         assert report["error"]["type"] == "GuardExceededError"
 
+    @pytest.mark.parametrize("options, exit_code, error", [
+        (("--max-h", 0, "--restarts", -5, "--grid", 100000), 2, "ValidationError"),
+        (("--max-h", 2, "--grid", 100000), 4, "GuardExceededError"),
+        (("--max-h", 2, "--grid", 4), 0, None),
+    ])
+    def test_empty_history_checks_options(self, capsys, tmp_path, options, exit_code, error):
+        records_path = tmp_path / "records.json"
+        io.dump_json([], records_path)
+        code, report = run_json(capsys, "fit", "--records", records_path, *options)
+        assert code == exit_code
+        if error is None:
+            assert report == {"categories": []}
+        else:
+            assert list(report) == ["error"]
+            assert report["error"]["type"] == error
+
     @pytest.mark.parametrize("field, value", [
         ("h", 1.7), ("h", True), ("responded", "no"), ("responded", 1),
         ("campaign", [1]), ("customer", [1]), ("preference", "1_0"), ("h", "٢"),

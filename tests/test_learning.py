@@ -501,3 +501,14 @@ class TestFitCategories:
         history = Counter({("a", *rec(1, 1, True)): 1, ("b", *rec(1, 3, False)): 1})
         with pytest.raises(ValidationError, match="must be an integer"):
             fit_categories(history, {"a": 1, "b": label}, max_h=2)
+
+    @pytest.mark.parametrize("options, error, message", [
+        ({"max_h": 0}, ValidationError, "max_h"),
+        ({"max_h": 2, "grid": 0}, ValidationError, "grid"),
+        ({"max_h": 2, "restarts": -1}, ValidationError, "restarts"),
+        ({"max_h": 4, "grid": 632}, GuardExceededError, "table cells"),
+    ])
+    def test_empty_history_checks_options(self, options, error, message):
+        with pytest.raises(error, match=message):
+            fit_categories(Counter(), None, **options)
+        assert fit_categories(Counter(), None, max_h=2, grid=4) == {}

@@ -5,10 +5,12 @@ from fractions import Fraction
 from itertools import product
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from mcap import generate, reduction, solvers
+from mcap.capacity import CapacityBox
 from mcap.core import (
     AssignmentMatrix,
     GuardExceededError,
@@ -249,6 +251,140 @@ def test_best_subset_score_is_the_maximum(weighted, rates):
 def test_dp_exact_beyond_int64():
     inst = huge_preference_instance()
     assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+def dense_dp_sweep(inst):
+    """The capacity-vector DP with an explicit reachability array: the oracle for the packed keys.
+
+    Returns the rows, the scaled optimum and the explored states.  Each
+    (layer, subset) step compares the reached, unblocked sources plus the
+    subset's score against the next layer and copies the strictly better
+    ones; subsets are visited by descending index offset, so the first
+    candidate of a maximum wins.
+    """
+    n, k = inst.n, inst.k
+    box = CapacityBox.from_caps(inst.upper_bounds)
+    scale, rates, weighted = solvers._scaled(inst)
+
+    # campaigns with a zero upper bound can never be assigned; subsets range
+    # over the remaining ones only
+    active = [j for j in range(k) if inst.upper_bounds[j] > 0]
+    nmasks = 1 << len(active)
+    deltas = [0] * nmasks
+    for mask in range(1, nmasks):
+        low = mask & -mask
+        deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
+    order = sorted(range(nmasks), key=deltas.__getitem__, reverse=True)
+    # scores are nonnegative, so no reachable value exceeds this bound
+    bound = sum(solvers._best_row(weighted[i], rates[i], active)[0] for i in range(n))
+    dtype = np.int64 if bound < 2**63 else object
+    mask_dtype = np.min_scalar_type(nmasks - 1)
+
+    # per state: bitmask of active campaigns already at capacity, and
+    # whether every column meets its lower bound
+    size = box.size
+    state = np.arange(size)
+    full_mask = np.zeros(size, dtype=mask_dtype)
+    meets_lower = np.ones(size, dtype=bool)
+    bit = 0
+    for cap, stride, lower in zip(box.caps, box.strides, inst.lower_bounds):
+        digit = state // stride % (cap + 1)
+        meets_lower &= digit >= lower
+        if cap:
+            full_mask |= (digit == cap).astype(mask_dtype) << bit
+            bit += 1
+    del state, digit
+
+    explored = 0
+    values = np.zeros(size, dtype=dtype)
+    reached = np.zeros(size, dtype=bool)
+    reached[0] = True
+    choices = np.zeros((n, size), dtype=mask_dtype)
+    for i in range(n):
+        explored += int(np.count_nonzero(reached))
+        prev_values, prev_reached = values, reached
+        values = np.zeros(size, dtype=dtype)
+        reached = np.zeros(size, dtype=bool)
+        chosen = choices[i]
+        scores = solvers._subset_scores(weighted[i], rates[i], active)
+        for mask in order:
+            # state s moves to s + d; a source needs headroom in every
+            # campaign of the mask, so no digit carries
+            d = deltas[mask]
+            m = size - d
+            ok = prev_reached[:m] & ((full_mask[:m] & mask) == 0)
+            cand = prev_values[:m] + scores[mask]
+            better = ok & (~reached[d:] | (cand > values[d:]))
+            np.copyto(values[d:], cand, where=better)
+            reached[d:] |= better
+            np.copyto(chosen[d:], mask, where=better)
+
+    terminals = np.flatnonzero(reached & meets_lower)
+    # argmax returns the first maximum: the smallest terminal index
+    best_idx = int(terminals[np.argmax(values[terminals])])
+    best_value = int(values[best_idx])
+
+    rows = [[0] * k for _ in range(n)]
+    idx = best_idx
+    for i in reversed(range(n)):
+        mask = int(choices[i, idx])
+        for b, j in enumerate(active):
+            if (mask >> b) & 1:
+                rows[i][j] = 1
+        idx -= deltas[mask]
+    return rows, Fraction(best_value, scale), explored
+
+
+def assert_dp_matches_dense_sweep(inst):
+    rows, fitness, explored = dense_dp_sweep(inst)
+    result = dp_solve(inst)
+    assert result.matrix == AssignmentMatrix.from_rows(rows)
+    assert result.fitness == fitness
+    assert result.stats.explored == explored
+
+
+# pref_max 0 and 1 tie every row; 2**66 draws preferences above 2^64, so the
+# keys need dtype=object; random bounds include zero upper bounds
+@given(st.sampled_from((0, 1, 9, 2**66)).flatmap(
+    lambda pref_max: instances(max_n=6, max_k=4, pref_max=pref_max)
+))
+@settings(max_examples=300, deadline=None)
+def test_dp_matches_dense_sweep(inst):
+    assert_dp_matches_dense_sweep(inst)
+
+
+def key_switch_instance(bound):
+    """Two rows over two campaigns whose value bound is ``bound``.
+
+    Both rates are 1, so each row's best score is its preference sum; both
+    campaigns are active, so the keys carry two rank bits and switch to
+    ``dtype=object`` at ``(bound + 1) << 2 == 2**63``.
+    """
+    q = bound // 4
+    return validate_instance(Instance(
+        n=2, k=2, weights=(1, 1), preferences=((q, q), (q, bound - 3 * q)),
+        suppression=(SuppressionTable((0, 1, 1)),) * 2,
+        lower_bounds=(1, 0), upper_bounds=(2, 1),
+    ))
+
+
+@pytest.mark.parametrize("bound", [2**61 - 2, 2**61 - 1])
+def test_dp_matches_dense_sweep_at_key_dtype_switch(bound):
+    inst = key_switch_instance(bound)
+    _, rates, weighted = solvers._scaled(inst)
+    assert sum(solvers._best_row(row, r, [0, 1])[0] for row, r in zip(weighted, rates)) == bound
+    assert_dp_matches_dense_sweep(inst)
+    assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+def test_dp_matches_dense_sweep_with_no_active_campaign():
+    inst = validate_instance(Instance(
+        n=3, k=2, weights=(1, 2), preferences=((4, 5), (0, 7), (3, 3)),
+        suppression=(SuppressionTable((0, 1, Fraction(1, 2))),) * 3,
+        lower_bounds=(0, 0), upper_bounds=(0, 0),
+    ))
+    assert_dp_matches_dense_sweep(inst)
+    assert dp_solve(inst).matrix == AssignmentMatrix.zero(3, 2)
 
 
 class TestConstantSuppression:
