@@ -26,7 +26,7 @@ from .core import (
     check_feasibility,
     evaluate_fitness,
 )
-from .generate import random_instance
+from .generate import BOUND_STYLES, SUPPRESSION_FAMILIES, random_instance
 from .reduction import ReducedInstance
 
 EXIT_OK = 0
@@ -67,10 +67,7 @@ def _result_report(result: solvers.SolveResult, method: str) -> dict:
 
 
 def _local(inst: Instance, args) -> solvers.SolveResult:
-    if args.start:
-        start = io.read_matrix(args.start)
-    else:
-        start = solvers.greedy_construct(inst).matrix
+    start = args.start if args.start is not None else solvers.greedy_construct(inst).matrix
     return solvers.local_search(inst, start)
 
 
@@ -359,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--out", help="write the matrix here")
-    p.add_argument("--start", help="starting matrix for --method local and auto's local search")
+    # a lambda, so io.read_matrix is looked up per call and a rebound one runs
+    p.add_argument("--start", type=lambda path: io.read_matrix(path),
+                   help="starting matrix for --method local and auto's local search")
     _int_option(p, "--max-cells", minimum=0, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
     _int_option(p, "--max-states", minimum=0, default=solvers.DEFAULT_DP_STATE_LIMIT)
 
@@ -392,10 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     _int_option(p, "--k", required=True)
     _int_option(p, "--pref-max", default=9)
     _int_option(p, "--weight-max", default=5)
-    p.add_argument("--family", choices=("constant", "indicator", "linear", "grid"),
-                   default="grid")
+    p.add_argument("--family", choices=SUPPRESSION_FAMILIES, default="grid")
     _int_option(p, "--grid", default=4)
-    p.add_argument("--bounds", choices=("random", "unbounded"), default="random")
+    p.add_argument("--bounds", choices=BOUND_STYLES, default="random")
     p.add_argument("--out")
 
     p = sub.add_parser("fit", help="fit suppression tables from response history")

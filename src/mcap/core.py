@@ -247,7 +247,7 @@ def validate_instance(inst: Instance) -> Instance:
 
 def check_matrix(inst: Instance, matrix: AssignmentMatrix) -> AssignmentMatrix:
     """Validate that ``matrix`` is dimensioned for ``inst``."""
-    if matrix.n != inst.n or (matrix.n and matrix.k != inst.k):
+    if matrix.n != inst.n or matrix.k != inst.k:
         raise ValidationError(
             f"dimension mismatch: instance is {inst.n}x{inst.k}, "
             f"matrix is {matrix.n}x{matrix.k}"
@@ -280,7 +280,7 @@ def evaluate_fitness(inst: Instance, matrix: AssignmentMatrix) -> Fraction:
 def check_feasibility(inst: Instance, matrix: AssignmentMatrix) -> FeasibilityReport:
     """Compare the matrix's column sums against the instance's capacity bounds."""
     check_matrix(inst, matrix)
-    sums = matrix.column_sums() if matrix.n else (0,) * inst.k
+    sums = matrix.column_sums()
     violations = []
     for j, s in enumerate(sums):
         if s < inst.lower_bounds[j]:

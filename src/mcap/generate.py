@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .core import Instance, SuppressionTable, ValidationError
-from .reduction import BooleanAssignment, CnfFormula, validate_formula
+from .reduction import BooleanAssignment, CnfFormula
 
 SUPPRESSION_FAMILIES = ("constant", "indicator", "linear", "grid")
 BOUND_STYLES = ("random", "unbounded")
@@ -127,5 +127,4 @@ def random_planted_formula(
             else:
                 clause.append(v if rng.random() < 0.5 else -v)
         clauses.append(tuple(clause))
-    formula = validate_formula(CnfFormula(num_vars=num_vars, clauses=tuple(clauses)))
-    return formula, planted
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses)), planted

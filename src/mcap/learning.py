@@ -14,8 +14,7 @@ Two independent estimation problems feed the assignment model:
   the enumeration of small spaces and each hill-climb step (one level
   ``r(h)`` swept over the grid) score many candidate tables in one
   lookup.  :func:`categorize_customers`
-  supplies the grouping (small seeded k-means over numeric profiles, or
-  externally computed labels).
+  supplies the grouping (small seeded k-means over numeric profiles).
 
 * **Preferences.**  :func:`predict_preferences_cf` fills one missing entry
   of a sparse ratings matrix by nearest-neighbor collaborative filtering:
@@ -70,14 +69,19 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-def _check_outcome(preference, h) -> None:
-    """Raise :class:`ValidationError` unless ``preference >= 0`` and ``h >= 1`` are integers."""
+def _check_outcome(preference, h, responded) -> None:
+    """Raise :class:`ValidationError` unless an outcome's fields are valid.
+
+    ``preference`` and ``h`` must be integers, ``responded`` a ``bool``.
+    """
     if type(preference) is not int or type(h) is not int:
         raise ValidationError(f"preference and h must be integers, got {preference!r} and {h!r}")
     if preference < 0:
         raise ValidationError("preference must be nonnegative")
     if h < 1:
         raise ValidationError(f"h must be >= 1, got {h}")
+    if not isinstance(responded, bool):
+        raise ValidationError(f"responded must be true or false, got {responded!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,8 @@ def fit_suppression(
     """Fit one category's suppression table to its response history.
 
     ``counts`` maps each outcome ``(campaign, preference, h, responded)`` to
-    how many times it happened, with ``1 <= h <= max_h``.  The table takes
+    how many times it happened, with ``1 <= h <= max_h`` and ``responded`` a
+    ``bool``.  The table takes
     values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the
     number of satisfied responder/non-responder conditions (ties count as
     unsatisfied).  Small spaces (at most :data:`EXHAUSTIVE_SPACE` candidate
@@ -224,8 +229,8 @@ def fit_suppression(
     :data:`TABLE_CELL_LIMIT` the fit raises :class:`GuardExceededError`.
     """
     _check_fit_options(max_h, grid, restarts)
-    for (_, preference, h, _), count in counts.items():
-        _check_outcome(preference, h)
+    for (_, preference, h, responded), count in counts.items():
+        _check_outcome(preference, h, responded)
         if h > max_h:
             raise ValidationError(f"h={h} exceeds max_h={max_h}")
         if type(count) is not int or count < 1:
@@ -268,22 +273,13 @@ def categorize_customers(
     profiles: Sequence[Sequence[float]],
     category_count: int,
     seed: int = 0,
-    labels: Sequence[int] | None = None,
 ) -> list[int]:
     """Partition customers into at most ``category_count`` categories.
 
-    Externally supplied ``labels`` are passed through unchanged after a
-    length check; each must be an ``int`` (``bool`` is not one).  Otherwise
-    profiles are clustered with seeded k-means; labels are renumbered
+    Profiles are clustered with seeded k-means; labels are renumbered
     densely in order of first appearance, so the result is deterministic
     for a fixed seed.
     """
-    if labels is not None:
-        if len(labels) != len(profiles):
-            raise ValidationError(
-                f"{len(labels)} labels supplied for {len(profiles)} customers"
-            )
-        return [_check_int(c, f"label of customer {i}") for i, c in enumerate(labels)]
     if len(profiles) == 0:
         raise ValidationError("no profiles to categorize")
     if category_count < 1:
@@ -418,14 +414,12 @@ def records_from_json(data) -> Counter:
     history: Counter = Counter()
     for idx, obj in enumerate(data):
         try:
-            responded = obj["responded"]
-            if not isinstance(responded, bool):
-                raise ValidationError(f"responded must be true or false, got {responded!r}")
             customer = _record_id(obj["customer"], "customer")
             campaign = _record_id(obj["campaign"], "campaign")
             preference = parse_int(obj["preference"], "preference")
             h = parse_int(obj["h"], "h")
-            _check_outcome(preference, h)
+            responded = obj["responded"]
+            _check_outcome(preference, h, responded)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"record {idx} is malformed: {exc}") from exc
         except ValidationError as exc:

@@ -2,7 +2,8 @@
 
 Given a 3-CNF formula with ``l`` variables and ``m`` clauses (every clause
 three distinct variables, every variable used somewhere), :func:`reduce_3sat`
-builds an instance whose optimum answers satisfiability:
+builds an instance whose optimum answers satisfiability (a
+:class:`CnfFormula` that exists is valid: in that class, with ``int`` literals):
 
 * customers, in order: ``u_1, u_1', ..., u_l, u_l'`` for the variables, then
   ``s_1, s_1', s_1'', ..., s_m, s_m', s_m''`` for the clauses (``n = 2l+3m``);
@@ -58,30 +59,38 @@ DEFAULT_SAT_VARS = 24
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A 3-CNF formula; clauses hold signed 1-based variable numbers."""
+    """A 3-CNF formula; clauses hold signed 1-based variable numbers (``int``).
+
+    Construction runs :func:`validate_formula` and converts nothing, so a
+    ``CnfFormula`` that exists is valid.
+    """
 
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "clauses", tuple(tuple(int(x) for x in cl) for cl in self.clauses)
-        )
+        validate_formula(self)
 
 
 def validate_formula(formula: CnfFormula) -> CnfFormula:
     """Enforce the input class the reduction is defined on.
 
-    Every clause must mention exactly three distinct variables in range, no
-    clause may contain a variable and its negation, and every variable must
-    appear in at least one clause.
+    Every :class:`CnfFormula` runs this when it is built.  The variable count
+    and the literals must be ``int`` (``bool`` is not one), every clause must
+    mention exactly three distinct variables in range, no clause may contain a
+    variable and its negation, and every variable must appear in a clause.
     """
+    if type(formula.num_vars) is not int:
+        raise ValidationError(f"num_vars must be an integer, got {formula.num_vars!r}")
     if formula.num_vars < 1:
         raise ValidationError(f"formula must have at least one variable, got {formula.num_vars}")
     seen = set()
     for idx, clause in enumerate(formula.clauses, start=1):
         if len(clause) != 3:
             raise ValidationError(f"clause {idx} has {len(clause)} literals, expected 3")
+        for lit in clause:
+            if type(lit) is not int:
+                raise ValidationError(f"clause {idx}: literal {lit!r} must be an integer")
         variables = set()
         for lit in clause:
             v = abs(lit)
@@ -178,8 +187,7 @@ def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
         ]
         num_vars = len(used)
 
-    formula = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
-    return validate_formula(formula)
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
 def format_dimacs(formula: CnfFormula) -> str:
@@ -250,7 +258,6 @@ class ReducedInstance:
 
 def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
     """Build the assignment instance whose optimum decides the formula."""
-    validate_formula(formula)
     l, m = formula.num_vars, len(formula.clauses)
     n, k = 2 * l + 3 * m, m + l
 
@@ -442,7 +449,6 @@ def sat_brute_force(
 
     Guarded at ``num_vars <= max_vars`` (the search is 2^num_vars).
     """
-    validate_formula(formula)
     l = formula.num_vars
     if l > max_vars:
         raise GuardExceededError(f"{l} variables exceed the {max_vars}-variable guard")

@@ -286,6 +286,24 @@ class TestSolve:
             assert json.loads(captured.out)["fitness"] == str(int("9" * 3000) ** 2)
             assert out.exists()
 
+    @pytest.mark.parametrize("method", ["dp", "greedy", "auto"])
+    @pytest.mark.parametrize("content, error_type", [
+        (None, "FileNotFoundError"), ({"rows": ["2"]}, "ValidationError"),
+    ])
+    def test_start_read_whatever_the_method(
+        self, capsys, small_instance, tmp_path, method, content, error_type
+    ):
+        # the 2x2 instance passes the DP guard, so auto solves it by DP
+        _, inst_path = small_instance
+        start = tmp_path / "start.json"
+        if content is not None:
+            io.dump_json(content, start)
+        code, captured = run(
+            capsys, "--format", "json", "solve", "--instance", inst_path,
+            "--method", method, "--start", start,
+        )
+        assert_one_error(captured, code, 2, error_type)
+
     def test_local_with_infeasible_start(self, capsys, reduced_files, tmp_path):
         instance, _ = reduced_files
         start = tmp_path / "start.json"

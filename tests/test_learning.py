@@ -93,6 +93,13 @@ class TestValidateRecords:
         with pytest.raises(ValidationError, match=message):
             fit_suppression({outcome: count}, max_h=3)
 
+    @pytest.mark.parametrize("responded", ["no", None, 1])
+    def test_non_bool_responded(self, responded):
+        # "no" would count as a responder and None as a non-responder
+        history = {rec(5, 1, responded): 3, rec(2, 2, False): 4}
+        with pytest.raises(ValidationError, match="responded must be true or false"):
+            fit_suppression(history, max_h=2, grid=2)
+
 
 class TestFitSuppression:
     def test_no_conditions_gives_all_ones(self):
@@ -325,18 +332,6 @@ def test_hill_climb_matches_recorded_fit(seed, monotone):
 
 
 class TestCategorize:
-    def test_labels_pass_through(self):
-        assert categorize_customers([(0,), (1,)], 5, labels=[7, 9]) == [7, 9]
-
-    @pytest.mark.parametrize("labels", [[1.7, True], [1, True], [1, 2.0]])
-    def test_non_integer_labels_rejected(self, labels):
-        with pytest.raises(ValidationError, match="must be an integer"):
-            categorize_customers([(0,), (1,)], 2, labels=labels)
-
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValidationError, match="labels"):
-            categorize_customers([(0,), (1,)], 2, labels=[1])
-
     def test_single_category(self):
         assert categorize_customers([(0.0,), (5.0,), (9.0,)], 1) == [0, 0, 0]
 

@@ -75,6 +75,23 @@ class TestValidateFormula:
         with pytest.raises(ValidationError, match="out of range"):
             validate_formula(CnfFormula(3, ((1, 2, 4),)))
 
+    @pytest.mark.parametrize("clause", [
+        (1.7, 2.2, -3.9), (1.0, 2, 3), (True, 2, 3), (1, 2, "3"), (1, 2, "\u0663"),
+    ])
+    def test_construction_rejects_non_int_literal(self, clause):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            CnfFormula(3, (clause,))
+
+    @pytest.mark.parametrize("num_vars", ["3", 3.0, True])
+    def test_construction_rejects_non_int_num_vars(self, num_vars):
+        with pytest.raises(ValidationError, match="num_vars must be an integer"):
+            CnfFormula(num_vars, ((1, 2, 3),))
+
+    def test_construction_rejects_short_clause(self):
+        # construction alone, with no validate_formula call
+        with pytest.raises(ValidationError, match="expected 3"):
+            CnfFormula(3, ((1, 2),))
+
 
 class TestDimacs:
     def test_parses_basic(self):
