@@ -226,8 +226,6 @@ def cmd_fit(args) -> dict:
         labels,
         max_h=args.max_h,
         grid=args.grid,
-        restarts=args.restarts,
-        seed=args.seed,
         monotone=args.monotone,
     )
     report = {
@@ -401,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="JSON object mapping customer id to category label")
     _int_option(p, "--max-h", required=True)
     _int_option(p, "--grid", default=learning.DEFAULT_GRID)
-    _int_option(p, "--restarts", default=learning.DEFAULT_RESTARTS)
-    _int_option(p, "--seed", default=0)
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--out")
 

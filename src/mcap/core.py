@@ -50,20 +50,32 @@ class InternalCheckError(McapError):
     """A self-check that should be impossible to fail has failed."""
 
 
+def check_tuple(value, what: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is a ``tuple``.
+
+    Domain values hold tuples, so they are immutable, hashable and equal to
+    their twins; a list is refused, not converted.
+    """
+    if not isinstance(value, tuple):
+        raise ValidationError(f"{what} must be a tuple, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class SuppressionTable:
     """Response multipliers ``r(0), r(1), ..., r(max_h)`` for one customer.
 
     ``r(h)`` scales the customer's preferences when they receive ``h``
     recommendations; ``r(0) = 0`` by convention (an unrecommended customer
-    contributes nothing) and every value lies in ``[0, 1]``.  Each value must
-    be an ``int`` or a ``Fraction``; construction raises
-    :class:`ValidationError` on anything else (a float, a string, a bool).
+    contributes nothing) and every value lies in ``[0, 1]``.  ``values`` must
+    be a tuple of ``int`` or ``Fraction``; construction raises
+    :class:`ValidationError` on anything else (a list, a float, a string, a
+    bool).
     """
 
     values: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
+        check_tuple(self.values, "suppression values")
         for v in self.values:
             if type(v) is not int and not isinstance(v, Fraction):
                 raise ValidationError(f"suppression value {v!r} is not an int or a Fraction")
@@ -100,9 +112,9 @@ class Instance:
     """A full multicampaign assignment instance.
 
     Construction checks every invariant with :func:`validate_instance` and
-    converts nothing, so an ``Instance`` that exists is valid.  Built from
-    tuples, as annotated, instances are immutable and safe to share across
-    concurrent solver invocations.
+    converts nothing, so an ``Instance`` that exists is valid.  Every field
+    holds tuples, as annotated, so instances are immutable, hashable and safe
+    to share across concurrent solver invocations.
     """
 
     n: int
@@ -180,7 +192,8 @@ def validate_instance(inst: Instance) -> Instance:
     Every :class:`Instance` runs this when it is built.  Raises
     :class:`ValidationError` naming the first violated invariant, in the
     order: sizes, weights, preferences, suppression tables, bounds.  Sizes,
-    weights, preferences and bounds must be ``int`` (``bool`` is not one).
+    weights, preferences and bounds must be ``int`` (``bool`` is not one), and
+    every vector, matrix and matrix row a ``tuple``.
     """
     if type(inst.n) is not int or type(inst.k) is not int:
         raise ValidationError(f"n and k must be integers, got {inst.n!r} and {inst.k!r}")
@@ -188,6 +201,7 @@ def validate_instance(inst: Instance) -> Instance:
         raise ValidationError(f"n must be >= 1, got {inst.n}")
     if inst.k < 1:
         raise ValidationError(f"k must be >= 1, got {inst.k}")
+    check_tuple(inst.weights, "weights")
     if len(inst.weights) != inst.k:
         raise ValidationError(f"expected {inst.k} weights, got {len(inst.weights)}")
     for j, w in enumerate(inst.weights):
@@ -195,9 +209,11 @@ def validate_instance(inst: Instance) -> Instance:
             raise ValidationError(f"campaign {j}: weight must be an integer, got {w!r}")
         if w <= 0:
             raise ValidationError(f"campaign {j}: weight must be positive, got {w}")
+    check_tuple(inst.preferences, "preferences")
     if len(inst.preferences) != inst.n:
         raise ValidationError(f"expected {inst.n} preference rows, got {len(inst.preferences)}")
     for i, row in enumerate(inst.preferences):
+        check_tuple(row, f"customer {i}: preference row")
         if len(row) != inst.k:
             raise ValidationError(f"customer {i}: expected {inst.k} preferences, got {len(row)}")
         for j, p in enumerate(row):
@@ -206,6 +222,7 @@ def validate_instance(inst: Instance) -> Instance:
                     f"customer {i}: preference for campaign {j} must be a nonnegative "
                     f"integer, got {p!r}"
                 )
+    check_tuple(inst.suppression, "suppression tables")
     if len(inst.suppression) != inst.n:
         raise ValidationError(
             f"expected {inst.n} suppression tables, got {len(inst.suppression)}"
@@ -226,6 +243,8 @@ def validate_instance(inst: Instance) -> Instance:
                 raise ValidationError(
                     f"customer {i}: suppression value r({h}) = {v} outside [0, 1]"
                 )
+    check_tuple(inst.lower_bounds, "lower bounds")
+    check_tuple(inst.upper_bounds, "upper bounds")
     if len(inst.lower_bounds) != inst.k or len(inst.upper_bounds) != inst.k:
         raise ValidationError("bound vectors must have one entry per campaign")
     for j in range(inst.k):

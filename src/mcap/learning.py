@@ -21,7 +21,8 @@ Two independent estimation problems feed the assignment model:
   cosine similarity over co-rated campaigns, weighted average over the most
   similar customers who rated the target campaign.
 
-Everything is deterministic for a fixed seed; condition evaluation is exact
+Everything is deterministic: the fit's random starts come from a fixed seed
+and k-means takes one as an argument; condition evaluation is exact
 integer arithmetic (a grid value ``q/Q`` satisfies ``p_i*q_i > p_j*q_j``
 independently of ``Q``).
 """
@@ -45,7 +46,6 @@ CustomerId = int | str
 CampaignId = int | str
 
 DEFAULT_GRID = 20
-DEFAULT_RESTARTS = 3
 DEFAULT_NEIGHBORS = 10
 MIN_OVERLAP = 2
 
@@ -56,6 +56,10 @@ EXHAUSTIVE_SPACE = 4096
 # the fit's pairwise level tables hold (max_h + 1)^2 * (grid + 1)^2 cells;
 # a fit needing more is refused before they are allocated
 TABLE_CELL_LIMIT = 10**7
+
+# above EXHAUSTIVE_SPACE the climb starts from the all-ones table and from
+# this many random starts drawn from random.Random(0)
+RESTARTS = 3
 
 
 # a customer recommended h campaigns in total did (not) respond to campaign
@@ -185,14 +189,12 @@ def _climb(
     return best, levels
 
 
-def _check_fit_options(max_h: int, grid: int, restarts: int) -> None:
+def _check_fit_options(max_h: int, grid: int) -> None:
     """Raise unless the fit options are in range and the level tables fit the guard."""
     if max_h < 1:
         raise ValidationError(f"max_h must be >= 1, got {max_h}")
     if grid < 1:
         raise ValidationError(f"grid resolution must be >= 1, got {grid}")
-    if restarts < 0:
-        raise ValidationError(f"restarts must be >= 0, got {restarts}")
     cells = (max_h + 1) ** 2 * (grid + 1) ** 2
     if cells > TABLE_CELL_LIMIT:
         raise GuardExceededError(
@@ -204,8 +206,6 @@ def fit_suppression(
     counts: Mapping[Outcome, int],
     max_h: int,
     grid: int = DEFAULT_GRID,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
     monotone: bool = False,
 ) -> FitResult:
     """Fit one category's suppression table to its response history.
@@ -218,23 +218,39 @@ def fit_suppression(
     unsatisfied).  Small spaces (at most :data:`EXHAUSTIVE_SPACE` candidate
     tables) are enumerated exactly; otherwise the search is
     coordinate-ascent hill climbing from the all-ones table plus
-    ``restarts`` random starts.  Among equal-count optima the
+    :data:`RESTARTS` random starts drawn from ``random.Random(0)``, so every
+    fit of the same counts gives the same table.  Among equal-count optima the
     lexicographically largest table wins (larger values at smaller ``h``
     preferred).  With ``monotone=True`` the search is restricted to
     non-increasing tables.
 
     Every count comes from the pairwise level tables of :func:`_tables`,
     built once per fit: a candidate's count is one lookup per pair of
-    levels.  They hold ``(max_h + 1)^2 * (grid + 1)^2`` cells; over
-    :data:`TABLE_CELL_LIMIT` the fit raises :class:`GuardExceededError`.
+    levels.  They hold ``(max_h + 1)^2 * (grid + 1)^2`` cells, and building
+    them scores ``pairs * (grid + 1)`` cells, where ``pairs`` sums
+    distinct responder outcomes times distinct non-responder outcomes over
+    the campaigns.  When either count exceeds :data:`TABLE_CELL_LIMIT` the
+    fit raises :class:`GuardExceededError` before any condition is built.
     """
-    _check_fit_options(max_h, grid, restarts)
-    for (_, preference, h, responded), count in counts.items():
+    _check_fit_options(max_h, grid)
+    outcomes: Counter = Counter()
+    for (campaign, preference, h, responded), count in counts.items():
         _check_outcome(preference, h, responded)
         if h > max_h:
             raise ValidationError(f"h={h} exceeds max_h={max_h}")
         if type(count) is not int or count < 1:
             raise ValidationError(f"count must be a positive integer, got {count!r}")
+        outcomes[campaign, responded] += 1
+    pairs = sum(
+        yes * outcomes[campaign, False]
+        for (campaign, responded), yes in outcomes.items()
+        if responded
+    )
+    if pairs * (grid + 1) > TABLE_CELL_LIMIT:
+        raise GuardExceededError(
+            f"the fit has {pairs} responder/non-responder outcome pairs, "
+            f"{pairs * (grid + 1)} cells at grid {grid}, over the {TABLE_CELL_LIMIT} limit"
+        )
     conditions = _conditions(counts)
     total = sum(conditions.values())
     if total == 0:
@@ -253,18 +269,14 @@ def fit_suppression(
         top = int(np.argmax(scores))
         best_count, best_levels = int(scores[top]), candidates[top].tolist()
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         starts = [[0] + [grid] * max_h]
-        for _ in range(restarts):
+        for _ in range(RESTARTS):
             levels = [0] + [rng.randint(0, grid) for _ in range(max_h)]
             if monotone:
                 levels[1:] = sorted(levels[1:], reverse=True)
             starts.append(levels)
-        best_count, best_levels = -1, []
-        for levels in starts:
-            count, final = _climb(levels, tables, grid, monotone)
-            if count > best_count or (count == best_count and final > best_levels):
-                best_count, best_levels = count, list(final)
+        best_count, best_levels = max(_climb(levels, tables, grid, monotone) for levels in starts)
     table = SuppressionTable(tuple(Fraction(q, grid) for q in best_levels))
     return FitResult(table=table, satisfied=best_count, total=total)
 
@@ -347,16 +359,25 @@ def _round_half_up(value: Fraction) -> int:
     return math.floor(value + Fraction(1, 2))
 
 
-def _cosine(a: Mapping[CampaignId, int], b: Mapping[CampaignId, int]) -> float | None:
+def _similarity(
+    a: Mapping[CampaignId, int], b: Mapping[CampaignId, int]
+) -> tuple[Fraction, float] | None:
+    """``(cosine^2, cosine)`` over the co-rated campaigns, or ``None``.
+
+    ``None`` unless the overlap is at least :data:`MIN_OVERLAP` and the dot
+    product is positive.  The exact square ``dot^2 / (|a|^2 |b|^2)`` ranks
+    neighbors; the float cosine only weighs their votes.
+    """
     shared = sorted(set(a) & set(b), key=str)
     if len(shared) < MIN_OVERLAP:
         return None
     dot = sum(a[c] * b[c] for c in shared)
-    norm_a = math.sqrt(sum(a[c] ** 2 for c in shared))
-    norm_b = math.sqrt(sum(b[c] ** 2 for c in shared))
-    if norm_a == 0 or norm_b == 0:
+    if dot <= 0:
         return None
-    return dot / (norm_a * norm_b)
+    square_a = sum(a[c] ** 2 for c in shared)
+    square_b = sum(b[c] ** 2 for c in shared)
+    cosine = dot / (math.sqrt(square_a) * math.sqrt(square_b))
+    return Fraction(dot * dot, square_a * square_b), cosine
 
 
 def predict_preferences_cf(
@@ -370,6 +391,9 @@ def predict_preferences_cf(
     Neighbors need a co-rating overlap of at least 2 with the target and
     strictly positive cosine similarity; among them, the ``neighbors`` most
     similar ones who rated the target campaign vote with similarity weights.
+    Neighbors are ranked by exact similarity (the squared cosine as a
+    ``Fraction``), ties by customer id as a string, so no float rounding
+    decides who votes.
     The weighted average is rounded half-up.  Fallbacks when no neighbor
     qualifies: the target's mean rating, then the global mean, then 0.
     """
@@ -382,15 +406,15 @@ def predict_preferences_cf(
     for other, row in ratings.rows.items():
         if other == customer or campaign not in row:
             continue
-        sim = _cosine(target_row, row)
-        if sim is not None and sim > 0:
-            scored.append((sim, other, row[campaign]))
-    # deterministic neighbor ranking: similarity desc, then customer id
-    scored.sort(key=lambda s: (-s[0], str(s[1])))
+        similarity = _similarity(target_row, row)
+        if similarity is not None:
+            scored.append((*similarity, other, row[campaign]))
+    # deterministic neighbor ranking: exact similarity desc, then customer id
+    scored.sort(key=lambda s: (-s[0], str(s[2])))
     top = scored[:neighbors]
     if top:
-        num = sum(Fraction(sim).limit_denominator(10**9) * r for sim, _, r in top)
-        den = sum(Fraction(sim).limit_denominator(10**9) for sim, _, _ in top)
+        num = sum(Fraction(sim).limit_denominator(10**9) * r for _, sim, _, r in top)
+        den = sum(Fraction(sim).limit_denominator(10**9) for _, sim, _, _ in top)
         return _round_half_up(num / den)
     if target_row:
         return _round_half_up(Fraction(sum(target_row.values()), len(target_row)))
@@ -433,17 +457,16 @@ def fit_categories(
     labels_by_customer: Mapping[CustomerId, int] | None,
     max_h: int,
     grid: int = DEFAULT_GRID,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
     monotone: bool = False,
 ) -> dict[int, FitResult]:
     """Fit one table per category of ``history``; without labels, everyone is category 0.
 
     Labels must be ``int`` (``bool`` is not one), so no two labels merge.
     The options are checked as :func:`fit_suppression` checks them, also for
-    an empty history.
+    an empty history.  The search has no knobs: the result depends on the
+    history, the labels and the options only.
     """
-    _check_fit_options(max_h, grid, restarts)
+    _check_fit_options(max_h, grid)
     groups: dict[int, dict[Outcome, int]] = {}
     for key, count in history.items():
         if labels_by_customer is None:
@@ -460,8 +483,6 @@ def fit_categories(
         outcome = key[1:]
         group[outcome] = group.get(outcome, 0) + count
     return {
-        label: fit_suppression(
-            group, max_h=max_h, grid=grid, restarts=restarts, seed=seed, monotone=monotone
-        )
+        label: fit_suppression(group, max_h=max_h, grid=grid, monotone=monotone)
         for label, group in sorted(groups.items())
     }

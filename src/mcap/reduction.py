@@ -48,6 +48,7 @@ from .core import (
     SuppressionTable,
     ValidationError,
     check_feasibility,
+    check_tuple,
     evaluate_fitness,
 )
 from .io import parse_int
@@ -76,7 +77,8 @@ def validate_formula(formula: CnfFormula) -> CnfFormula:
     """Enforce the input class the reduction is defined on.
 
     Every :class:`CnfFormula` runs this when it is built.  The variable count
-    and the literals must be ``int`` (``bool`` is not one), every clause must
+    and the literals must be ``int`` (``bool`` is not one) and the clauses a
+    tuple of tuples; every clause must
     mention exactly three distinct variables in range, no clause may contain a
     variable and its negation, and every variable must appear in a clause.
     """
@@ -84,8 +86,10 @@ def validate_formula(formula: CnfFormula) -> CnfFormula:
         raise ValidationError(f"num_vars must be an integer, got {formula.num_vars!r}")
     if formula.num_vars < 1:
         raise ValidationError(f"formula must have at least one variable, got {formula.num_vars}")
+    check_tuple(formula.clauses, "clauses")
     seen = set()
     for idx, clause in enumerate(formula.clauses, start=1):
+        check_tuple(clause, f"clause {idx}")
         if len(clause) != 3:
             raise ValidationError(f"clause {idx} has {len(clause)} literals, expected 3")
         for lit in clause:

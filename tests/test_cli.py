@@ -542,19 +542,18 @@ class TestFit:
         assert category["table"] == ["0", "1", "1", "3/4"]
         assert (category["satisfied"], category["total"]) == (1, 1)
 
-    def test_negative_restarts(self, capsys, tmp_path):
+    @pytest.mark.parametrize("option", [("--restarts", 3), ("--seed", 1)])
+    def test_search_options_are_usage_errors(self, capsys, tmp_path, option):
+        # the search starts are fixed: the fit has no knobs to turn
         records = [
             {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True},
         ]
         records_path = tmp_path / "records.json"
         io.dump_json(records, records_path)
-        code, report = run_json(
-            capsys, "fit", "--records", records_path, "--max-h", 3, "--restarts", -1,
-        )
+        code, report = run_json(capsys, "fit", "--records", records_path, "--max-h", 3, *option)
         assert code == 2
         assert list(report) == ["error"]
         assert report["error"]["type"] == "ValidationError"
-        assert "restarts" in report["error"]["message"]
 
     def test_labels_split_categories(self, capsys, tmp_path):
         records = [
@@ -649,8 +648,23 @@ class TestFit:
         assert list(report) == ["error"]
         assert report["error"]["type"] == "GuardExceededError"
 
+    def test_pairing_guard_exit(self, capsys, tmp_path):
+        # 3,000 distinct preferences: 1500 x 1500 outcome pairs are refused
+        # before a condition is built
+        records = [
+            {"customer": p, "campaign": "c", "preference": p, "h": 1 + p % 2,
+             "responded": p % 2 == 0}
+            for p in range(3000)
+        ]
+        records_path = tmp_path / "records.json"
+        io.dump_json(records, records_path)
+        code, report = run_json(capsys, "fit", "--records", records_path, "--max-h", 2)
+        assert code == 4
+        assert list(report) == ["error"]
+        assert report["error"]["type"] == "GuardExceededError"
+
     @pytest.mark.parametrize("options, exit_code, error", [
-        (("--max-h", 0, "--restarts", -5, "--grid", 100000), 2, "ValidationError"),
+        (("--max-h", 0, "--grid", 100000), 2, "ValidationError"),
         (("--max-h", 2, "--grid", 100000), 4, "GuardExceededError"),
         (("--max-h", 2, "--grid", 4), 0, None),
     ])

@@ -98,6 +98,19 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="not a SuppressionTable"):
             minimal_instance(suppression=((0, 1),))
 
+    @pytest.mark.parametrize("overrides, what", [
+        (dict(weights=[1]), "weights"),
+        (dict(preferences=[(0,)]), "preferences"),
+        (dict(preferences=([0],)), "customer 0: preference row"),
+        (dict(suppression=[SuppressionTable((0, 1))]), "suppression tables"),
+        (dict(lower_bounds=[0]), "lower bounds"),
+        (dict(upper_bounds=[1]), "upper bounds"),
+    ], ids=["weights", "preferences", "preference-row", "suppression", "lower", "upper"])
+    def test_list_container_rejected(self, overrides, what):
+        # a stored list would be unequal to its tuple twin and unhashable
+        with pytest.raises(ValidationError, match=f"{what} must be a tuple, got list"):
+            minimal_instance(**overrides)
+
 
 class TestSuppressionTable:
     def test_constant_builder(self):
@@ -116,6 +129,10 @@ class TestSuppressionTable:
 
     def test_max_h(self):
         assert SuppressionTable((0, 1, 1)).max_h == 2
+
+    def test_values_must_be_a_tuple(self):
+        with pytest.raises(ValidationError, match="suppression values must be a tuple, got list"):
+            SuppressionTable([0, 1])
 
     @pytest.mark.parametrize("values", [(0, 0.1), ("0", "1e-9", "0.5"), (0, True)])
     def test_values_must_be_ints_or_fractions(self, values):

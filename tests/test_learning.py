@@ -150,8 +150,32 @@ class TestFitSuppression:
             fit_suppression(counts(), max_h=0)
         with pytest.raises(ValidationError, match="grid"):
             fit_suppression(counts(), max_h=2, grid=0)
-        with pytest.raises(ValidationError, match="restarts"):
-            fit_suppression(counts(), max_h=2, restarts=-1)
+
+    @pytest.mark.parametrize("option", ["restarts", "seed"])
+    def test_has_no_search_options(self, option):
+        # the starts are fixed, so a fit of the same counts is the same table
+        with pytest.raises(TypeError, match=option):
+            fit_suppression(counts(rec(1, 1, True)), max_h=2, **{option: 1})
+        with pytest.raises(TypeError, match=option):
+            fit_categories(Counter(), None, max_h=2, **{option: 1})
+
+    def test_pairing_guard(self, monkeypatch):
+        # one campaign, 6 distinct responder and 8 distinct non-responder
+        # outcomes: 48 pairs, 48 * (grid + 1) = 240 cells at grid 4, while
+        # the level tables take 3^2 * 5^2 = 225
+        history = counts(
+            *(rec(p, 1, True) for p in range(1, 7)),
+            *(rec(p, 2, False) for p in range(1, 9)),
+            rec(1, 1, True, campaign="other"),  # pairs with nothing
+        )
+        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 240)
+        assert fit_suppression(history, max_h=2, grid=4).total == 48
+        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 239)
+        with pytest.raises(GuardExceededError, match="48 responder/non-responder"):
+            fit_suppression(history, max_h=2, grid=4)
+        with pytest.raises(GuardExceededError, match="240 cells"):
+            fit_categories(Counter({("a", *key): n for key, n in history.items()}),
+                           None, max_h=2, grid=4)
 
     def test_hill_climb_agrees_on_its_own_report(self):
         # grid large enough to skip the exhaustive path
@@ -392,6 +416,19 @@ class TestCollaborativeFiltering:
         # all similarities are 1.0; the id tie-break picks "n0"
         assert capped == 0
 
+    def test_exact_similarity_tie_goes_to_customer_id(self):
+        # both neighbors have cosine exactly 1, though the float cosines
+        # read 0.9999999999999998 for n1 and 0.9999999999999999 for n2; the id
+        # rule picks n1
+        ratings = RatingsMatrix.from_triplets(
+            [
+                ("t", "a", 1), ("t", "b", 2),
+                ("n1", "a", 1), ("n1", "b", 2), ("n1", "x", 9),
+                ("n2", "a", 3), ("n2", "b", 6), ("n2", "x", 1),
+            ]
+        )
+        assert predict_preferences_cf(ratings, "t", "x", neighbors=1) == 9
+
     def test_overlap_below_two_is_ignored(self):
         ratings = RatingsMatrix.from_triplets(
             [("t", "a", 9), ("n", "a", 9), ("n", "x", 1)]
@@ -500,7 +537,6 @@ class TestFitCategories:
     @pytest.mark.parametrize("options, error, message", [
         ({"max_h": 0}, ValidationError, "max_h"),
         ({"max_h": 2, "grid": 0}, ValidationError, "grid"),
-        ({"max_h": 2, "restarts": -1}, ValidationError, "restarts"),
         ({"max_h": 4, "grid": 632}, GuardExceededError, "table cells"),
     ])
     def test_empty_history_checks_options(self, options, error, message):

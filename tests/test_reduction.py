@@ -87,6 +87,15 @@ class TestValidateFormula:
         with pytest.raises(ValidationError, match="num_vars must be an integer"):
             CnfFormula(num_vars, ((1, 2, 3),))
 
+    @pytest.mark.parametrize("clauses, what", [
+        ([(1, 2, 3)], "clauses"),
+        (([1, 2, 3],), "clause 1"),
+    ], ids=["clauses", "clause"])
+    def test_construction_rejects_list_container(self, clauses, what):
+        # a stored list would be unequal to its tuple twin and unhashable
+        with pytest.raises(ValidationError, match=f"{what} must be a tuple, got list"):
+            CnfFormula(3, clauses)
+
     def test_construction_rejects_short_clause(self):
         # construction alone, with no validate_formula call
         with pytest.raises(ValidationError, match="expected 3"):
