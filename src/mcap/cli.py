@@ -4,8 +4,9 @@ gen, fit, bench.
 Reports print as human-readable text (default) or as a single JSON object
 (``--format json``); exact rationals travel as ``"num/den"`` strings either
 way.  Exit codes: 0 success, 1 failed verification or unsupported input
-class, 2 parse/input error, 3 infeasible, 4 size guard exceeded.  Every
-error in JSON mode is an object ``{"error": {"type", "message"}}``.
+class, 2 parse/input error, 3 infeasible, 4 size guard exceeded (every guard
+is a module constant; no option sets one).  Every error in JSON mode is an
+object ``{"error": {"type", "message"}}``.
 """
 
 from __future__ import annotations
@@ -66,33 +67,39 @@ def _result_report(result: solvers.SolveResult, method: str) -> dict:
     }
 
 
-def _local(inst: Instance, args) -> solvers.SolveResult:
-    start = args.start if args.start is not None else solvers.greedy_construct(inst).matrix
+def _local(inst: Instance, start) -> solvers.SolveResult:
+    if start is None:
+        start = solvers.greedy_construct(inst).matrix
     return solvers.local_search(inst, start)
 
 
-# name -> solve(inst, args), in bench order.  Entries look their solver up on
-# the module at call time, so a rebound module attribute (such as a tracing
-# wrapper) is the one that runs.
+# name -> solve(inst, start), in bench order; only local search reads the
+# start matrix (None: greedy's).  Entries look their solver up on the module
+# at call time, so a rebound module attribute (such as a tracing wrapper) is
+# the one that runs.
 SOLVERS = {
-    "brute": lambda inst, args: solvers.brute_force_solve(inst, max_cells=args.max_cells),
-    "dp": lambda inst, args: solvers.dp_solve(inst, max_states=args.max_states),
-    "const": lambda inst, args: solvers.solve_constant_suppression(inst),
-    "unbounded": lambda inst, args: solvers.solve_unbounded(inst),
-    "greedy": lambda inst, args: solvers.greedy_construct(inst),
+    "brute": lambda inst, start: solvers.brute_force_solve(inst),
+    "dp": lambda inst, start: solvers.dp_solve(inst),
+    "const": lambda inst, start: solvers.solve_constant_suppression(inst),
+    "unbounded": lambda inst, start: solvers.solve_unbounded(inst),
+    "greedy": lambda inst, start: solvers.greedy_construct(inst),
     "local": _local,
 }
 METHODS = (*SOLVERS, "auto")
 
 
-def _solve_with(method: str, inst: Instance, args) -> tuple[str, solvers.SolveResult]:
+def _solve_with(method: str, inst: Instance, start) -> tuple[str, solvers.SolveResult]:
     if method == "auto":
         try:
-            solvers.dp_guard(inst, args.max_states)
+            solvers.dp_guard(inst)
         except GuardExceededError:
-            return "greedy+local", SOLVERS["local"](inst, args)
+            return "greedy+local", SOLVERS["local"](inst, start)
         method = "dp"
-    return method, SOLVERS[method](inst, args)
+    return method, SOLVERS[method](inst, start)
+
+
+def _violations(report) -> list[dict]:
+    return [{"campaign": j, "sum": s, "side": side} for j, s, side in report.violations]
 
 
 def cmd_evaluate(args) -> dict:
@@ -104,15 +111,13 @@ def cmd_evaluate(args) -> dict:
         "fitness": _exact(fitness),
         "feasible": report.feasible,
         "column_sums": list(report.column_sums),
-        "violations": [
-            {"campaign": j, "sum": s, "side": side} for j, s, side in report.violations
-        ],
+        "violations": _violations(report),
     }
 
 
 def cmd_solve(args) -> dict:
     inst = io.read_instance(args.instance)
-    method, result = _solve_with(args.method, inst, args)
+    method, result = _solve_with(args.method, inst, args.start)
     report = _result_report(result, method)
     if args.out:
         io.write_matrix(result.matrix, args.out)
@@ -187,9 +192,7 @@ def cmd_verify(args) -> dict:
         "verified": verified,
     }
     if not feas.feasible:
-        report["violations"] = [
-            {"campaign": j, "sum": s, "side": side} for j, s, side in feas.violations
-        ]
+        report["violations"] = _violations(feas)
     return report
 
 
@@ -245,23 +248,18 @@ def cmd_fit(args) -> dict:
     return report
 
 
-def run_bench(
-    inst: Instance,
-    max_cells: int = solvers.DEFAULT_BRUTE_FORCE_CELLS,
-    max_states: int = solvers.DEFAULT_DP_STATE_LIMIT,
-) -> list[dict]:
+def run_bench(inst: Instance) -> list[dict]:
     """Run every applicable solver on the instance; one row per solver.
 
     Exact methods are skipped (with a reason) when their guard or
     precondition fails; the gap column is relative to the best exact fitness
     when one exists.
     """
-    args = argparse.Namespace(max_cells=max_cells, max_states=max_states, start=None)
     rows: list[dict] = []
     results: dict[str, solvers.SolveResult] = {}
     for method, solve in SOLVERS.items():
         try:
-            results[method] = solve(inst, args)
+            results[method] = solve(inst, None)
         except (GuardExceededError, PreconditionError) as exc:
             rows.append({"method": method, "skipped": str(exc)})
 
@@ -287,8 +285,7 @@ def run_bench(
 
 
 def cmd_bench(args) -> dict:
-    inst = io.read_instance(args.instance)
-    return {"rows": run_bench(inst, max_cells=args.max_cells, max_states=args.max_states)}
+    return {"rows": run_bench(io.read_instance(args.instance))}
 
 
 def _render_human(command: str, report: dict) -> str:
@@ -323,16 +320,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _int_option(parser, flag: str, minimum: int | None = None, **kwargs) -> None:
-    """Add an integer option, read by the file integer grammar and at least ``minimum``."""
-
-    def parse(text: str) -> int:
-        value = io.parse_int(text, flag)
-        if minimum is not None and value < minimum:
-            raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
-        return value
-
-    parser.add_argument(flag, type=parse, **kwargs)
+def _int_option(parser, flag: str, **kwargs) -> None:
+    """Add an integer option, read by the file integer grammar."""
+    parser.add_argument(flag, type=lambda text: io.parse_int(text, flag), **kwargs)
 
 
 @functools.cache
@@ -357,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     # a lambda, so io.read_matrix is looked up per call and a rebound one runs
     p.add_argument("--start", type=lambda path: io.read_matrix(path),
                    help="starting matrix for --method local and auto's local search")
-    _int_option(p, "--max-cells", minimum=0, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
-    _int_option(p, "--max-states", minimum=0, default=solvers.DEFAULT_DP_STATE_LIMIT)
 
     p = sub.add_parser("reduce", help="3-CNF (DIMACS) to instance + sidecar")
     p.add_argument("--cnf", required=True)
@@ -404,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run all applicable solvers, print a table")
     p.add_argument("--instance", required=True)
-    _int_option(p, "--max-cells", minimum=0, default=solvers.DEFAULT_BRUTE_FORCE_CELLS)
-    _int_option(p, "--max-states", minimum=0, default=solvers.DEFAULT_DP_STATE_LIMIT)
 
     return parser
 

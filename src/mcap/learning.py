@@ -396,7 +396,10 @@ def predict_preferences_cf(
     decides who votes.
     The weighted average is rounded half-up.  Fallbacks when no neighbor
     qualifies: the target's mean rating, then the global mean, then 0.
+    ``neighbors`` must be an ``int`` (not ``bool``) of at least 1.
     """
+    if _check_int(neighbors, "neighbors") < 1:
+        raise ValidationError(f"neighbors must be >= 1, got {neighbors}")
     target_row = ratings.rows.get(customer, {})
     if campaign in target_row:
         raise PreconditionError(

@@ -55,6 +55,7 @@ from .io import parse_int
 
 BooleanAssignment = tuple[bool, ...]
 
+# the size guard of sat_brute_force, read at call time
 DEFAULT_SAT_VARS = 24
 
 
@@ -129,6 +130,8 @@ def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
     """Parse DIMACS CNF ("p cnf <vars> <clauses>", 0-terminated clauses).
 
     Header counts and literals are integers under :func:`mcap.io.parse_int`.
+    A ``%`` line ends the clause data, so the SATLIB trailer (``%`` then
+    ``0``) is ignored.
 
     With ``sanitize=True``, tautological clauses are dropped and variables
     left unused are removed with dense renumbering; everything else (wrong
@@ -139,7 +142,9 @@ def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
     tokens: list[int] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:
@@ -446,16 +451,14 @@ def extract_assignment(red: ReducedInstance, matrix: AssignmentMatrix) -> Boolea
     return assignment
 
 
-def sat_brute_force(
-    formula: CnfFormula, max_vars: int = DEFAULT_SAT_VARS
-) -> BooleanAssignment | None:
+def sat_brute_force(formula: CnfFormula) -> BooleanAssignment | None:
     """Lexicographically smallest satisfying assignment, or None.
 
-    Guarded at ``num_vars <= max_vars`` (the search is 2^num_vars).
+    Guarded at ``num_vars <= DEFAULT_SAT_VARS`` (the search is 2^num_vars).
     """
     l = formula.num_vars
-    if l > max_vars:
-        raise GuardExceededError(f"{l} variables exceed the {max_vars}-variable guard")
+    if l > DEFAULT_SAT_VARS:
+        raise GuardExceededError(f"{l} variables exceed the {DEFAULT_SAT_VARS}-variable guard")
     for code in range(1 << l):
         assignment = tuple(bool((code >> (l - 1 - i)) & 1) for i in range(l))
         if satisfies(formula, assignment):

@@ -2,8 +2,8 @@
 
 Exact routes:
 
-* :func:`brute_force_solve` enumerates every assignment matrix (guarded);
-  it exists as an independent oracle for the other solvers.
+* :func:`brute_force_solve` enumerates every assignment matrix, guarded by
+  :data:`DEFAULT_BRUTE_FORCE_CELLS`: an independent oracle for the others.
 * :func:`dp_solve` runs dynamic programming over capacity vectors: the state
   after the first ``m`` customers is the vector of column sums, and the layer
   transition tries every campaign subset for customer ``m``.  The transition
@@ -11,8 +11,8 @@ Exact routes:
   ``np.maximum`` over the flat layer per campaign subset, on integer keys
   that pack each value with the rank of its subset, so the documented
   tie-break (ascending predecessor, then ascending subset) holds exactly.
-  :func:`dp_guard` is its size check, shared with the CLI's ``auto``
-  method.
+  :func:`dp_guard` is its size check (:data:`DEFAULT_DP_STATE_LIMIT` and
+  :data:`DP_CELL_LIMIT`), shared with the CLI's ``auto`` method.
 * :func:`solve_constant_suppression` and :func:`solve_unbounded` handle the
   two polynomially solvable special classes (per-customer constant
   suppression; no capacity constraints) by direct sorting arguments.
@@ -68,6 +68,8 @@ from .core import (
     evaluate_fitness,
 )
 
+# size guards, constants read at call time: cells (n x k) brute force may
+# enumerate and DP states per layer
 DEFAULT_BRUTE_FORCE_CELLS = 24
 DEFAULT_DP_STATE_LIMIT = 10_000_000
 # choice cells (customers x states per layer) the DP may record in total
@@ -181,20 +183,18 @@ def _finish(
     )
 
 
-def brute_force_solve(
-    inst: Instance, max_cells: int = DEFAULT_BRUTE_FORCE_CELLS
-) -> SolveResult:
+def brute_force_solve(inst: Instance) -> SolveResult:
     """Globally optimal solve by enumerating every binary matrix.
 
-    Guarded by ``n * k <= max_cells`` since the search space is 2^(n*k).
+    Guarded by ``n * k <= DEFAULT_BRUTE_FORCE_CELLS`` (the search is 2^(n*k)).
     Among equal-fitness optima the lexicographically smallest matrix wins,
     comparing the row-major concatenation of rows as a bit string.
     """
     started = time.perf_counter()
     n, k = inst.n, inst.k
-    if n * k > max_cells:
+    if n * k > DEFAULT_BRUTE_FORCE_CELLS:
         raise GuardExceededError(
-            f"brute force over {n}x{k} cells exceeds the {max_cells}-cell guard"
+            f"brute force over {n}x{k} cells exceeds the {DEFAULT_BRUTE_FORCE_CELLS}-cell guard"
         )
     scale, rates, weighted = _scaled(inst)
     # bit (k-1-j) holds campaign j, so ascending masks enumerate rows in
@@ -248,18 +248,19 @@ def brute_force_solve(
     return _finish(inst, rows, True, started, explored, Fraction(best_value, scale))
 
 
-def dp_guard(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> None:
+def dp_guard(inst: Instance) -> None:
     """Raise :class:`GuardExceededError` when :func:`dp_solve` would be too large.
 
     The DP keeps ``prod(upper_bounds[j] + 1)`` states per layer and one
     recorded subset per state and customer, so both the layer and the
-    ``n`` layers of choices are bounded: the layer by ``max_states``, the
-    choice cells in total by :data:`DP_CELL_LIMIT`.
+    ``n`` layers of choices are bounded: the layer by
+    :data:`DEFAULT_DP_STATE_LIMIT`, the choice cells in total by
+    :data:`DP_CELL_LIMIT`.
     """
     states = prod(b + 1 for b in inst.upper_bounds)
-    if states > max_states:
+    if states > DEFAULT_DP_STATE_LIMIT:
         raise GuardExceededError(
-            f"DP needs {states} states per layer, over the {max_states} limit"
+            f"DP needs {states} states per layer, over the {DEFAULT_DP_STATE_LIMIT} limit"
         )
     if inst.n * states > DP_CELL_LIMIT:
         raise GuardExceededError(
@@ -267,7 +268,7 @@ def dp_guard(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> None:
         )
 
 
-def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveResult:
+def dp_solve(inst: Instance) -> SolveResult:
     """Globally optimal solve by dynamic programming over capacity vectors.
 
     ``best[m][c]`` is the maximum fitness over the first ``m`` customers whose
@@ -298,7 +299,7 @@ def dp_solve(inst: Instance, max_states: int = DEFAULT_DP_STATE_LIMIT) -> SolveR
     of the values, not the keys.
     """
     started = time.perf_counter()
-    dp_guard(inst, max_states)
+    dp_guard(inst)
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
     scale, rates, weighted = _scaled(inst)

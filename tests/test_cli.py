@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcap import cli, generate, io
+from mcap import cli, generate, io, solvers
 from mcap.cli import main
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable
 
@@ -211,11 +211,11 @@ class TestSolve:
         assert report["method"] == "dp"
         assert report["optimal"] is True
 
-    def test_auto_falls_back_to_heuristic(self, capsys, small_instance):
+    def test_auto_falls_back_to_heuristic(self, capsys, small_instance, monkeypatch):
         _, inst_path = small_instance
-        code, report = run_json(
-            capsys, "solve", "--instance", inst_path, "--max-states", "2",
-        )
+        # the instance has 3 x 2 states per layer
+        monkeypatch.setattr(solvers, "DEFAULT_DP_STATE_LIMIT", 2)
+        code, report = run_json(capsys, "solve", "--instance", inst_path)
         assert code == 0
         assert report["method"] == "greedy+local"
         assert report["optimal"] is False
@@ -234,24 +234,25 @@ class TestSolve:
         assert code == 0
         assert report["method"] == "greedy+local"
 
-    def test_brute_force_guard_exit(self, capsys, small_instance):
+    def test_brute_force_guard_exit(self, capsys, small_instance, monkeypatch):
         _, inst_path = small_instance
+        monkeypatch.setattr(solvers, "DEFAULT_BRUTE_FORCE_CELLS", 1)
         code, report = run_json(
-            capsys, "solve", "--instance", inst_path,
-            "--method", "brute", "--max-cells", "1",
+            capsys, "solve", "--instance", inst_path, "--method", "brute",
         )
         assert code == 4
         assert report["error"]["type"] == "GuardExceededError"
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     @pytest.mark.parametrize("flag", ["--max-cells", "--max-states"])
-    def test_negative_guard_argument(self, capsys, small_instance, command, flag):
+    def test_guard_options_are_usage_errors(self, capsys, small_instance, command, flag):
+        # the guards are constants of mcap.solvers; no option sets them
         _, inst_path = small_instance
-        code, report = run_json(capsys, command, "--instance", inst_path, flag, -5)
-        assert code == 2
-        assert list(report) == ["error"]
-        assert report["error"]["type"] == "ValidationError"
-        assert flag in report["error"]["message"]
+        code, captured = run(
+            capsys, "--format", "json", command, "--instance", inst_path, flag, 5,
+        )
+        assert_one_error(captured, code, 2, "ValidationError")
+        assert flag in json.loads(captured.out)["error"]["message"]
 
     def test_const_method_rejects_varying_suppression(self, capsys, small_instance):
         _, inst_path = small_instance
@@ -400,6 +401,22 @@ class TestReductionFlow:
         assert code == 3
         assert report["verified"] is False
         assert report["violations"]
+
+    def test_evaluate_and_verify_list_the_same_violations(
+        self, capsys, reduced_files, tmp_path
+    ):
+        instance, sidecar = reduced_files
+        matrix = tmp_path / "zero.json"
+        io.write_matrix(AssignmentMatrix.zero(18, 7), matrix)
+        _, verified = run_json(
+            capsys, "verify", "--instance", instance, "--sidecar", sidecar,
+            "--matrix", matrix,
+        )
+        _, evaluated = run_json(capsys, "evaluate", "--instance", instance, "--matrix", matrix)
+        # every column of the zero matrix is below its lower bound
+        assert evaluated["violations"] == verified["violations"] == [
+            {"campaign": j, "sum": 0, "side": "lower"} for j in range(7)
+        ]
 
     def test_verify_below_threshold(self, capsys, tmp_path):
         cnf = tmp_path / "one.cnf"
@@ -704,7 +721,7 @@ class TestFit:
 
 # argv after the optional --format: each is a usage error the parser reports
 USAGE_ERRORS = {
-    "bad-integer": ("solve", "--instance", "x", "--max-states", "abc"),
+    "bad-integer": ("gen", "--seed", 1, "--n", "abc", "--k", 2),
     "underscore-integer": ("gen", "--seed", "1_0", "--n", 3, "--k", 2),
     "non-ascii-digits": ("gen", "--seed", 1, "--n", "٣", "--k", "２"),
     "missing-flag": ("solve",),

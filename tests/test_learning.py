@@ -429,6 +429,23 @@ class TestCollaborativeFiltering:
         )
         assert predict_preferences_cf(ratings, "t", "x", neighbors=1) == 9
 
+    @pytest.mark.parametrize("neighbors", [-1, -2, 0, True, 1.5, "2"])
+    def test_neighbors_must_be_a_positive_int(self, neighbors):
+        # unchecked, the slice of ranked neighbours would read -1 as all but
+        # the least similar (n3), 0 as no voter at all (the target-mean
+        # fallback) and True as 1
+        ratings = RatingsMatrix.from_triplets(
+            [
+                ("t", "a", 1), ("t", "b", 2),
+                ("n1", "a", 1), ("n1", "b", 2), ("n1", "x", 9),
+                ("n2", "a", 3), ("n2", "b", 6), ("n2", "x", 1),
+                ("n3", "a", 2), ("n3", "b", 1), ("n3", "x", 5),
+            ]
+        )
+        assert predict_preferences_cf(ratings, "t", "x", neighbors=1) == 9
+        with pytest.raises(ValidationError, match="neighbors"):
+            predict_preferences_cf(ratings, "t", "x", neighbors=neighbors)
+
     def test_overlap_below_two_is_ignored(self):
         ratings = RatingsMatrix.from_triplets(
             [("t", "a", 9), ("n", "a", 9), ("n", "x", 1)]

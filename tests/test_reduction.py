@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from mcap import io
+from mcap import io, reduction
 from mcap.cli import main
 from mcap.core import (
     AssignmentMatrix,
@@ -38,6 +38,10 @@ from mcap.reduction import (
 )
 from mcap.solvers import dp_solve
 from strategies import random_feasible_matrix, random_formula
+
+
+# SATLIB files (uf20-91 and the like) end with a '%' line and then a '0' line
+SATLIB_TRAILER_CNF = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n%\n0\n"
 
 
 def four_clause_formula():
@@ -110,6 +114,19 @@ class TestDimacs:
     def test_comments_and_percent_lines_skipped(self):
         text = "c a comment\np cnf 3 1\n1 2 3 0\n%\n"
         assert parse_dimacs(text) == single_clause_formula()
+
+    def test_satlib_trailer_ends_clause_data(self):
+        assert parse_dimacs(SATLIB_TRAILER_CNF) == CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))
+
+    def test_satlib_trailer_through_cli(self, capsys, tmp_path):
+        cnf = tmp_path / "uf.cnf"
+        cnf.write_text(SATLIB_TRAILER_CNF)
+        code = main(["--format", "json", "reduce", "--cnf", str(cnf),
+                     "--out-instance", str(tmp_path / "i.json"),
+                     "--out-sidecar", str(tmp_path / "s.json")])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["num_vars"], report["num_clauses"]) == (3, 2)
 
     def test_clause_split_across_lines(self):
         assert parse_dimacs("p cnf 3 1\n1 2\n3 0\n") == single_clause_formula()
@@ -343,9 +360,12 @@ class TestSatBruteForce:
         )
         assert sat_brute_force(CnfFormula(3, clauses)) is None
 
-    def test_guard(self):
-        with pytest.raises(GuardExceededError):
-            sat_brute_force(single_clause_formula(), max_vars=2)
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(reduction, "DEFAULT_SAT_VARS", 3)
+        assert sat_brute_force(single_clause_formula()) == (False, False, True)
+        monkeypatch.setattr(reduction, "DEFAULT_SAT_VARS", 2)
+        with pytest.raises(GuardExceededError, match="2-variable guard"):
+            sat_brute_force(single_clause_formula())
 
 
 class TestSidecar:

@@ -88,10 +88,13 @@ class TestBruteForce:
         )
         assert brute_force_solve(inst).matrix.entries == ((0,), (1,))
 
-    def test_guard(self):
-        inst = single_customer_instance()
-        with pytest.raises(GuardExceededError):
-            brute_force_solve(inst, max_cells=1)
+    def test_guard(self, monkeypatch):
+        inst = single_customer_instance()  # 1 x 2 cells
+        monkeypatch.setattr(solvers, "DEFAULT_BRUTE_FORCE_CELLS", 2)
+        assert brute_force_solve(inst).fitness == 21
+        monkeypatch.setattr(solvers, "DEFAULT_BRUTE_FORCE_CELLS", 1)
+        with pytest.raises(GuardExceededError, match="1-cell guard"):
+            brute_force_solve(inst)
 
 
 class TestDpSolve:
@@ -109,10 +112,13 @@ class TestDpSolve:
         assert result.fitness == 11
         assert result.matrix.entries == ((0,), (1,), (1,))
 
-    def test_state_guard(self):
-        inst = single_customer_instance()
-        with pytest.raises(GuardExceededError):
-            dp_solve(inst, max_states=3)
+    def test_state_guard(self, monkeypatch):
+        inst = single_customer_instance()  # 4 states per layer
+        monkeypatch.setattr(solvers, "DEFAULT_DP_STATE_LIMIT", 4)
+        assert dp_solve(inst).fitness == 21
+        monkeypatch.setattr(solvers, "DEFAULT_DP_STATE_LIMIT", 3)
+        with pytest.raises(GuardExceededError, match="states per layer"):
+            dp_solve(inst)
 
     def test_total_cell_guard(self, monkeypatch):
         inst = single_customer_instance()  # 1 customer x 4 states
