@@ -7,12 +7,17 @@ Exact routes:
 * :func:`dp_solve` runs dynamic programming over capacity vectors: the state
   after the first ``m`` customers is the vector of column sums, and the layer
   transition tries every campaign subset for customer ``m``.  The transition
-  is a mask-major numpy sweep: one shifted add and one masked
-  ``np.maximum`` over the flat layer per campaign subset, on integer keys
-  that pack each value with the rank of its subset, so the documented
-  tie-break (ascending predecessor, then ascending subset) holds exactly.
-  :func:`dp_guard` is its size check (:data:`DEFAULT_DP_STATE_LIMIT` and
-  :data:`DP_CELL_LIMIT`), shared with the CLI's ``auto`` method.
+  is a mask-major numpy sweep over the flat layer, with no masked ufunc:
+  subsets are walked depth first, and each ORs one poison array into its
+  parent's sources (``floor``, a single high bit, on the states whose new
+  campaign is at capacity), then takes one shifted add and one unmasked
+  ``np.maximum``.  Integer keys pack each value with its subset's mask,
+  which ascends with the subset's index offset and so serves as its rank:
+  the maximum is order-free, and the documented tie-break (ascending
+  predecessor, then ascending subset) holds exactly.  :func:`dp_guard` is
+  its size check (:data:`DEFAULT_DP_STATE_LIMIT` and :data:`DP_CELL_LIMIT`,
+  which counts the choices and the sweep's working set), shared with the
+  CLI's ``auto`` method.
 * :func:`solve_constant_suppression` and :func:`solve_unbounded` handle the
   two polynomially solvable special classes (per-customer constant
   suppression; no capacity constraints) by direct sorting arguments.
@@ -35,7 +40,7 @@ integers and no inner loop does Fraction arithmetic.  The scale is positive,
 so every comparison, heap order and tie is the same as for the unscaled
 fitness.  The DP keeps its keys in int64 arrays when a precomputed bound
 (the sum of every customer's best row score, :func:`_best_row`), shifted
-past the subset rank bits, is below 2^63, and in ``dtype=object`` arrays of
+past the subset mask bits, is below 2^63, and in ``dtype=object`` arrays of
 Python integers otherwise.  Every solver passes its own scaled total, as a
 Fraction, to the final check: the returned fitness is recomputed from the
 matrix with :func:`mcap.core.evaluate_fitness` and must equal it.
@@ -70,9 +75,9 @@ from .core import (
 
 # size guards, constants read at call time: cells (n x k) brute force may
 # enumerate and DP states per layer
-DEFAULT_BRUTE_FORCE_CELLS = 24
+DEFAULT_BRUTE_FORCE_CELLS = 20
 DEFAULT_DP_STATE_LIMIT = 10_000_000
-# choice cells (customers x states per layer) the DP may record in total
+# cells the DP may hold in total: (customers + its working set) x states per layer
 DP_CELL_LIMIT = 100_000_000
 
 
@@ -251,20 +256,24 @@ def brute_force_solve(inst: Instance) -> SolveResult:
 def dp_guard(inst: Instance) -> None:
     """Raise :class:`GuardExceededError` when :func:`dp_solve` would be too large.
 
-    The DP keeps ``prod(upper_bounds[j] + 1)`` states per layer and one
-    recorded subset per state and customer, so both the layer and the
-    ``n`` layers of choices are bounded: the layer by
-    :data:`DEFAULT_DP_STATE_LIMIT`, the choice cells in total by
-    :data:`DP_CELL_LIMIT`.
+    The DP keeps ``prod(upper_bounds[j] + 1)`` states per layer, so the
+    layer is bounded by :data:`DEFAULT_DP_STATE_LIMIT`.  Its memory in total
+    is bounded by :data:`DP_CELL_LIMIT` cells, one per state in each of
+    ``n + 2 * active + 3`` arrays: the ``n`` layers of recorded subsets, the
+    working set of the sweep (this layer, the previous one, a candidate, and
+    per active campaign one poison array and one stacked source array), where
+    ``active`` counts the campaigns with a positive upper bound.
     """
     states = prod(b + 1 for b in inst.upper_bounds)
     if states > DEFAULT_DP_STATE_LIMIT:
         raise GuardExceededError(
             f"DP needs {states} states per layer, over the {DEFAULT_DP_STATE_LIMIT} limit"
         )
-    if inst.n * states > DP_CELL_LIMIT:
+    working = 2 * sum(1 for b in inst.upper_bounds if b > 0) + 3
+    if (inst.n + working) * states > DP_CELL_LIMIT:
         raise GuardExceededError(
-            f"DP needs {inst.n} x {states} choice cells, over the {DP_CELL_LIMIT} limit"
+            f"DP needs {inst.n} x {states} choice cells and a {working} x {states} working set,"
+            f" over the {DP_CELL_LIMIT} limit"
         )
 
 
@@ -277,25 +286,39 @@ def dp_solve(inst: Instance) -> SolveResult:
     answer maximizes ``best[n][c]`` over the box ``lower_bounds <= c <=
     upper_bounds``.
 
-    Each state holds one integer key ``value << bits | rank``; a subset's
-    rank counts down the scan order of descending index offset ``d``.  Per
-    layer and subset, the sources ``[0, size - d)`` with headroom in each of
-    its campaigns, trimmed to the box that ``m`` customers can reach, plus
-    its packed score, go into the next layer's ``[d, size)`` by one masked
-    ``np.maximum``; then the layer's ranks are recorded and dropped.
-    Unreached states hold the floor ``-((bound + 1) << bits)``, ``bound``
-    being the sum of every customer's best subset score.  Scores are
-    nonnegative and no path adds more than ``bound``, so ``key >= 0`` is
-    exactly reachability.  Keys are int64 when ``(bound + 1) << bits`` is
-    below 2^63 and Python integers (``dtype=object``) otherwise, so no float
-    enters.  Choices are ranks in one ``(n, states)`` array of the smallest
-    unsigned dtype; :func:`dp_guard` bounds the states per layer and the
-    choice cells in total.
+    Each state holds one integer key ``value << bits | mask``.  Active
+    strides at least double, so subset offsets ``d`` ascend with the mask
+    and the mask is the subset's rank.  Per layer, subsets are walked depth
+    first, each extending its parent by one campaign above the parent's
+    highest, and a stack indexed by depth holds their sources: ``sources[t]
+    = sources[t - 1][:m] | poison[b][:m]``, where ``poison[b]`` is ``floor``
+    on the states whose campaign ``b`` is at capacity and 0 elsewhere, and
+    ``[:m]`` trims the sources ``[0, size - d)`` of a subset with index
+    offset ``d`` to the box that the customers so far can reach.  Offsets
+    grow down the stack, so a parent's sources cover its children's.  The
+    sources plus the subset's packed score go into
+    the next layer's ``[d, size)`` by one unmasked ``np.maximum``; the
+    maximum is the same in any subset order.  Then the layer's masks are
+    recorded and dropped.
+
+    ``floor`` is the single high bit ``-(1 << L)``, ``L`` the bit length of
+    ``(bound + 1) << bits`` and ``bound`` the sum of every customer's best
+    subset score.  Unreached states start at ``floor``.  ORing ``floor``
+    into a nonnegative key subtracts ``1 << L`` and leaves a negative key
+    unchanged, so every negative key is ``floor`` plus a sum of packed
+    scores, one per layer, with rank bits from the last layer only.  That
+    sum is below ``(bound + 1) << bits <= 1 << L``, so a poisoned or
+    unreached key never turns nonnegative, and ``key >= 0`` is exactly
+    reachability.  Keys are int64 when ``(bound + 1) << bits`` is below 2^63
+    (``floor`` is then at least -2^63) and Python integers (``dtype=object``)
+    otherwise, so no float enters.  Choices are masks in one ``(n, states)``
+    array of the smallest unsigned dtype; :func:`dp_guard` bounds the states
+    per layer, and the choice cells and working set in total.
 
     Ties go to the earliest candidate in scan order (ascending predecessor
     index, then ascending subset mask, then ascending terminal index).
     Offsets are distinct, so of equal values into one state the earliest
-    has the largest rank and key; the terminal scan takes the first maximum
+    has the largest mask and key; the terminal scan takes the first maximum
     of the values, not the keys.
     """
     started = time.perf_counter()
@@ -307,54 +330,61 @@ def dp_solve(inst: Instance) -> SolveResult:
     # campaigns with a zero upper bound can never be assigned; subsets range
     # over the remaining ones only
     active = [j for j in range(k) if inst.upper_bounds[j] > 0]
-    nmasks = 1 << len(active)
+    bits = len(active)
+    nmasks = 1 << bits
     deltas = [0] * nmasks
     for mask in range(1, nmasks):
         low = mask & -mask
         deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
-    # ranked[rank] is the mask: ascending offset counts down the scan order
-    ranked = sorted(range(nmasks), key=deltas.__getitem__)
-    bits = (nmasks - 1).bit_length()
+    # depth first: lexicographic order of the masks' ascending bit lists puts
+    # every subset right after the prefix it extends by its highest bit
+    walk = sorted(range(1, nmasks), key=lambda mask: [b for b in range(bits) if mask >> b & 1])
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
-    floor = -((bound + 1) << bits)
+    floor = -(1 << ((bound + 1) << bits).bit_length())
     dtype = np.int64 if (bound + 1) << bits < 2**63 else object
     mask_dtype = np.min_scalar_type(nmasks - 1)
 
-    # per state: bitmask of active campaigns already at capacity, and
-    # whether every column meets its lower bound
+    # per active campaign: floor where it is at capacity, 0 elsewhere; per
+    # state: whether every column meets its lower bound
     size = box.size
     state = np.arange(size)
-    full_mask = np.zeros(size, dtype=mask_dtype)
+    poison = []
     meets_lower = np.ones(size, dtype=bool)
-    bit = 0
     for cap, stride, lower in zip(box.caps, box.strides, inst.lower_bounds):
         digit = state // stride % (cap + 1)
         meets_lower &= digit >= lower
         if cap:
-            full_mask |= (digit == cap).astype(mask_dtype) << bit
-            bit += 1
+            poison.append(np.zeros(size, dtype=dtype))
+            poison[-1][digit == cap] = floor
     del state, digit
 
-    # keys pack value << bits | rank; key >= 0 is reachability
+    # keys pack value << bits | mask; key >= 0 is reachability
     explored = 0
     keys = np.full(size, floor, dtype=dtype)
     keys[0] = 0
     choices = np.zeros((n, size), dtype=mask_dtype)
+    # sources[t] holds the sources of the walk's subset at depth t
+    sources = [None] + [np.empty(size, dtype=dtype) for _ in active]
+    cand = np.empty(size, dtype=dtype)
     for i in range(n):
         explored += int(np.count_nonzero(keys >= 0))
-        prev = keys & -(1 << bits)
-        keys = np.full(size, floor, dtype=dtype)
+        sources[0] = keys & -(1 << bits)
+        # the empty subset scores 0 with mask 0: the previous layer itself
+        keys = sources[0].copy()
         hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
         scores = _subset_scores(weighted[i], rates[i], active)
-        for rank, mask in enumerate(ranked):
-            # state s moves to s + d; a source needs headroom in every
-            # campaign of the mask, so no digit carries
+        for mask in walk:
+            # state s moves to s + d; a poisoned source, one without
+            # headroom in some campaign of the mask, stays negative
             d = deltas[mask]
             m = min(size - d, hi)
+            depth = mask.bit_count()
+            src = sources[depth][:m]
+            np.bitwise_or(sources[depth - 1][:m], poison[mask.bit_length() - 1][:m], out=src)
+            np.add(src, (scores[mask] << bits) | mask, out=cand[:m])
             tgt = keys[d:d + m]
-            np.maximum(tgt, prev[:m] + ((scores[mask] << bits) | rank), out=tgt,
-                       where=(full_mask[:m] & mask) == 0)
+            np.maximum(tgt, cand[:m], out=tgt)
         choices[i] = keys & (nmasks - 1)
 
     terminals = np.flatnonzero((keys >= 0) & meets_lower)
@@ -366,7 +396,7 @@ def dp_solve(inst: Instance) -> SolveResult:
 
     rows = [[0] * k for _ in range(n)]
     for i in reversed(range(n)):
-        mask = ranked[choices[i, idx]]
+        mask = int(choices[i, idx])
         for b, j in enumerate(active):
             if (mask >> b) & 1:
                 rows[i][j] = 1

@@ -42,6 +42,30 @@ def instances(draw, max_n=4, max_k=3, pref_max=9, families=FAMILIES, bounds="ran
 
 
 @st.composite
+def wide_instances(draw, max_n=3, min_k=5, max_k=8, pref_max=9, max_states=2048):
+    """An instance over many campaigns whose DP box stays small.
+
+    Each upper bound is drawn from 0 up to the largest value that keeps
+    ``prod(upper + 1)`` within ``max_states``, so zero uppers fall between
+    active campaigns, and every campaign after the box fills has upper 0.
+    """
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(min_k, max_k))
+    weights = tuple(draw(st.integers(1, 5)) for _ in range(k))
+    prefs = tuple(tuple(draw(st.integers(0, pref_max)) for _ in range(k)) for _ in range(n))
+    tables = tuple(_table(draw, draw(st.sampled_from(FAMILIES)), k) for _ in range(n))
+    upper, states = [], 1
+    for _ in range(k):
+        upper.append(draw(st.integers(0, min(n, max_states // states - 1))))
+        states *= upper[-1] + 1
+    lower = tuple(draw(st.integers(0, u)) for u in upper)
+    return validate_instance(
+        Instance(n=n, k=k, weights=weights, preferences=prefs, suppression=tables,
+                 lower_bounds=lower, upper_bounds=tuple(upper))
+    )
+
+
+@st.composite
 def instance_matrix_pairs(draw, **kwargs):
     """An instance plus an arbitrary (not necessarily feasible) binary matrix."""
     inst = draw(instances(**kwargs))

@@ -768,6 +768,16 @@ class TestBench:
             assert Fraction(by_method[method]["fitness"]) <= exact
         assert by_method["local"]["gap"] is not None
 
+    def test_brute_force_skipped_over_its_guard(self, capsys, tmp_path):
+        # 6 x 4 = 24 cells: 2^24 leaves, over the 20-cell guard
+        path = tmp_path / "inst.json"
+        io.write_instance(generate.random_instance(seed=1, n=6, k=4, bounds="unbounded"), path)
+        code, report = run_json(capsys, "bench", "--instance", path)
+        assert code == 0
+        by_method = {row["method"]: row for row in report["rows"]}
+        assert "20-cell guard" in by_method["brute"]["skipped"]
+        assert by_method["dp"]["optimal"] is True
+
     def test_human_table(self, capsys, small_instance):
         _, inst_path = small_instance
         code, captured = run(capsys, "bench", "--instance", inst_path)

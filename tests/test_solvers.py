@@ -30,7 +30,7 @@ from mcap.solvers import (
     solve_constant_suppression,
     solve_unbounded,
 )
-from strategies import feasible_pairs, instances, random_feasible_matrix
+from strategies import feasible_pairs, instances, random_feasible_matrix, wide_instances
 
 
 def single_customer_instance(lower=(0, 0)):
@@ -121,10 +121,11 @@ class TestDpSolve:
             dp_solve(inst)
 
     def test_total_cell_guard(self, monkeypatch):
-        inst = single_customer_instance()  # 1 customer x 4 states
-        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 4)
+        # (1 customer + a working set of 2 x 2 active + 3 arrays) x 4 states
+        inst = single_customer_instance()
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 32)
         assert dp_solve(inst).fitness == 21
-        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 3)
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 31)
         with pytest.raises(GuardExceededError, match="choice cells"):
             dp_solve(inst)
 
@@ -357,6 +358,28 @@ def assert_dp_matches_dense_sweep(inst):
 @settings(max_examples=300, deadline=None)
 def test_dp_matches_dense_sweep(inst):
     assert_dp_matches_dense_sweep(inst)
+
+
+# five to eight campaigns put up to eight bits of mask in the keys and stack
+# the DP's sources up to eight deep
+@given(st.sampled_from((9, 2**66)).flatmap(lambda pref_max: wide_instances(pref_max=pref_max)))
+@settings(max_examples=100, deadline=None)
+def test_dp_matches_dense_sweep_on_many_campaigns(inst):
+    assert_dp_matches_dense_sweep(inst)
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_subset_offsets_ascend_with_the_mask(caps):
+    # active strides at least double, so dp_solve can rank a subset by its mask
+    box = CapacityBox.from_caps(caps)
+    active = [box.strides[j] for j, cap in enumerate(caps) if cap]
+    offsets = [
+        sum(stride for b, stride in enumerate(active) if mask >> b & 1)
+        for mask in range(1 << len(active))
+    ]
+    assert sorted(range(len(offsets)), key=offsets.__getitem__) == list(range(len(offsets)))
+    assert len(set(offsets)) == len(offsets)
 
 
 def key_switch_instance(bound):
