@@ -56,9 +56,10 @@ def random_instance(
     """
     if bounds not in BOUND_STYLES:
         raise ValidationError(f"unknown bound style {bounds!r}; expected one of {BOUND_STYLES}")
-    # k is left to Instance: no draw below fails on a bad k
+    # indicator tables draw their position from [1, k], so k is checked here too
     for name, value, least in (
-        ("n", n, 1), ("pref_max", pref_max, 0), ("weight_max", weight_max, 1), ("grid", grid, 1),
+        ("n", n, 1), ("k", k, 1), ("pref_max", pref_max, 0), ("weight_max", weight_max, 1),
+        ("grid", grid, 1),
     ):
         if value < least:
             raise ValidationError(f"{name} must be >= {least}, got {value}")

@@ -38,12 +38,15 @@ is multiplied by the least common denominator of all table entries
 (:func:`_scaled`), so row scores and move gains (:func:`_gain`) are exact
 integers and no inner loop does Fraction arithmetic.  The scale is positive,
 so every comparison, heap order and tie is the same as for the unscaled
-fitness.  The DP keeps its keys in int64 arrays when a precomputed bound
-(the sum of every customer's best row score, :func:`_best_row`), shifted
-past the subset mask bits, is below 2^63, and in ``dtype=object`` arrays of
-Python integers otherwise.  Every solver passes its own scaled total, as a
-Fraction, to the final check: the returned fitness is recomputed from the
-matrix with :func:`mcap.core.evaluate_fitness` and must equal it.
+fitness.  The DP keeps its keys in the narrowest signed integer dtype that
+holds its negative ``floor``, the bit just above a precomputed bound (the
+sum of every customer's best row score, :func:`_best_row`) shifted past the
+subset mask bits: int8, int16, int32 or int64, and ``dtype=object`` arrays
+of Python integers beyond int64.  No key and no scalar of the sweep leaves
+that type's range, so no width overflows.  Every solver passes its own
+scaled total, as a Fraction, to the final check: the returned fitness is
+recomputed from the matrix with :func:`mcap.core.evaluate_fitness` and must
+equal it.
 
 All solvers are deterministic: every tie-breaking rule is fixed and
 documented on the operation.  Fitness equality across solvers is guaranteed;
@@ -262,7 +265,8 @@ def dp_guard(inst: Instance) -> None:
     ``n + 2 * active + 3`` arrays: the ``n`` layers of recorded subsets, the
     working set of the sweep (this layer, the previous one, a candidate, and
     per active campaign one poison array and one stacked source array), where
-    ``active`` counts the campaigns with a positive upper bound.
+    ``active`` counts the campaigns with a positive upper bound.  A cell
+    counts once at any width, from an int8 key to a Python integer.
     """
     states = prod(b + 1 for b in inst.upper_bounds)
     if states > DEFAULT_DP_STATE_LIMIT:
@@ -309,9 +313,13 @@ def dp_solve(inst: Instance) -> SolveResult:
     scores, one per layer, with rank bits from the last layer only.  That
     sum is below ``(bound + 1) << bits <= 1 << L``, so a poisoned or
     unreached key never turns nonnegative, and ``key >= 0`` is exactly
-    reachability.  Keys are int64 when ``(bound + 1) << bits`` is below 2^63
-    (``floor`` is then at least -2^63) and Python integers (``dtype=object``)
-    otherwise, so no float enters.  Choices are masks in one ``(n, states)``
+    reachability.  Keys take ``np.min_scalar_type(floor)``: the narrowest of
+    int8, int16, int32 and int64 that holds ``floor``, and Python integers
+    (``dtype=object``) beyond int64, so no float enters.  That type holds
+    all of ``[floor, 1 << L)``, where every key lies, and every Python scalar
+    the sweep feeds to a ufunc (a packed score, ``-(1 << bits)`` and
+    ``nmasks - 1``), so no ufunc overflows or casts a wider result into
+    ``out=`` at any width.  Choices are masks in one ``(n, states)``
     array of the smallest unsigned dtype; :func:`dp_guard` bounds the states
     per layer, and the choice cells and working set in total.
 
@@ -342,7 +350,7 @@ def dp_solve(inst: Instance) -> SolveResult:
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
     floor = -(1 << ((bound + 1) << bits).bit_length())
-    dtype = np.int64 if (bound + 1) << bits < 2**63 else object
+    dtype = np.min_scalar_type(floor)
     mask_dtype = np.min_scalar_type(nmasks - 1)
 
     # per active campaign: floor where it is at capacity, 0 elsewhere; per

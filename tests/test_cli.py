@@ -525,9 +525,11 @@ class TestGen:
 
     @pytest.mark.parametrize("flag, value", [
         ("--grid", 0), ("--pref-max", -1), ("--weight-max", 0), ("--n", -1),
+        ("--k", 0), ("--k", -1),
     ])
     def test_rejects_out_of_range_argument(self, capsys, flag, value):
-        args = {"--seed": 1, "--n": 3, "--k": 2, flag: value}
+        # indicator tables draw a position from [1, k]: a bad k must be refused first
+        args = {"--seed": 1, "--n": 3, "--k": 2, "--family": "indicator", flag: value}
         code, report = run_json(capsys, "gen", *(x for pair in args.items() for x in pair))
         assert code == 2
         assert list(report) == ["error"]

@@ -350,9 +350,10 @@ def assert_dp_matches_dense_sweep(inst):
     assert result.stats.explored == explored
 
 
-# pref_max 0 and 1 tie every row; 2**66 draws preferences above 2^64, so the
-# keys need dtype=object; random bounds include zero upper bounds
-@given(st.sampled_from((0, 1, 9, 2**66)).flatmap(
+# pref_max 0 and 1 tie every row; 9 draws int8 and int16 keys, 2**40 mostly
+# int32 and int64 ones, and 2**66 preferences above 2^64, so the keys can need
+# dtype=object; random bounds include zero upper bounds
+@given(st.sampled_from((0, 1, 9, 2**40, 2**66)).flatmap(
     lambda pref_max: instances(max_n=6, max_k=4, pref_max=pref_max)
 ))
 @settings(max_examples=300, deadline=None)
@@ -361,8 +362,11 @@ def test_dp_matches_dense_sweep(inst):
 
 
 # five to eight campaigns put up to eight bits of mask in the keys and stack
-# the DP's sources up to eight deep
-@given(st.sampled_from((9, 2**66)).flatmap(lambda pref_max: wide_instances(pref_max=pref_max)))
+# the DP's sources up to eight deep; the preference ceilings draw keys of
+# every width, as above
+@given(st.sampled_from((9, 2**40, 2**66)).flatmap(
+    lambda pref_max: wide_instances(pref_max=pref_max)
+))
 @settings(max_examples=100, deadline=None)
 def test_dp_matches_dense_sweep_on_many_campaigns(inst):
     assert_dp_matches_dense_sweep(inst)
@@ -386,8 +390,12 @@ def key_switch_instance(bound):
     """Two rows over two campaigns whose value bound is ``bound``.
 
     Both rates are 1, so each row's best score is its preference sum; both
-    campaigns are active, so the keys carry two rank bits and switch to
-    ``dtype=object`` at ``(bound + 1) << 2 == 2**63``.
+    campaigns are active, so the keys carry two rank bits and ``floor`` is
+    ``-(1 << L)`` with ``L`` the bit length of ``(bound + 1) << 2``.  The keys
+    widen from int8 to int16, int32, int64 and ``dtype=object`` where that
+    shift reaches ``2**7``, ``2**15``, ``2**31`` and ``2**63``, so the last
+    bound of each width is ``2**5 - 2``, ``2**13 - 2``, ``2**29 - 2`` and
+    ``2**61 - 2``.
     """
     q = bound // 4
     return validate_instance(Instance(
@@ -397,7 +405,11 @@ def key_switch_instance(bound):
     ))
 
 
-@pytest.mark.parametrize("bound", [2**61 - 2, 2**61 - 1])
+# the last and first bound of each key width: int8/int16, int16/int32,
+# int32/int64 and int64/object
+@pytest.mark.parametrize("bound", [
+    2**5 - 2, 2**5 - 1, 2**13 - 2, 2**13 - 1, 2**29 - 2, 2**29 - 1, 2**61 - 2, 2**61 - 1,
+])
 def test_dp_matches_dense_sweep_at_key_dtype_switch(bound):
     inst = key_switch_instance(bound)
     _, rates, weighted = solvers._scaled(inst)
