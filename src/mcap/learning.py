@@ -10,10 +10,10 @@ Two independent estimation problems feed the assignment model:
   r(h_j)``, and :func:`fit_suppression` searches a grid-valued table for
   ``r`` that satisfies as many conditions as possible.  A condition
   mentions two levels only, so the satisfied count is a sum over pairs
-  ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built once per fit;
-  the enumeration of small spaces and each hill-climb step (one level
-  ``r(h)`` swept over the grid) score many candidate tables in one
-  lookup.  :func:`categorize_customers`
+  ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built once per fit from
+  the sorted outcome counts without listing a pair; the enumeration of small
+  spaces and each hill-climb step (one level ``r(h)`` swept over the grid)
+  score many candidate tables in one lookup.  :func:`categorize_customers`
   supplies the grouping (small seeded k-means over numeric profiles).
 
 * **Preferences.**  :func:`predict_preferences_cf` fills one missing entry
@@ -53,8 +53,9 @@ MIN_OVERLAP = 2
 # hill climbing, making small fits exactly optimal
 EXHAUSTIVE_SPACE = 4096
 
-# the fit's pairwise level tables hold (max_h + 1)^2 * (grid + 1)^2 cells;
-# a fit needing more is refused before they are allocated
+# the fit's level tables hold (max_h + 1)^2 * (grid + 1)^2 cells, and each step
+# of their build works on distinct responder (campaign, preference) x max_h x
+# (grid + 1), linear in the input; a fit over either is refused up front
 TABLE_CELL_LIMIT = 10**7
 
 # above EXHAUSTIVE_SPACE the climb starts from the all-ones table and from
@@ -95,54 +96,54 @@ class FitResult:
     total: int
 
 
-def _conditions(counts: Mapping[Outcome, int]) -> dict[tuple[int, int, int, int], int]:
-    """Collapse responder/non-responder pairs into weighted conditions.
+def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
+    """Pairwise level tables: the satisfied count of a fit is a sum of lookups.
 
-    Key ``(p_i, h_i, p_j, h_j)`` means: satisfied iff
-    ``p_i * r(h_i) > p_j * r(h_j)``; the value is how many pairs share it,
-    the product of the two outcome counts summed over the campaigns.
+    ``tables[a, b, x, y]`` counts the responder/non-responder pairs of a
+    campaign at ``h = a`` and ``h = b`` with ``p_i * x > p_j * y`` (read on
+    the diagonal ``x == y`` only when ``a == b``).  No pair is listed; they
+    are counted by sorting, as in Knight's method for Kendall's tau.  The
+    non-responders are sorted by ``(campaign rank * (max_h + 1) + h) * (top
+    + 1) + p``, a block of keys per campaign and level, with cumulative
+    counts.  For each ``x`` one ``searchsorted`` counts, for each distinct
+    responder ``(campaign, p)`` and block, the keys up to ``min((p*x - 1) //
+    y, top)`` (for ``y == 0``, the whole block when ``p*x > 0``), and the
+    responders' counts per level times those fill ``tables[:, 1:, x]``.
+    Entries are int64 when every key, product ``p * x``, each side's count
+    sum and their product fit, and Python integers (``dtype=object``) if not.
     """
-    by_campaign: dict[CampaignId, tuple[dict, dict]] = {}
+    top = max((preference for _, preference, _, _ in counts), default=0)
+    ranks: dict[CampaignId, int] = {}
+    yes: dict[tuple[int, int], list[int]] = {}
+    no = []
     for (campaign, preference, h, responded), count in counts.items():
-        yes, no = by_campaign.setdefault(campaign, ({}, {}))
-        (yes if responded else no)[preference, h] = count
-    conditions: dict[tuple[int, int, int, int], int] = {}
-    for yes, no in by_campaign.values():
-        for (p_i, h_i), yes_count in yes.items():
-            for (p_j, h_j), no_count in no.items():
-                key = (p_i, h_i, p_j, h_j)
-                conditions[key] = conditions.get(key, 0) + yes_count * no_count
-    return conditions
-
-
-def _tables(
-    conditions: Mapping[tuple[int, int, int, int], int], max_h: int, grid: int
-) -> np.ndarray:
-    """Pairwise level tables: the satisfied count of ``conditions`` is a sum of lookups.
-
-    ``tables[a, b, x, y]`` is the total multiplicity of the conditions with
-    ``(h_i, h_j) = (a, b)`` that hold at ``r(a) = x/grid``, ``r(b) =
-    y/grid``; a condition with ``a == b`` is read on the diagonal ``x == y``
-    only.  Each ``(a, b)`` group fills its ``(grid+1)^2`` block one row of
-    ``x`` at a time, as the multiplicities times the ``(group, grid+1)``
-    truth matrix of ``p_i*x > p_j*y``.  Entries are int64 when every
-    product ``p*level`` and the condition total fit, and Python integers
-    (``dtype=object``) otherwise, so the counts are exact at any magnitude.
-    """
-    top = max((max(p_i, p_j) for p_i, _, p_j, _ in conditions), default=0)
-    small = top * grid < 2**63 and sum(conditions.values()) < 2**63
-    dtype = np.int64 if small else object
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for (p_i, h_i, p_j, h_j), mult in conditions.items():
-        groups.setdefault((h_i, h_j), []).append((p_i, p_j, mult))
+        rank = ranks.setdefault(campaign, len(ranks))
+        if responded:
+            yes.setdefault((rank, preference), [0] * (max_h + 1))[h] += count
+        else:
+            no.append(((rank * (max_h + 1) + h) * (top + 1) + preference, count))
+    no.sort()
+    yes_total, no_total = sum(map(sum, yes.values())), sum(count for _, count in no)
+    key_end = len(ranks) * (max_h + 1) * (top + 1)
+    largest = max(key_end, top * grid, yes_total, no_total, yes_total * no_total)
+    dtype = np.int64 if largest < 2**63 else object
+    keys = np.array([key for key, _ in no], dtype=dtype)
+    cumulative = np.array([0, *(count for _, count in no)], dtype=dtype).cumsum()
+    weights = np.array(list(yes.values()), dtype=dtype).reshape(-1, max_h + 1).T
+    column_rank, column_p = np.array(list(yes), dtype=dtype).reshape(-1, 2).T
+    # base[b - 1, column] is the first key of the column's block at level b
+    base = (column_rank * (max_h + 1) + np.arange(1, max_h + 1)[:, None]) * (top + 1)
+    start = cumulative[np.searchsorted(keys, base)]
+    divisors = np.arange(1, grid + 1, dtype=dtype)
+    thresholds = np.empty((len(yes), grid + 1), dtype=dtype)
     tables = np.zeros((max_h + 1, max_h + 1, grid + 1, grid + 1), dtype=dtype)
-    levels = np.arange(grid + 1, dtype=dtype)
-    for (a, b), group in groups.items():
-        p_i, p_j, mult = np.array(group, dtype=dtype).T
-        lhs = p_i[:, None] * levels
-        rhs = p_j[:, None] * levels
-        for x in range(grid + 1):
-            tables[a, b, x] = mult @ (lhs[:, x, None] > rhs)
+    for x in range(grid + 1):
+        product = column_p * x
+        thresholds[:, 0] = -1
+        thresholds[product > 0, 0] = top
+        thresholds[:, 1:] = np.minimum((product[:, None] - 1) // divisors, top)
+        found = np.searchsorted(keys, base[:, :, None] + thresholds, side="right")
+        tables[:, 1:, x] = (weights @ (cumulative[found] - start[:, :, None])).swapaxes(0, 1)
     return tables
 
 
@@ -225,38 +226,36 @@ def fit_suppression(
     non-increasing tables.
 
     Every count comes from the pairwise level tables of :func:`_tables`,
-    built once per fit: a candidate's count is one lookup per pair of
-    levels.  They hold ``(max_h + 1)^2 * (grid + 1)^2`` cells, and building
-    them scores ``pairs * (grid + 1)`` cells, where ``pairs`` sums
-    distinct responder outcomes times distinct non-responder outcomes over
-    the campaigns.  When either count exceeds :data:`TABLE_CELL_LIMIT` the
-    fit raises :class:`GuardExceededError` before any condition is built.
+    built once per fit from the sorted outcome counts: a candidate's count
+    is one lookup per pair of levels.  They hold ``(max_h + 1)^2 * (grid +
+    1)^2`` cells, and each of the ``grid + 1`` steps of their build works on
+    the distinct responder ``(campaign, preference)`` times ``max_h * (grid
+    + 1)`` cells; over :data:`TABLE_CELL_LIMIT` either way, the fit raises
+    :class:`GuardExceededError` before building anything.
     """
     _check_fit_options(max_h, grid)
-    outcomes: Counter = Counter()
+    sides: dict[CampaignId, list[int]] = {}  # campaign -> [non-responders, responders]
+    columns = set()
     for (campaign, preference, h, responded), count in counts.items():
         _check_outcome(preference, h, responded)
         if h > max_h:
             raise ValidationError(f"h={h} exceeds max_h={max_h}")
         if type(count) is not int or count < 1:
             raise ValidationError(f"count must be a positive integer, got {count!r}")
-        outcomes[campaign, responded] += 1
-    pairs = sum(
-        yes * outcomes[campaign, False]
-        for (campaign, responded), yes in outcomes.items()
-        if responded
-    )
-    if pairs * (grid + 1) > TABLE_CELL_LIMIT:
+        sides.setdefault(campaign, [0, 0])[responded] += count
+        if responded:
+            columns.add((campaign, preference))
+    cells = len(columns) * max_h * (grid + 1)
+    if cells > TABLE_CELL_LIMIT:
         raise GuardExceededError(
-            f"the fit has {pairs} responder/non-responder outcome pairs, "
-            f"{pairs * (grid + 1)} cells at grid {grid}, over the {TABLE_CELL_LIMIT} limit"
+            f"the fit has {len(columns)} distinct responder (campaign, preference) outcomes, "
+            f"{cells} cells per table build step at grid {grid}, over the {TABLE_CELL_LIMIT} limit"
         )
-    conditions = _conditions(counts)
-    total = sum(conditions.values())
+    total = sum(no * yes for no, yes in sides.values())
     if total == 0:
         return FitResult(SuppressionTable.constant(1, max_h), satisfied=0, total=0)
 
-    tables = _tables(conditions, max_h, grid)
+    tables = _tables(counts, max_h, grid)
     if (grid + 1) ** max_h <= EXHAUSTIVE_SPACE:
         # descending enumeration: the first table reaching the maximum count
         # is automatically the lexicographically largest one

@@ -667,9 +667,10 @@ class TestFit:
         assert list(report) == ["error"]
         assert report["error"]["type"] == "GuardExceededError"
 
-    def test_pairing_guard_exit(self, capsys, tmp_path):
-        # 3,000 distinct preferences: 1500 x 1500 outcome pairs are refused
-        # before a condition is built
+    def test_many_distinct_outcomes_fit(self, capsys, tmp_path):
+        # 3,000 distinct preferences, 1,500 responders at h 1 and 1,500
+        # non-responders at h 2: 2.25 million outcome pairs, counted from
+        # the sorted outcomes without listing one
         records = [
             {"customer": p, "campaign": "c", "preference": p, "h": 1 + p % 2,
              "responded": p % 2 == 0}
@@ -678,9 +679,10 @@ class TestFit:
         records_path = tmp_path / "records.json"
         io.dump_json(records, records_path)
         code, report = run_json(capsys, "fit", "--records", records_path, "--max-h", 2)
-        assert code == 4
-        assert list(report) == ["error"]
-        assert report["error"]["type"] == "GuardExceededError"
+        assert code == 0
+        assert report == {"categories": [
+            {"label": 0, "table": ["0", "1", "0"], "satisfied": 2248500, "total": 2250000},
+        ]}
 
     @pytest.mark.parametrize("options, exit_code, error", [
         (("--max-h", 0, "--grid", 100000), 2, "ValidationError"),

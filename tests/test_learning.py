@@ -6,7 +6,7 @@ from itertools import product
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mcap.core import GuardExceededError, PreconditionError, SuppressionTable, ValidationError
 from mcap.learning import (
@@ -19,7 +19,6 @@ from mcap.learning import (
     predict_preferences_cf,
     records_from_json,
     _climb,
-    _conditions,
     _satisfied,
     _tables,
 )
@@ -65,6 +64,48 @@ def exhaustive_best(outcome_counts, max_h, grid):
         )
         best = max(best, count)
     return best
+
+
+def pair_conditions(outcome_counts):
+    """Oracle: every responder/non-responder outcome pair of a campaign, listed.
+
+    Key ``(p_i, h_i, p_j, h_j)`` means: satisfied iff
+    ``p_i * r(h_i) > p_j * r(h_j)``; the value is how many pairs share it,
+    the product of the two outcome counts summed over the campaigns.
+    """
+    by_campaign = {}
+    for (campaign, preference, h, responded), count in outcome_counts.items():
+        yes, no = by_campaign.setdefault(campaign, ({}, {}))
+        (yes if responded else no)[preference, h] = count
+    conditions = {}
+    for yes, no in by_campaign.values():
+        for (p_i, h_i), yes_count in yes.items():
+            for (p_j, h_j), no_count in no.items():
+                key = (p_i, h_i, p_j, h_j)
+                conditions[key] = conditions.get(key, 0) + yes_count * no_count
+    return conditions
+
+
+def pair_tables(outcome_counts, max_h, grid):
+    """Oracle for ``_tables``: each listed pair's truth table of ``p_i*x > p_j*y``, weighted."""
+    tables = np.zeros((max_h + 1, max_h + 1, grid + 1, grid + 1), dtype=object)
+    levels = np.arange(grid + 1, dtype=object)
+    for (p_i, h_i, p_j, h_j), mult in pair_conditions(outcome_counts).items():
+        tables[h_i, h_j] += (p_i * levels[:, None] > p_j * levels).astype(object) * mult
+    return tables
+
+
+def condition_counts(conditions):
+    """Counts whose pairs are exactly ``conditions``, one campaign per condition.
+
+    Campaign ``idx`` holds a responder ``(p_i, h_i)`` carrying the
+    condition's multiplicity and a non-responder ``(p_j, h_j)`` counted once.
+    """
+    outcome_counts = {}
+    for idx, ((p_i, h_i, p_j, h_j), mult) in enumerate(conditions.items()):
+        outcome_counts[idx, p_i, h_i, True] = mult
+        outcome_counts[idx, p_j, h_j, False] = 1
+    return outcome_counts
 
 
 class TestValidateRecords:
@@ -159,23 +200,27 @@ class TestFitSuppression:
         with pytest.raises(TypeError, match=option):
             fit_categories(Counter(), None, max_h=2, **{option: 1})
 
-    def test_pairing_guard(self, monkeypatch):
-        # one campaign, 6 distinct responder and 8 distinct non-responder
-        # outcomes: 48 pairs, 48 * (grid + 1) = 240 cells at grid 4, while
-        # the level tables take 3^2 * 5^2 = 225
+    def test_build_step_guard(self, monkeypatch):
+        # 11 distinct responder (campaign, preference) columns: p 1-10 of
+        # campaign c (p 1 at two levels is one column) and p 1 of another
+        # campaign; each step of the build works on 11 * max_h * (grid + 1)
+        # = 44 cells at max_h 2, grid 1, while the level tables take
+        # 3^2 * 2^2 = 36
         history = counts(
-            *(rec(p, 1, True) for p in range(1, 7)),
-            *(rec(p, 2, False) for p in range(1, 9)),
+            *(rec(p, 1, True) for p in range(1, 11)),
+            rec(1, 2, True),
             rec(1, 1, True, campaign="other"),  # pairs with nothing
+            *(rec(p, 2, False) for p in range(1, 9)),
         )
-        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 240)
-        assert fit_suppression(history, max_h=2, grid=4).total == 48
-        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 239)
-        with pytest.raises(GuardExceededError, match="48 responder/non-responder"):
-            fit_suppression(history, max_h=2, grid=4)
-        with pytest.raises(GuardExceededError, match="240 cells"):
-            fit_categories(Counter({("a", *key): n for key, n in history.items()}),
-                           None, max_h=2, grid=4)
+        grouped = Counter({("a", *key): n for key, n in history.items()})
+        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 44)
+        assert fit_suppression(history, max_h=2, grid=1).total == 11 * 8
+        assert fit_categories(grouped, None, max_h=2, grid=1)[0].total == 11 * 8
+        monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 43)
+        with pytest.raises(GuardExceededError, match="11 distinct responder .* 44 cells"):
+            fit_suppression(history, max_h=2, grid=1)
+        with pytest.raises(GuardExceededError, match="44 cells .* over the 43 limit"):
+            fit_categories(grouped, None, max_h=2, grid=1)
 
     def test_hill_climb_agrees_on_its_own_report(self):
         # grid large enough to skip the exhaustive path
@@ -214,21 +259,39 @@ def test_fit_matches_exhaustive_oracle(history):
     assert result.satisfied == exhaustive_best(history, max_h=3, grid=4)
 
 
-@given(st.lists(
-    st.builds(rec, st.integers(0, 2), st.integers(1, 2), st.booleans(),
-              campaign=st.sampled_from(("a", "b", 1))),
-    max_size=30,
-))
-@settings(max_examples=100, deadline=None)
-def test_conditions_match_pair_enumeration(records):
-    # (campaign, preference, h, responded) per record, paired one by one
-    pairs = Counter(
-        (yes[1], yes[2], no[1], no[2])
-        for yes in records
-        for no in records
-        if yes[3] and not no[3] and yes[0] == no[0]
+@st.composite
+def table_cases(draw):
+    """(counts, max_h, grid): responders, non-responders, both or neither.
+
+    Preferences and counts reach past 2^64.
+    """
+    max_h = draw(st.integers(1, 3))
+    grid = draw(st.integers(1, 25))
+    sides = draw(st.sampled_from([(True, False), (True,), (False,)]))
+    outcome = st.tuples(
+        st.sampled_from(("a", "b", 1)),
+        # p * grid crosses 2^63 between 2^58 and 2^62 at grids 2 to 25; the keys above 2^64
+        st.one_of(st.integers(0, 9), st.integers(2**58, 2**62), st.integers(2**64, 2**66)),
+        st.integers(1, max_h),
+        st.sampled_from(sides),
     )
-    assert _conditions(Counter(records)) == dict(pairs)
+    # pair totals and sums of counts on both sides of 2^63
+    count = st.one_of(st.integers(1, 5), st.integers(2**30, 2**34), st.integers(2**62, 2**64))
+    return draw(st.dictionaries(outcome, count, max_size=30)), max_h, grid
+
+
+@given(table_cases())
+# int64 overflows by one in the pair total, in p * grid and in each side's counts
+@example(({("a", 1, 1, True): 2**32, ("a", 0, 1, False): 2**31}, 1, 1))
+@example(({("a", 2**61, 1, True): 1, ("a", 2**61 - 1, 1, False): 1}, 1, 4))
+@example(({("a", 1, 1, True): 2**63}, 1, 1))
+@example(({("a", 1, 1, False): 2**63}, 1, 1))
+@settings(max_examples=200, deadline=None)
+def test_tables_match_pair_enumeration(case):
+    outcome_counts, max_h, grid = case
+    tables = _tables(outcome_counts, max_h, grid)
+    assert tables.shape == (max_h + 1, max_h + 1, grid + 1, grid + 1)
+    assert np.array_equal(tables, pair_tables(outcome_counts, max_h, grid))
 
 
 @given(counts_strategy, st.integers(1, 4))
@@ -299,7 +362,7 @@ def climb_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_climb_matches_per_candidate_loop(case):
     grid, max_h, monotone, conditions, levels = case
-    tables = _tables(conditions, max_h, grid)
+    tables = _tables(condition_counts(conditions), max_h, grid)
     assert _climb(list(levels), tables, grid, monotone) == per_candidate_climb(
         list(levels), conditions, grid, monotone
     )
@@ -311,7 +374,7 @@ def test_table_counts_match_recount(case, data):
     grid, max_h, _, conditions, _ = case
     level_row = st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h)
     levels = data.draw(st.lists(level_row.map(lambda r: [0, *r]), min_size=1, max_size=8))
-    counts = _satisfied(_tables(conditions, max_h, grid), np.array(levels))
+    counts = _satisfied(_tables(condition_counts(conditions), max_h, grid), np.array(levels))
     assert [int(c) for c in counts] == [recount(row, conditions) for row in levels]
 
 
