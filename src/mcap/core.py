@@ -17,12 +17,21 @@ All arithmetic here is exact: preferences and weights are arbitrary-precision
 integers, suppression values and fitness are ``fractions.Fraction``.  There is
 deliberately no floating point in this module; downstream solvers compare
 fitness values for exact equality against thresholds with dozens of digits.
+:func:`evaluate_fitness` sums in integers over the least common multiple of
+the denominators of the rates a matrix uses and builds one ``Fraction``.
+:attr:`Instance.scaled` holds the integer scores every solver works with,
+built once per instance and kept; the evaluation does not read it, so it
+checks the solvers independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -127,6 +136,29 @@ class Instance:
 
     def __post_init__(self) -> None:
         validate_instance(self)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The instance's scores as exact integers: ``(scale, rates, weighted)``.
+
+        ``scale`` is the least common denominator of every suppression value,
+        ``rates[i][h] = r_i(h) * scale`` and ``weighted[i][j] = w_j * p_ij``, so
+        a row holding ``h`` cells of weighted sum ``v`` scores ``rates[i][h] *
+        v``, its fitness times ``scale``.  Computed on first use and kept on
+        the instance; it is no dataclass field, so equality, hashing and
+        ``repr`` ignore it, and ``dataclasses.replace`` computes it afresh.
+        """
+        scale = lcm(*(v.denominator for t in self.suppression for v in t.values))
+        # scale is a multiple of every denominator, so this is int(v * scale)
+        # without a Fraction multiply
+        rates = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in t.values)
+            for t in self.suppression
+        )
+        weighted = tuple(
+            tuple(w * p for w, p in zip(self.weights, row)) for row in self.preferences
+        )
+        return scale, rates, weighted
 
 
 @dataclass(frozen=True)
@@ -277,23 +309,23 @@ def check_matrix(inst: Instance, matrix: AssignmentMatrix) -> AssignmentMatrix:
 def evaluate_fitness(inst: Instance, matrix: AssignmentMatrix) -> Fraction:
     """Exact fitness F(M) of the matrix for the instance.
 
-    Runs in O(n * k): each row contributes ``r_i(h_i)`` times the sum of
-    ``w[j] * p[i][j]`` over its assigned cells.
+    Runs in O(n * k): each nonempty row contributes ``r_i(h_i)`` times the
+    sum ``v_i`` of ``w[j] * p[i][j]`` over its assigned cells.  The sum is
+    taken in integers over ``L``, the least common multiple of the
+    denominators of the rates used, and ``Fraction(sum(r_i(h_i) * L * v_i),
+    L)`` is built once.  It reads the instance's fields only, never
+    :attr:`Instance.scaled`, so it checks the solvers' scaled totals
+    independently.
     """
     check_matrix(inst, matrix)
-    total = Fraction(0)
     weights = inst.weights
-    for i, row in enumerate(matrix.entries):
+    terms = []
+    for row, prefs, table in zip(matrix.entries, inst.preferences, inst.suppression):
         h = sum(row)
-        if h == 0:
-            continue
-        prefs = inst.preferences[i]
-        weighted = 0
-        for j, m in enumerate(row):
-            if m:
-                weighted += weights[j] * prefs[j]
-        total += inst.suppression[i][h] * weighted
-    return total
+        if h:
+            terms.append((table[h], sum(compress(map(mul, weights, prefs), row))))
+    scale = lcm(*{r.denominator for r, _ in terms})
+    return Fraction(sum(r.numerator * (scale // r.denominator) * v for r, v in terms), scale)
 
 
 def check_feasibility(inst: Instance, matrix: AssignmentMatrix) -> FeasibilityReport:

@@ -55,7 +55,10 @@ EXHAUSTIVE_SPACE = 4096
 
 # the fit's level tables hold (max_h + 1)^2 * (grid + 1)^2 cells, and each step
 # of their build works on distinct responder (campaign, preference) x max_h x
-# (grid + 1), linear in the input; a fit over either is refused up front
+# (grid + 1), linear in the input; a fit over either is refused up front.  A
+# climb pass looks up max_h x (grid + 1) x (2 * max_h + 1) cells, the pairs
+# that mention each level it moves, so it does at most about twice the
+# table's cells of work
 TABLE_CELL_LIMIT = 10**7
 
 # above EXHAUSTIVE_SPACE the climb starts from the all-ones table and from
@@ -168,24 +171,35 @@ def _climb(
     move increases the lexicographic objective ``(count, levels)``, which
     bounds the climb and guarantees termination.
 
-    A step scores its range as one levels matrix in :func:`_satisfied`, in
-    descending level order, so the first maximum is the largest level among
-    the best counts.
+    Moving ``r(h)`` changes only the ``2 * max_h + 1`` level pairs that
+    mention ``h``: ``(h, b)`` for every ``b`` and ``(a, h)`` for ``a != h``.
+    A step looks those up for its whole range in one gather, in descending
+    level order, so the first maximum is the largest level among the best
+    counts; the current level is in the range, and a move adds the
+    difference of the two sums to the count.
     """
     best = int(_satisfied(tables, np.array([levels]))[0])
+    size = len(levels)
+    every = np.broadcast_to(np.arange(size), (size, size))
+    column = every.T
+    # row h of pair_a, pair_b: the level pairs that mention h
+    others = every[~np.eye(size, dtype=bool)].reshape(size, size - 1)
+    pair_a = np.hstack([column, others])
+    pair_b = np.hstack([every, column[:, 1:]])
     changed = True
     while changed:
         changed = False
-        for h in range(1, len(levels)):
-            lo = levels[h + 1] if monotone and h + 1 < len(levels) else 0
+        for h in range(1, size):
+            lo = levels[h + 1] if monotone and h + 1 < size else 0
             hi = levels[h - 1] if monotone and h > 1 else grid
+            a, b = pair_a[h], pair_b[h]
             sweep = np.tile(levels, (hi - lo + 1, 1))
             sweep[:, h] = np.arange(hi, lo - 1, -1)
-            counts = _satisfied(tables, sweep)
-            top = int(np.argmax(counts))
+            mentions = tables[a, b, sweep[:, a], sweep[:, b]].sum(axis=1)
+            top = int(np.argmax(mentions))
             if hi - top != levels[h]:
+                best += int(mentions[top] - mentions[hi - levels[h]])
                 levels[h] = hi - top
-                best = int(counts[top])
                 changed = True
     return best, levels
 

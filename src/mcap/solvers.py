@@ -34,9 +34,11 @@ Heuristic routes (no optimality guarantee, always feasible):
   so each step is O(nk).
 
 Internally every solver scores with plain integers: every suppression value
-is multiplied by the least common denominator of all table entries
-(:func:`_scaled`), so row scores and move gains (:func:`_gain`) are exact
-integers and no inner loop does Fraction arithmetic.  The scale is positive,
+is multiplied by the least common denominator of all table entries, so row
+scores and move gains (:func:`_gain`) are exact integers and no inner loop
+does Fraction arithmetic.  :attr:`mcap.core.Instance.scaled` computes these
+integers once per instance and keeps them, so ``auto`` and ``bench``, which
+run several solvers on one instance, scale it once.  The scale is positive,
 so every comparison, heap order and tie is the same as for the unscaled
 fitness.  The DP keeps its keys in the narrowest signed integer dtype that
 holds its negative ``floor``, the bit just above a precomputed bound (the
@@ -45,7 +47,8 @@ subset mask bits: int8, int16, int32 or int64, and ``dtype=object`` arrays
 of Python integers beyond int64.  No key and no scalar of the sweep leaves
 that type's range, so no width overflows.  Every solver passes its own
 scaled total, as a Fraction, to the final check: the returned fitness is
-recomputed from the matrix with :func:`mcap.core.evaluate_fitness` and must
+recomputed from the matrix with :func:`mcap.core.evaluate_fitness`, which
+sums in integers of its own and never reads ``Instance.scaled``, and must
 equal it.
 
 All solvers are deterministic: every tie-breaking rule is fixed and
@@ -60,7 +63,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm, prod
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -100,25 +104,7 @@ class SolveResult:
     stats: SolveStats
 
 
-def _scaled(inst: Instance) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The instance's scores as exact integers: ``(scale, rates, weighted)``.
-
-    ``scale`` is the least common denominator of every suppression value,
-    ``rates[i][h] = r_i(h) * scale`` and ``weighted[i][j] = w_j * p_ij``, so
-    a row holding ``h`` cells of weighted sum ``v`` scores ``rates[i][h] *
-    v``, its fitness times ``scale``.
-    """
-    scale = lcm(*(v.denominator for t in inst.suppression for v in t.values))
-    # scale is a multiple of every denominator, so this is int(v * scale)
-    # without a Fraction multiply
-    rates = [
-        [v.numerator * (scale // v.denominator) for v in t.values] for t in inst.suppression
-    ]
-    weighted = [[w * p for w, p in zip(inst.weights, row)] for row in inst.preferences]
-    return scale, rates, weighted
-
-
-def _gain(rates_i: list[int], value: int, h: int, delta: int, step: int) -> int:
+def _gain(rates_i: Sequence[int], value: int, h: int, delta: int, step: int) -> int:
     """Scaled score change of a row when one cell joins (``step = 1``) or leaves (``-1``).
 
     The row holds ``h`` cells of weighted sum ``value``; ``delta`` is the
@@ -128,7 +114,7 @@ def _gain(rates_i: list[int], value: int, h: int, delta: int, step: int) -> int:
 
 
 def _subset_scores(
-    weighted_prefs: list[int], rates: list[int], campaign_of_bit: list[int]
+    weighted_prefs: Sequence[int], rates: Sequence[int], campaign_of_bit: list[int]
 ) -> list[int]:
     """Scaled score of every campaign subset for one customer.
 
@@ -147,7 +133,7 @@ def _subset_scores(
 
 
 def _best_row(
-    weighted_i: list[int], rates_i: list[int], campaigns
+    weighted_i: Sequence[int], rates_i: Sequence[int], campaigns
 ) -> tuple[int, list[int]]:
     """The best scaled score of one row over subsets of ``campaigns``, and its cells.
 
@@ -204,7 +190,7 @@ def brute_force_solve(inst: Instance) -> SolveResult:
         raise GuardExceededError(
             f"brute force over {n}x{k} cells exceeds the {DEFAULT_BRUTE_FORCE_CELLS}-cell guard"
         )
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
     # bit (k-1-j) holds campaign j, so ascending masks enumerate rows in
     # lexicographic order of their '0'/'1' strings
     campaign_of_bit = [k - 1 - j for j in range(k)]
@@ -333,7 +319,7 @@ def dp_solve(inst: Instance) -> SolveResult:
     dp_guard(inst)
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
 
     # campaigns with a zero upper bound can never be assigned; subsets range
     # over the remaining ones only
@@ -431,7 +417,7 @@ def solve_constant_suppression(inst: Instance) -> SolveResult:
                 f"customer {i}: suppression is not constant for h >= 1"
             )
     n, k = inst.n, inst.k
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
     rows = [[0] * k for _ in range(n)]
     total = 0
     for j in range(k):
@@ -456,7 +442,7 @@ def solve_unbounded(inst: Instance) -> SolveResult:
     n, k = inst.n, inst.k
     if any(b != 0 for b in inst.lower_bounds) or any(b != n for b in inst.upper_bounds):
         raise PreconditionError("instance has nontrivial capacity bounds")
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
     rows = [[0] * k for _ in range(n)]
     total = 0
     for i in range(n):
@@ -494,7 +480,7 @@ def greedy_construct(inst: Instance) -> SolveResult:
     """
     started = time.perf_counter()
     n, k = inst.n, inst.k
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
     # campaigns by descending weighted preference; the sort is stable, so
     # equal preferences keep the smaller campaign first
     ranked = [sorted(range(k), key=lambda j: -row[j]) for row in weighted]
@@ -570,7 +556,7 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     started = time.perf_counter()
     n, k = inst.n, inst.k
     lower, upper = inst.lower_bounds, inst.upper_bounds
-    scale, rates, weighted = _scaled(inst)
+    scale, rates, weighted = inst.scaled
     rows = [list(row) for row in start.entries]
     h = [sum(row) for row in rows]
     row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -199,6 +200,83 @@ class TestEvaluateFitness:
         inst = two_campaign_instance()
         with pytest.raises(ValidationError, match="must be 0 or 1"):
             evaluate_fitness(inst, AssignmentMatrix(((2, 0),)))
+
+
+def per_row_fitness(inst, matrix):
+    """Fitness by one Fraction multiply-and-add per row: the oracle for the integer sum."""
+    total = Fraction(0)
+    for i, row in enumerate(matrix.entries):
+        h = sum(row)
+        if h:
+            prefs = inst.preferences[i]
+            total += inst.suppression[i][h] * sum(
+                w * p for w, p, m in zip(inst.weights, prefs, row) if m
+            )
+    return total
+
+
+# distinct primes, so any choice of them as denominators is pairwise coprime
+LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998_244_353, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+@st.composite
+def fitness_cases(draw):
+    """An instance and a matrix: int-valued tables, small grids or large coprime denominators."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+
+    def table():
+        kind = draw(st.sampled_from(("int", "grid", "coprime")))
+        if kind == "int":
+            return SuppressionTable((0, *(draw(st.integers(0, 1)) for _ in range(k))))
+        dens = st.sampled_from(LARGE_PRIMES) if kind == "coprime" else st.integers(1, 12)
+        values = []
+        for _ in range(k):
+            den = draw(dens)
+            values.append(Fraction(draw(st.integers(0, den)), den))
+        return SuppressionTable((Fraction(0), *values))
+
+    big = st.integers(0, 2**70)
+    inst = Instance(
+        n=n, k=k, weights=tuple(draw(big.map(lambda w: w + 1)) for _ in range(k)),
+        preferences=tuple(tuple(draw(big) for _ in range(k)) for _ in range(n)),
+        suppression=tuple(table() for _ in range(n)),
+        lower_bounds=(0,) * k, upper_bounds=(n,) * k,
+    )
+    if draw(st.booleans()):
+        return inst, AssignmentMatrix.zero(n, k)
+    cells = st.tuples(*(st.integers(0, 1) for _ in range(k)))
+    return inst, AssignmentMatrix(tuple(draw(cells) for _ in range(n)))
+
+
+@given(fitness_cases())
+@settings(max_examples=300, deadline=None)
+def test_fitness_matches_per_row_fractions(case):
+    inst, matrix = case
+    fitness = evaluate_fitness(inst, matrix)
+    assert type(fitness) is Fraction
+    assert fitness == per_row_fitness(inst, matrix)
+
+
+class TestScaled:
+    def test_computed_once(self):
+        inst = two_campaign_instance()
+        assert inst.scaled is inst.scaled
+
+    def test_cache_is_no_field(self):
+        inst, twin = two_campaign_instance(), two_campaign_instance()
+        before = (hash(inst), repr(inst))
+        inst.scaled  # fills the cache
+        assert "scaled" not in {f.name for f in fields(Instance)}
+        assert inst == twin
+        assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+
+    def test_replace_computes_afresh(self):
+        inst = two_campaign_instance()
+        scaled = inst.scaled
+        # scale 2: r = (0, 1, 1/2) -> (0, 2, 1); w * p = (4*5, 6*7)
+        assert replace(inst, weights=(4, 6)).scaled == (2, ((0, 2, 1),), ((20, 42),))
+        copy = replace(inst)
+        assert copy.scaled == scaled and copy.scaled is not scaled
 
 
 class TestCheckFeasibility:

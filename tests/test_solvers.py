@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 
 from mcap import generate, reduction, solvers
 from mcap.capacity import CapacityBox
+from mcap.cli import run_bench
 from mcap.core import (
     AssignmentMatrix,
     GuardExceededError,
@@ -271,7 +273,7 @@ def dense_dp_sweep(inst):
     """
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
-    scale, rates, weighted = solvers._scaled(inst)
+    scale, rates, weighted = inst.scaled
 
     # campaigns with a zero upper bound can never be assigned; subsets range
     # over the remaining ones only
@@ -412,7 +414,7 @@ def key_switch_instance(bound):
 ])
 def test_dp_matches_dense_sweep_at_key_dtype_switch(bound):
     inst = key_switch_instance(bound)
-    _, rates, weighted = solvers._scaled(inst)
+    _, rates, weighted = inst.scaled
     assert sum(solvers._best_row(row, r, [0, 1])[0] for row, r in zip(weighted, rates)) == bound
     assert_dp_matches_dense_sweep(inst)
     assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
@@ -517,7 +519,7 @@ def per_cell_greedy(inst):
     one.
     """
     n, k = inst.n, inst.k
-    _, rates, weighted = solvers._scaled(inst)
+    _, rates, weighted = inst.scaled
     rows = [[0] * k for _ in range(n)]
     h, row_value, cols = [0] * n, [0] * n, [0] * k
     total = 0
@@ -564,7 +566,7 @@ def test_greedy_matches_per_cell_heap(seed, n, k, pref_max, family, bounds):
     inst = generate.random_instance(
         seed=seed, n=n, k=k, pref_max=pref_max, family=family, bounds=bounds
     )
-    scale = solvers._scaled(inst)[0]
+    scale = inst.scaled[0]
     rows, total = per_cell_greedy(inst)
     result = greedy_construct(inst)
     assert result.matrix == AssignmentMatrix.from_rows(rows)
@@ -591,8 +593,18 @@ def test_scaled_rates_equal_fraction_products(levels):
         suppression=tuple(SuppressionTable((Fraction(0), *row)) for row in levels),
         lower_bounds=(0,) * k, upper_bounds=(0,) * k,
     ))
-    scale, rates, _ = solvers._scaled(inst)
-    assert rates == [[int(v * scale) for v in t.values] for t in inst.suppression]
+    scale, rates, _ = inst.scaled
+    assert rates == tuple(tuple(int(v * scale) for v in t.values) for t in inst.suppression)
+
+
+def test_run_bench_keeps_scaled():
+    # every solver runs on this instance and reads the one cached scaled form
+    inst = generate.random_instance(seed=3, n=4, k=3, family="constant", bounds="unbounded")
+    scaled = inst.scaled
+    rows = run_bench(inst)
+    assert not any("skipped" in row for row in rows)
+    assert inst.scaled is scaled
+    assert scaled == replace(inst).scaled
 
 
 def rescan_local_search(inst, start):
@@ -604,7 +616,7 @@ def rescan_local_search(inst, start):
     of the column, counting every partner it tries.
     """
     n, k = inst.n, inst.k
-    _, rates, weighted = solvers._scaled(inst)
+    _, rates, weighted = inst.scaled
     rows = [list(row) for row in start.entries]
     h = [sum(row) for row in rows]
     row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]
@@ -668,7 +680,7 @@ def test_local_search_matches_rescan(seed, n, k, pref_max, family, bounds, from_
         seed=seed, n=n, k=k, pref_max=pref_max, family=family, bounds=bounds
     )
     start = greedy_construct(inst).matrix if from_greedy else random_feasible_matrix(seed, inst)
-    scale = solvers._scaled(inst)[0]
+    scale = inst.scaled[0]
     rows, total, explored = rescan_local_search(inst, start)
     result = local_search(inst, start)
     assert result.matrix == AssignmentMatrix.from_rows(rows)
