@@ -9,11 +9,11 @@ Two independent estimation problems feed the assignment model:
   ``j``) pair this yields one strict condition ``p_i * r(h_i) > p_j *
   r(h_j)``, and :func:`fit_suppression` searches a grid-valued table for
   ``r`` that satisfies as many conditions as possible.  A condition
-  mentions two levels only, so the satisfied count is a sum over pairs
-  ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built once per fit from
-  the sorted outcome counts without listing a pair; the enumeration of small
-  spaces and each hill-climb step (one level ``r(h)`` swept over the grid)
-  score many candidate tables in one lookup.  :func:`categorize_customers`
+  mentions two levels ``h >= 1`` only (``r(0) = 0``), so the satisfied count
+  is a sum over pairs ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built
+  once per fit from the sorted outcome counts without listing a pair; small
+  spaces are enumerated in one gather, and a hill-climb step scores every
+  value of one level ``r(h)`` by slices.  :func:`categorize_customers`
   supplies the grouping (small seeded k-means over numeric profiles).
 
 * **Preferences.**  :func:`predict_preferences_cf` fills one missing entry
@@ -53,12 +53,12 @@ MIN_OVERLAP = 2
 # hill climbing, making small fits exactly optimal
 EXHAUSTIVE_SPACE = 4096
 
-# the fit's level tables hold (max_h + 1)^2 * (grid + 1)^2 cells, and each step
-# of their build works on distinct responder (campaign, preference) x max_h x
-# (grid + 1), linear in the input; a fit over either is refused up front.  A
-# climb pass looks up max_h x (grid + 1) x (2 * max_h + 1) cells, the pairs
-# that mention each level it moves, so it does at most about twice the
-# table's cells of work
+# the fit's level tables hold max_h^2 * (grid + 1)^2 cells, one per pair of
+# levels 1..max_h and pair of grid values, and each step of their build works
+# on distinct responder (campaign, preference) x max_h x (grid + 1), linear in
+# the input; a fit over either is refused up front.  A climb pass slices
+# max_h x (grid + 1) x (2 * max_h - 1) cells, the pairs that mention each
+# level it moves, so it does at most about twice the table's cells of work
 TABLE_CELL_LIMIT = 10**7
 
 # above EXHAUSTIVE_SPACE the climb starts from the all-ones table and from
@@ -102,16 +102,16 @@ class FitResult:
 def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     """Pairwise level tables: the satisfied count of a fit is a sum of lookups.
 
-    ``tables[a, b, x, y]`` counts the responder/non-responder pairs of a
-    campaign at ``h = a`` and ``h = b`` with ``p_i * x > p_j * y`` (read on
-    the diagonal ``x == y`` only when ``a == b``).  No pair is listed; they
-    are counted by sorting, as in Knight's method for Kendall's tau.  The
-    non-responders are sorted by ``(campaign rank * (max_h + 1) + h) * (top
-    + 1) + p``, a block of keys per campaign and level, with cumulative
-    counts.  For each ``x`` one ``searchsorted`` counts, for each distinct
-    responder ``(campaign, p)`` and block, the keys up to ``min((p*x - 1) //
-    y, top)`` (for ``y == 0``, the whole block when ``p*x > 0``), and the
-    responders' counts per level times those fill ``tables[:, 1:, x]``.
+    ``tables[a - 1, b - 1, x, y]`` counts the responder/non-responder pairs
+    of a campaign at ``h = a`` and ``h = b`` with ``p_i * x > p_j * y`` (read
+    on the diagonal ``x == y`` only when ``a == b``); ``r(0) = 0`` has none.
+    No pair is listed; they are counted by sorting, as in Knight's method for
+    Kendall's tau.  The non-responders are sorted by ``(campaign rank * max_h
+    + h - 1) * (top + 1) + p``, a block of keys per campaign and level, with
+    cumulative counts.  For each ``x`` one ``searchsorted`` counts, for each
+    distinct responder ``(campaign, p)`` and block, the keys up to ``min((p*x
+    - 1) // y, top)`` (for ``y == 0``, the whole block when ``p*x > 0``), and
+    the responders' counts per level times those fill ``tables[:, :, x]``.
     Entries are int64 when every key, product ``p * x``, each side's count
     sum and their product fit, and Python integers (``dtype=object``) if not.
     """
@@ -122,42 +122,42 @@ def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     for (campaign, preference, h, responded), count in counts.items():
         rank = ranks.setdefault(campaign, len(ranks))
         if responded:
-            yes.setdefault((rank, preference), [0] * (max_h + 1))[h] += count
+            yes.setdefault((rank, preference), [0] * max_h)[h - 1] += count
         else:
-            no.append(((rank * (max_h + 1) + h) * (top + 1) + preference, count))
+            no.append(((rank * max_h + h - 1) * (top + 1) + preference, count))
     no.sort()
     yes_total, no_total = sum(map(sum, yes.values())), sum(count for _, count in no)
-    key_end = len(ranks) * (max_h + 1) * (top + 1)
+    key_end = len(ranks) * max_h * (top + 1)
     largest = max(key_end, top * grid, yes_total, no_total, yes_total * no_total)
     dtype = np.int64 if largest < 2**63 else object
     keys = np.array([key for key, _ in no], dtype=dtype)
     cumulative = np.array([0, *(count for _, count in no)], dtype=dtype).cumsum()
-    weights = np.array(list(yes.values()), dtype=dtype).reshape(-1, max_h + 1).T
+    weights = np.array(list(yes.values()), dtype=dtype).reshape(-1, max_h).T
     column_rank, column_p = np.array(list(yes), dtype=dtype).reshape(-1, 2).T
     # base[b - 1, column] is the first key of the column's block at level b
-    base = (column_rank * (max_h + 1) + np.arange(1, max_h + 1)[:, None]) * (top + 1)
+    base = (column_rank * max_h + np.arange(max_h)[:, None]) * (top + 1)
     start = cumulative[np.searchsorted(keys, base)]
     divisors = np.arange(1, grid + 1, dtype=dtype)
     thresholds = np.empty((len(yes), grid + 1), dtype=dtype)
-    tables = np.zeros((max_h + 1, max_h + 1, grid + 1, grid + 1), dtype=dtype)
+    tables = np.zeros((max_h, max_h, grid + 1, grid + 1), dtype=dtype)
     for x in range(grid + 1):
         product = column_p * x
         thresholds[:, 0] = -1
         thresholds[product > 0, 0] = top
         thresholds[:, 1:] = np.minimum((product[:, None] - 1) // divisors, top)
         found = np.searchsorted(keys, base[:, :, None] + thresholds, side="right")
-        tables[:, 1:, x] = (weights @ (cumulative[found] - start[:, :, None])).swapaxes(0, 1)
+        tables[:, :, x] = (weights @ (cumulative[found] - start[:, :, None])).swapaxes(0, 1)
     return tables
 
 
 def _satisfied(tables: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The satisfied count of each row of the levels matrix ``levels``.
 
-    ``levels[row, h]`` is ``r(h) * grid``; every ``(a, b)`` pair's table is
-    looked up at the row's two levels, and the lookups add up.
+    ``levels[row, h - 1]`` is ``r(h) * grid``; one broadcast gather looks up
+    every level pair's table at the row's two levels, and the lookups add up.
     """
-    a, b = np.indices(tables.shape[:2]).reshape(2, -1)
-    return tables[a, b, levels[:, a], levels[:, b]].sum(axis=1)
+    h = np.arange(len(tables))
+    return tables[h[:, None], h, levels[:, :, None], levels[:, None, :]].sum((1, 2))
 
 
 def _climb(
@@ -171,37 +171,31 @@ def _climb(
     move increases the lexicographic objective ``(count, levels)``, which
     bounds the climb and guarantees termination.
 
-    Moving ``r(h)`` changes only the ``2 * max_h + 1`` level pairs that
-    mention ``h``: ``(h, b)`` for every ``b`` and ``(a, h)`` for ``a != h``.
-    A step looks those up for its whole range in one gather, in descending
-    level order, so the first maximum is the largest level among the best
-    counts; the current level is in the range, and a move adds the
-    difference of the two sums to the count.
+    Moving ``r(h)`` changes only the ``2 * max_h - 1`` level pairs that
+    mention ``h``: slices of ``(h, b)`` and ``(b, h)`` at each other level's
+    value, and the diagonal of ``(h, h)``, score all of its levels at once.
+    The first maximum over the range in descending order is the largest
+    level among the best counts; a move adds the difference of two scores.
     """
-    best = int(_satisfied(tables, np.array([levels]))[0])
+    levels = np.array(levels)
+    best = int(_satisfied(tables, levels[None])[0])
     size = len(levels)
-    every = np.broadcast_to(np.arange(size), (size, size))
-    column = every.T
-    # row h of pair_a, pair_b: the level pairs that mention h
-    others = every[~np.eye(size, dtype=bool)].reshape(size, size - 1)
-    pair_a = np.hstack([column, others])
-    pair_b = np.hstack([every, column[:, 1:]])
     changed = True
     while changed:
         changed = False
-        for h in range(1, size):
+        for h in range(size):
             lo = levels[h + 1] if monotone and h + 1 < size else 0
-            hi = levels[h - 1] if monotone and h > 1 else grid
-            a, b = pair_a[h], pair_b[h]
-            sweep = np.tile(levels, (hi - lo + 1, 1))
-            sweep[:, h] = np.arange(hi, lo - 1, -1)
-            mentions = tables[a, b, sweep[:, a], sweep[:, b]].sum(axis=1)
-            top = int(np.argmax(mentions))
-            if hi - top != levels[h]:
-                best += int(mentions[top] - mentions[hi - levels[h]])
-                levels[h] = hi - top
+            hi = levels[h - 1] if monotone and h > 0 else grid
+            rest = np.arange(size) != h
+            at = levels[rest]
+            mentions = tables[h, rest, :, at].sum(0) + tables[rest, h, at, :].sum(0)
+            mentions += tables[h, h].diagonal()
+            level = hi - int(np.argmax(mentions[lo : hi + 1][::-1]))
+            if level != levels[h]:
+                best += int(mentions[level] - mentions[levels[h]])
+                levels[h] = level
                 changed = True
-    return best, levels
+    return best, levels.tolist()
 
 
 def _check_fit_options(max_h: int, grid: int) -> None:
@@ -210,7 +204,7 @@ def _check_fit_options(max_h: int, grid: int) -> None:
         raise ValidationError(f"max_h must be >= 1, got {max_h}")
     if grid < 1:
         raise ValidationError(f"grid resolution must be >= 1, got {grid}")
-    cells = (max_h + 1) ** 2 * (grid + 1) ** 2
+    cells = max_h**2 * (grid + 1) ** 2
     if cells > TABLE_CELL_LIMIT:
         raise GuardExceededError(
             f"the fit needs {cells} table cells, over the {TABLE_CELL_LIMIT} limit"
@@ -241,8 +235,8 @@ def fit_suppression(
 
     Every count comes from the pairwise level tables of :func:`_tables`,
     built once per fit from the sorted outcome counts: a candidate's count
-    is one lookup per pair of levels.  They hold ``(max_h + 1)^2 * (grid +
-    1)^2`` cells, and each of the ``grid + 1`` steps of their build works on
+    is one lookup per pair of levels.  They hold ``max_h^2 * (grid + 1)^2``
+    cells, and each of the ``grid + 1`` steps of their build works on
     the distinct responder ``(campaign, preference)`` times ``max_h * (grid
     + 1)`` cells; over :data:`TABLE_CELL_LIMIT` either way, the fit raises
     :class:`GuardExceededError` before building anything.
@@ -273,24 +267,20 @@ def fit_suppression(
     if (grid + 1) ** max_h <= EXHAUSTIVE_SPACE:
         # descending enumeration: the first table reaching the maximum count
         # is automatically the lexicographically largest one
-        candidates = np.array([
-            (0, *combo)
-            for combo in itertools.product(range(grid, -1, -1), repeat=max_h)
-            if not monotone or all(combo[i] >= combo[i + 1] for i in range(max_h - 1))
-        ])
+        candidates = np.array(list(itertools.product(range(grid, -1, -1), repeat=max_h)))
+        if monotone:
+            candidates = candidates[(np.diff(candidates) <= 0).all(axis=1)]
         scores = _satisfied(tables, candidates)
         top = int(np.argmax(scores))
         best_count, best_levels = int(scores[top]), candidates[top].tolist()
     else:
         rng = random.Random(0)
-        starts = [[0] + [grid] * max_h]
+        starts = [[grid] * max_h]
         for _ in range(RESTARTS):
-            levels = [0] + [rng.randint(0, grid) for _ in range(max_h)]
-            if monotone:
-                levels[1:] = sorted(levels[1:], reverse=True)
-            starts.append(levels)
+            levels = [rng.randint(0, grid) for _ in range(max_h)]
+            starts.append(sorted(levels, reverse=True) if monotone else levels)
         best_count, best_levels = max(_climb(levels, tables, grid, monotone) for levels in starts)
-    table = SuppressionTable(tuple(Fraction(q, grid) for q in best_levels))
+    table = SuppressionTable((Fraction(0), *(Fraction(q, grid) for q in best_levels)))
     return FitResult(table=table, satisfied=best_count, total=total)
 
 
@@ -303,16 +293,20 @@ def categorize_customers(
 
     Profiles are clustered with seeded k-means; labels are renumbered
     densely in order of first appearance, so the result is deterministic
-    for a fixed seed.
+    for a fixed seed.  Profiles must be rows of finite numbers, all of one
+    length, and ``category_count`` an ``int`` (not ``bool``) of at least 1.
     """
     if len(profiles) == 0:
         raise ValidationError("no profiles to categorize")
-    if category_count < 1:
+    if _check_int(category_count, "category_count") < 1:
         raise ValidationError(f"category_count must be >= 1, got {category_count}")
-
-    points = np.asarray(profiles, dtype=float)
-    if points.ndim != 2:
-        raise ValidationError("profiles must all have the same number of features")
+    malformed = "profiles must be rows of finite numbers, all of one length"
+    try:
+        points = np.asarray(profiles, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{malformed}: {exc}") from exc
+    if points.ndim != 2 or not np.isfinite(points).all():
+        raise ValidationError(malformed)
     count = min(category_count, len(points))
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(len(points), size=count, replace=False)].copy()

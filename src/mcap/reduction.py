@@ -58,6 +58,11 @@ BooleanAssignment = tuple[bool, ...]
 # the size guard of sat_brute_force, read at call time
 DEFAULT_SAT_VARS = 24
 
+# reduce_3sat builds n * k = (2l + 3m)(m + l) preference cells, quadratic in
+# the formula; above this many it refuses before building any.  Read at call
+# time; SATLIB's uf100-430 needs 789,700
+REDUCTION_CELL_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -266,9 +271,18 @@ class ReducedInstance:
 
 
 def reduce_3sat(formula: CnfFormula) -> ReducedInstance:
-    """Build the assignment instance whose optimum decides the formula."""
+    """Build the assignment instance whose optimum decides the formula.
+
+    Raises :class:`GuardExceededError` before building anything when the
+    instance's ``n * k`` preference cells exceed :data:`REDUCTION_CELL_LIMIT`.
+    """
     l, m = formula.num_vars, len(formula.clauses)
     n, k = 2 * l + 3 * m, m + l
+    if n * k > REDUCTION_CELL_LIMIT:
+        raise GuardExceededError(
+            f"the reduction needs {n} customers x {k} campaigns = {n * k} cells, "
+            f"over the {REDUCTION_CELL_LIMIT} limit"
+        )
 
     # the row count at which each literal customer (the first 2l) responds
     responds_at = [1] * (2 * l)

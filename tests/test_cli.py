@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcap import cli, generate, io, solvers
+from mcap import cli, generate, io, reduction, solvers
 from mcap.cli import main
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable
 
@@ -354,6 +354,21 @@ class TestReductionFlow:
             "--out-instance", instance, "--out-sidecar", sidecar,
         )
         assert_one_error(captured, code, 2, "ValidationError")
+        assert not instance.exists() and not sidecar.exists()
+
+    def test_reduction_cell_guard_exit(self, capsys, tmp_path):
+        # a planted 200-variable, 840-clause CNF: 2,920 customers x 1,040
+        # campaigns = 3,036,800 cells, over the reduction's cell limit
+        formula, _ = generate.random_planted_formula(seed=1, num_vars=200, num_clauses=840)
+        cnf = tmp_path / "big.cnf"
+        cnf.write_text(reduction.format_dimacs(formula))
+        instance, sidecar = tmp_path / "i.json", tmp_path / "s.json"
+        code, captured = run(
+            capsys, "--format", "json", "reduce", "--cnf", cnf,
+            "--out-instance", instance, "--out-sidecar", sidecar,
+        )
+        assert_one_error(captured, code, 4, "GuardExceededError")
+        assert "3036800 cells" in json.loads(captured.out)["error"]["message"]
         assert not instance.exists() and not sidecar.exists()
 
     def test_embed_extract_verify_roundtrip(self, capsys, reduced_files, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -87,11 +88,14 @@ def pair_conditions(outcome_counts):
 
 
 def pair_tables(outcome_counts, max_h, grid):
-    """Oracle for ``_tables``: each listed pair's truth table of ``p_i*x > p_j*y``, weighted."""
-    tables = np.zeros((max_h + 1, max_h + 1, grid + 1, grid + 1), dtype=object)
+    """Oracle for ``_tables``: each listed pair's truth table of ``p_i*x > p_j*y``, weighted.
+
+    Level ``h`` is index ``h - 1``.
+    """
+    tables = np.zeros((max_h, max_h, grid + 1, grid + 1), dtype=object)
     levels = np.arange(grid + 1, dtype=object)
     for (p_i, h_i, p_j, h_j), mult in pair_conditions(outcome_counts).items():
-        tables[h_i, h_j] += (p_i * levels[:, None] > p_j * levels).astype(object) * mult
+        tables[h_i - 1, h_j - 1] += (p_i * levels[:, None] > p_j * levels).astype(object) * mult
     return tables
 
 
@@ -205,7 +209,7 @@ class TestFitSuppression:
         # campaign c (p 1 at two levels is one column) and p 1 of another
         # campaign; each step of the build works on 11 * max_h * (grid + 1)
         # = 44 cells at max_h 2, grid 1, while the level tables take
-        # 3^2 * 2^2 = 36
+        # 2^2 * 2^2 = 16
         history = counts(
             *(rec(p, 1, True) for p in range(1, 11)),
             rec(1, 2, True),
@@ -290,7 +294,7 @@ def table_cases(draw):
 def test_tables_match_pair_enumeration(case):
     outcome_counts, max_h, grid = case
     tables = _tables(outcome_counts, max_h, grid)
-    assert tables.shape == (max_h + 1, max_h + 1, grid + 1, grid + 1)
+    assert tables.shape == (max_h, max_h, grid + 1, grid + 1)
     assert np.array_equal(tables, pair_tables(outcome_counts, max_h, grid))
 
 
@@ -319,7 +323,12 @@ def recount(levels, conditions):
 
 
 def per_candidate_climb(levels, conditions, grid, monotone):
-    """Reference coordinate ascent: one full recount per candidate level."""
+    """Reference coordinate ascent: one full recount per candidate level.
+
+    ``levels`` holds ``r(1..max_h) * grid``; the fixed ``r(0) = 0`` is
+    prepended to count and dropped from the result.
+    """
+    levels = [0, *levels]
     best = recount(levels, conditions)
     changed = True
     while changed:
@@ -340,7 +349,7 @@ def per_candidate_climb(levels, conditions, grid, monotone):
             if top_level != current:
                 best = top_count
                 changed = True
-    return best, levels
+    return best, levels[1:]
 
 
 @st.composite
@@ -352,9 +361,9 @@ def climb_cases(draw):
     pref = st.one_of(st.integers(0, 9), st.integers(2**64, 2**66))
     h = st.integers(1, max_h)
     conditions = draw(st.dictionaries(st.tuples(pref, h, pref, h), st.integers(1, 5), max_size=30))
-    levels = [0] + draw(st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h))
+    levels = draw(st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h))
     if monotone:
-        levels[1:] = sorted(levels[1:], reverse=True)
+        levels.sort(reverse=True)
     return grid, max_h, monotone, conditions, levels
 
 
@@ -373,18 +382,32 @@ def test_climb_matches_per_candidate_loop(case):
 def test_table_counts_match_recount(case, data):
     grid, max_h, _, conditions, _ = case
     level_row = st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h)
-    levels = data.draw(st.lists(level_row.map(lambda r: [0, *r]), min_size=1, max_size=8))
+    levels = data.draw(st.lists(level_row, min_size=1, max_size=8))
     counts = _satisfied(_tables(condition_counts(conditions), max_h, grid), np.array(levels))
-    assert [int(c) for c in counts] == [recount(row, conditions) for row in levels]
+    assert [int(c) for c in counts] == [recount([0, *row], conditions) for row in levels]
 
 
 def test_table_guard():
-    # (max_h + 1)^2 * (grid + 1)^2 cells: max_h=4 allows grids up to 631
+    # max_h^2 * (grid + 1)^2 cells: max_h=4 allows grids up to 789
     history = counts(rec(1, 1, True), rec(1, 3, False))
-    assert fit_suppression(history, max_h=4, grid=631).satisfied == 1
-    assert 25 * 632**2 <= TABLE_CELL_LIMIT < 25 * 633**2
+    assert fit_suppression(history, max_h=4, grid=789).satisfied == 1
+    assert 16 * 790**2 <= TABLE_CELL_LIMIT < 16 * 791**2
     with pytest.raises(GuardExceededError, match="table cells"):
-        fit_suppression(history, max_h=4, grid=632)
+        fit_suppression(history, max_h=4, grid=790)
+
+
+def test_climb_memory_stays_below_all_pairs():
+    # max_h 300, grid 1: 2.7 MB of tables; a step slices the 599 level pairs
+    # that mention its level, and a start's count is one broadcast gather
+    # (all-pairs index arrays for that count took 3.7 MB)
+    tables = _tables(counts(rec(1, 1, True), rec(1, 2, False)), max_h=300, grid=1)
+    tracemalloc.start()
+    try:
+        assert _climb([1] * 300, tables, grid=1, monotone=False) == (1, [1, 0] + [1] * 298)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def seeded_history(seed, count=4500, max_h=4, campaigns=4):
@@ -437,6 +460,23 @@ class TestCategorize:
     def test_empty_profiles(self):
         with pytest.raises(ValidationError, match="no profiles"):
             categorize_customers([], 2)
+
+    @pytest.mark.parametrize("profiles, category_count, message", [
+        ([(0.0, 1.0), (2.0,)], 2, "rows of finite numbers"),
+        ([(0.0,), ("x",)], 2, "rows of finite numbers"),
+        ([(0.0,), 1.0], 2, "rows of finite numbers"),
+        ([0.0, 1.0], 2, "rows of finite numbers"),
+        ([(0.0,), (None,)], 2, "rows of finite numbers"),  # NumPy reads None as NaN
+        ([(float("inf"),), (1.0,)], 2, "rows of finite numbers"),
+        ([(float("nan"),), (1.0,)], 2, "rows of finite numbers"),
+        ([(0.0,), (1.0,)], 1.5, "must be an integer"),
+        ([(0.0,), (1.0,)], True, "must be an integer"),
+        ([(0.0,), (1.0,)], "2", "must be an integer"),
+        ([(0.0,), (1.0,)], 0, ">= 1"),
+    ])
+    def test_malformed_input(self, profiles, category_count, message):
+        with pytest.raises(ValidationError, match=message):
+            categorize_customers(profiles, category_count)
 
 
 class TestCollaborativeFiltering:
@@ -617,7 +657,7 @@ class TestFitCategories:
     @pytest.mark.parametrize("options, error, message", [
         ({"max_h": 0}, ValidationError, "max_h"),
         ({"max_h": 2, "grid": 0}, ValidationError, "grid"),
-        ({"max_h": 4, "grid": 632}, GuardExceededError, "table cells"),
+        ({"max_h": 4, "grid": 790}, GuardExceededError, "table cells"),
     ])
     def test_empty_history_checks_options(self, options, error, message):
         with pytest.raises(error, match=message):

@@ -236,6 +236,18 @@ class TestReduce:
             canonical = CnfFormula(4, tuple(tuple(sorted(cl, key=abs)) for cl in formula.clauses))
             assert recover_reduction(reduce_3sat(formula).instance) == reduce_3sat(canonical)
 
+    def test_cell_guard(self, monkeypatch):
+        # four clauses over three variables: 18 customers x 7 campaigns
+        inst = reduce_3sat(four_clause_formula()).instance
+        monkeypatch.setattr(reduction, "REDUCTION_CELL_LIMIT", 126)
+        assert recover_reduction(inst).instance == inst
+        monkeypatch.setattr(reduction, "REDUCTION_CELL_LIMIT", 125)
+        with pytest.raises(GuardExceededError, match="18 customers x 7 campaigns = 126 cells"):
+            reduce_3sat(four_clause_formula())
+        # embed, extract and verify rebuild the reduction, so they refuse it too
+        with pytest.raises(GuardExceededError, match="over the 125 limit"):
+            recover_reduction(inst)
+
 
 class TestEmbed:
     def test_all_true_reaches_threshold(self):
