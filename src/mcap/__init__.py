@@ -1,5 +1,5 @@
 """Multicampaign assignment: exact/heuristic solvers, a 3-CNF reduction
-harness, and learning of response-suppression tables and preferences."""
+harness, and learning of response-suppression tables."""
 
 from .capacity import CapacityBox
 from .core import (
@@ -19,13 +19,7 @@ from .core import (
     validate_instance,
 )
 from .generate import random_instance, random_planted_formula
-from .learning import (
-    FitResult,
-    RatingsMatrix,
-    categorize_customers,
-    fit_suppression,
-    predict_preferences_cf,
-)
+from .learning import FitResult, fit_suppression
 from .reduction import (
     BooleanAssignment,
     CnfFormula,
@@ -64,7 +58,6 @@ __all__ = [
     "InternalCheckError",
     "McapError",
     "PreconditionError",
-    "RatingsMatrix",
     "ReducedInstance",
     "ReductionLayout",
     "SolveResult",
@@ -72,7 +65,6 @@ __all__ = [
     "SuppressionTable",
     "ValidationError",
     "brute_force_solve",
-    "categorize_customers",
     "check_feasibility",
     "check_matrix",
     "dp_solve",
@@ -83,7 +75,6 @@ __all__ = [
     "greedy_construct",
     "local_search",
     "parse_dimacs",
-    "predict_preferences_cf",
     "random_instance",
     "random_planted_formula",
     "reduce_3sat",

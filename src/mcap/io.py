@@ -140,7 +140,16 @@ def matrix_from_dict(data: dict) -> AssignmentMatrix:
 
 
 def dump_json(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    """Write ``data`` to ``path`` as indented JSON and a newline.
+
+    The text is streamed, never held whole: near the reduction's cell limit
+    it would be several times the size of ``data``.  Callers build ``data``
+    from JSON types only before the file is opened, so serialising it
+    cannot fail half-way and leave a partial file.
+    """
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(data, fp, indent=2)
+        fp.write("\n")
 
 
 def read_text(path: str | Path) -> str:

@@ -1,53 +1,41 @@
-"""Learning the inputs: suppression tables from history, preferences via CF.
+"""Learning the inputs: response suppression tables from history.
 
-Two independent estimation problems feed the assignment model:
+A response history counts single-campaign outcomes, which are added up per
+customer category; within a category, a responder should look more
+attractive than a non-responder after suppression.  For every campaign and
+every (responder ``i``, non-responder ``j``) pair this yields one strict
+condition ``p_i * r(h_i) > p_j * r(h_j)``, and :func:`fit_suppression`
+searches a grid-valued table for ``r`` that satisfies as many conditions as
+possible.  A condition mentions two levels ``h >= 1`` only (``r(0) = 0``), so
+the satisfied count is a sum over pairs ``(h_i, h_j)`` of ``(grid+1) x
+(grid+1)`` tables, built once per fit from the sorted outcome counts without
+listing a pair; small spaces are enumerated in one gather, and a hill-climb
+step scores every value of one level ``r(h)`` by slices.  The categories come
+from the caller's labels (:func:`fit_categories`).
 
-* **Response suppression.**  A response history counts single-campaign
-  outcomes, which are added up per customer category; within a category, a
-  responder should look more attractive than a non-responder after
-  suppression.  For every campaign and every (responder ``i``, non-responder
-  ``j``) pair this yields one strict condition ``p_i * r(h_i) > p_j *
-  r(h_j)``, and :func:`fit_suppression` searches a grid-valued table for
-  ``r`` that satisfies as many conditions as possible.  A condition
-  mentions two levels ``h >= 1`` only (``r(0) = 0``), so the satisfied count
-  is a sum over pairs ``(h_i, h_j)`` of ``(grid+1) x (grid+1)`` tables, built
-  once per fit from the sorted outcome counts without listing a pair; small
-  spaces are enumerated in one gather, and a hill-climb step scores every
-  value of one level ``r(h)`` by slices.  :func:`categorize_customers`
-  supplies the grouping (small seeded k-means over numeric profiles).
-
-* **Preferences.**  :func:`predict_preferences_cf` fills one missing entry
-  of a sparse ratings matrix by nearest-neighbor collaborative filtering:
-  cosine similarity over co-rated campaigns, weighted average over the most
-  similar customers who rated the target campaign.
-
-Everything is deterministic: the fit's random starts come from a fixed seed
-and k-means takes one as an argument; condition evaluation is exact
-integer arithmetic (a grid value ``q/Q`` satisfies ``p_i*q_i > p_j*q_j``
-independently of ``Q``).
+Everything is deterministic: the fit's random starts come from a fixed seed,
+and condition evaluation is exact integer arithmetic (a grid value ``q/Q``
+satisfies ``p_i*q_i > p_j*q_j`` independently of ``Q``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import GuardExceededError, PreconditionError, SuppressionTable, ValidationError
+from .core import GuardExceededError, SuppressionTable, ValidationError
 from .io import parse_int
 
 CustomerId = int | str
 CampaignId = int | str
 
 DEFAULT_GRID = 20
-DEFAULT_NEIGHBORS = 10
-MIN_OVERLAP = 2
 
 # up to this many candidate tables the fit enumerates them all instead of
 # hill climbing, making small fits exactly optimal
@@ -282,156 +270,6 @@ def fit_suppression(
         best_count, best_levels = max(_climb(levels, tables, grid, monotone) for levels in starts)
     table = SuppressionTable((Fraction(0), *(Fraction(q, grid) for q in best_levels)))
     return FitResult(table=table, satisfied=best_count, total=total)
-
-
-def categorize_customers(
-    profiles: Sequence[Sequence[float]],
-    category_count: int,
-    seed: int = 0,
-) -> list[int]:
-    """Partition customers into at most ``category_count`` categories.
-
-    Profiles are clustered with seeded k-means; labels are renumbered
-    densely in order of first appearance, so the result is deterministic
-    for a fixed seed.  Profiles must be rows of finite numbers, all of one
-    length, and ``category_count`` an ``int`` (not ``bool``) of at least 1.
-    """
-    if len(profiles) == 0:
-        raise ValidationError("no profiles to categorize")
-    if _check_int(category_count, "category_count") < 1:
-        raise ValidationError(f"category_count must be >= 1, got {category_count}")
-    malformed = "profiles must be rows of finite numbers, all of one length"
-    try:
-        points = np.asarray(profiles, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{malformed}: {exc}") from exc
-    if points.ndim != 2 or not np.isfinite(points).all():
-        raise ValidationError(malformed)
-    count = min(category_count, len(points))
-    rng = np.random.default_rng(seed)
-    centers = points[rng.choice(len(points), size=count, replace=False)].copy()
-    assignment = None
-    for _ in range(100):
-        distances = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        nearest = distances.argmin(axis=1)
-        if assignment is not None and np.array_equal(nearest, assignment):
-            break
-        assignment = nearest
-        for c in range(count):
-            members = points[assignment == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-
-    dense: dict[int, int] = {}
-    out = []
-    for c in assignment:
-        dense.setdefault(int(c), len(dense))
-        out.append(dense[int(c)])
-    return out
-
-
-@dataclass(frozen=True)
-class RatingsMatrix:
-    """Sparse observed preferences: ``rows[customer][campaign] = rating``.
-
-    Every rating is a nonnegative ``int`` (``bool`` is not one).
-    """
-
-    rows: Mapping[CustomerId, Mapping[CampaignId, int]]
-
-    @classmethod
-    def from_triplets(
-        cls, triplets: Sequence[tuple[CustomerId, CampaignId, int]]
-    ) -> "RatingsMatrix":
-        rows: dict[CustomerId, dict[CampaignId, int]] = {}
-        for customer, campaign, rating in triplets:
-            _check_int(rating, f"rating for ({customer!r}, {campaign!r})")
-            if rating < 0:
-                raise ValidationError(
-                    f"rating for ({customer!r}, {campaign!r}) must be nonnegative"
-                )
-            row = rows.setdefault(customer, {})
-            if campaign in row:
-                raise ValidationError(
-                    f"duplicate rating for ({customer!r}, {campaign!r})"
-                )
-            row[campaign] = rating
-        return cls(rows=rows)
-
-    def all_ratings(self) -> list[int]:
-        return [v for row in self.rows.values() for v in row.values()]
-
-
-def _round_half_up(value: Fraction) -> int:
-    return math.floor(value + Fraction(1, 2))
-
-
-def _similarity(
-    a: Mapping[CampaignId, int], b: Mapping[CampaignId, int]
-) -> tuple[Fraction, float] | None:
-    """``(cosine^2, cosine)`` over the co-rated campaigns, or ``None``.
-
-    ``None`` unless the overlap is at least :data:`MIN_OVERLAP` and the dot
-    product is positive.  The exact square ``dot^2 / (|a|^2 |b|^2)`` ranks
-    neighbors; the float cosine only weighs their votes.
-    """
-    shared = sorted(set(a) & set(b), key=str)
-    if len(shared) < MIN_OVERLAP:
-        return None
-    dot = sum(a[c] * b[c] for c in shared)
-    if dot <= 0:
-        return None
-    square_a = sum(a[c] ** 2 for c in shared)
-    square_b = sum(b[c] ** 2 for c in shared)
-    cosine = dot / (math.sqrt(square_a) * math.sqrt(square_b))
-    return Fraction(dot * dot, square_a * square_b), cosine
-
-
-def predict_preferences_cf(
-    ratings: RatingsMatrix,
-    customer: CustomerId,
-    campaign: CampaignId,
-    neighbors: int = DEFAULT_NEIGHBORS,
-) -> int:
-    """Predict one missing rating by nearest-neighbor collaborative filtering.
-
-    Neighbors need a co-rating overlap of at least 2 with the target and
-    strictly positive cosine similarity; among them, the ``neighbors`` most
-    similar ones who rated the target campaign vote with similarity weights.
-    Neighbors are ranked by exact similarity (the squared cosine as a
-    ``Fraction``), ties by customer id as a string, so no float rounding
-    decides who votes.
-    The weighted average is rounded half-up.  Fallbacks when no neighbor
-    qualifies: the target's mean rating, then the global mean, then 0.
-    ``neighbors`` must be an ``int`` (not ``bool``) of at least 1.
-    """
-    if _check_int(neighbors, "neighbors") < 1:
-        raise ValidationError(f"neighbors must be >= 1, got {neighbors}")
-    target_row = ratings.rows.get(customer, {})
-    if campaign in target_row:
-        raise PreconditionError(
-            f"({customer!r}, {campaign!r}) is already rated; nothing to predict"
-        )
-    scored = []
-    for other, row in ratings.rows.items():
-        if other == customer or campaign not in row:
-            continue
-        similarity = _similarity(target_row, row)
-        if similarity is not None:
-            scored.append((*similarity, other, row[campaign]))
-    # deterministic neighbor ranking: exact similarity desc, then customer id
-    scored.sort(key=lambda s: (-s[0], str(s[2])))
-    top = scored[:neighbors]
-    if top:
-        num = sum(Fraction(sim).limit_denominator(10**9) * r for _, sim, _, r in top)
-        den = sum(Fraction(sim).limit_denominator(10**9) for _, sim, _, _ in top)
-        return _round_half_up(num / den)
-    if target_row:
-        return _round_half_up(Fraction(sum(target_row.values()), len(target_row)))
-    everything = ratings.all_ratings()
-    if everything:
-        return _round_half_up(Fraction(sum(everything), len(everything)))
-    return 0
 
 
 def _record_id(value, what: str) -> CustomerId:

@@ -1,10 +1,11 @@
+import json
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from mcap import io
+from mcap import cli, generate, io, reduction
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable, ValidationError
 from strategies import instance_matrix_pairs, instances
 
@@ -117,10 +118,44 @@ def test_load_json_rejects_garbage(tmp_path):
         io.load_json(path)
 
 
-def test_written_files_end_with_newline(tmp_path):
-    path = tmp_path / "m.json"
-    io.write_matrix(AssignmentMatrix(((1,),)), path)
-    assert path.read_text().endswith("\n")
+def test_written_files_end_with_newline(tmp_path, capsys):
+    # every writer streams the bytes of json.dumps(data, indent=2) and a newline
+    def assert_written(path, data):
+        assert path.read_bytes() == (json.dumps(data, indent=2) + "\n").encode()
+
+    matrix = AssignmentMatrix(((1,),))
+    io.write_matrix(matrix, tmp_path / "m.json")
+    assert_written(tmp_path / "m.json", io.matrix_to_dict(matrix))
+
+    inst = generate.random_instance(seed=3, n=12, k=3)
+    io.write_instance(inst, tmp_path / "gen.json")
+    assert_written(tmp_path / "gen.json", io.instance_to_dict(inst))
+
+    formula, _ = generate.random_planted_formula(1, 5, 8)
+    (tmp_path / "f.cnf").write_text(reduction.format_dimacs(formula))
+    assert cli.main([
+        "reduce", "--cnf", str(tmp_path / "f.cnf"),
+        "--out-instance", str(tmp_path / "red.json"),
+        "--out-sidecar", str(tmp_path / "side.json"),
+    ]) == 0
+    red = reduction.reduce_3sat(formula)
+    assert_written(tmp_path / "red.json", io.instance_to_dict(red.instance))
+    assert_written(tmp_path / "side.json", reduction.sidecar_dict(red))
+
+    records = [
+        {"customer": c, "campaign": "c", "preference": c, "h": 1 + c % 2, "responded": c % 3 == 0}
+        for c in range(12)
+    ]
+    io.dump_json(records, tmp_path / "records.json")
+    assert_written(tmp_path / "records.json", records)
+    capsys.readouterr()
+    assert cli.main([
+        "--format", "json", "fit", "--records", str(tmp_path / "records.json"),
+        "--max-h", "2", "--out", str(tmp_path / "fit.json"),
+    ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report.pop("out") == str(tmp_path / "fit.json")
+    assert_written(tmp_path / "fit.json", report)
 
 
 @pytest.mark.parametrize("content", [

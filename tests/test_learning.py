@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from mcap.core import GuardExceededError, PreconditionError, SuppressionTable, ValidationError
+import mcap
+from mcap import learning
+from mcap.core import GuardExceededError, SuppressionTable, ValidationError
 from mcap.learning import (
     TABLE_CELL_LIMIT,
     FitResult,
-    RatingsMatrix,
-    categorize_customers,
     fit_categories,
     fit_suppression,
-    predict_preferences_cf,
     records_from_json,
     _climb,
     _satisfied,
@@ -441,160 +440,6 @@ def test_hill_climb_matches_recorded_fit(seed, monotone):
     assert (tuple(str(v) for v in result.table.values), result.satisfied) == (table, satisfied)
 
 
-class TestCategorize:
-    def test_single_category(self):
-        assert categorize_customers([(0.0,), (5.0,), (9.0,)], 1) == [0, 0, 0]
-
-    def test_separated_clusters(self):
-        profiles = [(0.0, 0.0), (0.1, 0.0), (10.0, 10.0), (10.1, 10.0)]
-        labels = categorize_customers(profiles, 2, seed=5)
-        assert labels[0] == labels[1] != labels[2] == labels[3]
-        assert labels[0] == 0  # dense renumbering starts at first customer
-
-    def test_deterministic(self):
-        profiles = [(float(i % 3), float(i % 5)) for i in range(12)]
-        assert categorize_customers(profiles, 3, seed=1) == categorize_customers(
-            profiles, 3, seed=1
-        )
-
-    def test_empty_profiles(self):
-        with pytest.raises(ValidationError, match="no profiles"):
-            categorize_customers([], 2)
-
-    @pytest.mark.parametrize("profiles, category_count, message", [
-        ([(0.0, 1.0), (2.0,)], 2, "rows of finite numbers"),
-        ([(0.0,), ("x",)], 2, "rows of finite numbers"),
-        ([(0.0,), 1.0], 2, "rows of finite numbers"),
-        ([0.0, 1.0], 2, "rows of finite numbers"),
-        ([(0.0,), (None,)], 2, "rows of finite numbers"),  # NumPy reads None as NaN
-        ([(float("inf"),), (1.0,)], 2, "rows of finite numbers"),
-        ([(float("nan"),), (1.0,)], 2, "rows of finite numbers"),
-        ([(0.0,), (1.0,)], 1.5, "must be an integer"),
-        ([(0.0,), (1.0,)], True, "must be an integer"),
-        ([(0.0,), (1.0,)], "2", "must be an integer"),
-        ([(0.0,), (1.0,)], 0, ">= 1"),
-    ])
-    def test_malformed_input(self, profiles, category_count, message):
-        with pytest.raises(ValidationError, match=message):
-            categorize_customers(profiles, category_count)
-
-
-class TestCollaborativeFiltering:
-    def test_identical_neighbor_votes_its_rating(self):
-        ratings = RatingsMatrix.from_triplets(
-            [
-                ("t", "a", 4), ("t", "b", 2),
-                ("n", "a", 4), ("n", "b", 2), ("n", "x", 7),
-            ]
-        )
-        assert predict_preferences_cf(ratings, "t", "x") == 7
-
-    def test_equal_similarities_average(self):
-        ratings = RatingsMatrix.from_triplets(
-            [
-                ("t", "a", 3), ("t", "b", 3),
-                ("n1", "a", 3), ("n1", "b", 3), ("n1", "x", 4),
-                ("n2", "a", 6), ("n2", "b", 6), ("n2", "x", 6),
-            ]
-        )
-        # both neighbors have cosine 1 with the target
-        assert predict_preferences_cf(ratings, "t", "x") == 5
-
-    def test_rounds_half_up(self):
-        ratings = RatingsMatrix.from_triplets(
-            [
-                ("t", "a", 3), ("t", "b", 3),
-                ("n1", "a", 3), ("n1", "b", 3), ("n1", "x", 4),
-                ("n2", "a", 6), ("n2", "b", 6), ("n2", "x", 5),
-            ]
-        )
-        assert predict_preferences_cf(ratings, "t", "x") == 5  # 4.5 rounds up
-
-    def test_neighbor_cap(self):
-        triplets = [("t", "a", 5), ("t", "b", 5)]
-        for i in range(12):
-            triplets += [(f"n{i}", "a", 5), (f"n{i}", "b", 5), (f"n{i}", "x", i)]
-        ratings = RatingsMatrix.from_triplets(triplets)
-        capped = predict_preferences_cf(ratings, "t", "x", neighbors=1)
-        # all similarities are 1.0; the id tie-break picks "n0"
-        assert capped == 0
-
-    def test_exact_similarity_tie_goes_to_customer_id(self):
-        # both neighbors have cosine exactly 1, though the float cosines
-        # read 0.9999999999999998 for n1 and 0.9999999999999999 for n2; the id
-        # rule picks n1
-        ratings = RatingsMatrix.from_triplets(
-            [
-                ("t", "a", 1), ("t", "b", 2),
-                ("n1", "a", 1), ("n1", "b", 2), ("n1", "x", 9),
-                ("n2", "a", 3), ("n2", "b", 6), ("n2", "x", 1),
-            ]
-        )
-        assert predict_preferences_cf(ratings, "t", "x", neighbors=1) == 9
-
-    @pytest.mark.parametrize("neighbors", [-1, -2, 0, True, 1.5, "2"])
-    def test_neighbors_must_be_a_positive_int(self, neighbors):
-        # unchecked, the slice of ranked neighbours would read -1 as all but
-        # the least similar (n3), 0 as no voter at all (the target-mean
-        # fallback) and True as 1
-        ratings = RatingsMatrix.from_triplets(
-            [
-                ("t", "a", 1), ("t", "b", 2),
-                ("n1", "a", 1), ("n1", "b", 2), ("n1", "x", 9),
-                ("n2", "a", 3), ("n2", "b", 6), ("n2", "x", 1),
-                ("n3", "a", 2), ("n3", "b", 1), ("n3", "x", 5),
-            ]
-        )
-        assert predict_preferences_cf(ratings, "t", "x", neighbors=1) == 9
-        with pytest.raises(ValidationError, match="neighbors"):
-            predict_preferences_cf(ratings, "t", "x", neighbors=neighbors)
-
-    def test_overlap_below_two_is_ignored(self):
-        ratings = RatingsMatrix.from_triplets(
-            [("t", "a", 9), ("n", "a", 9), ("n", "x", 1)]
-        )
-        # the would-be neighbor shares one campaign only -> target-mean fallback
-        assert predict_preferences_cf(ratings, "t", "x") == 9
-
-    def test_global_mean_fallback(self):
-        ratings = RatingsMatrix.from_triplets([("n", "a", 3), ("n", "b", 4)])
-        assert predict_preferences_cf(ratings, "t", "x") == 4  # mean 3.5 up
-
-    def test_empty_matrix_predicts_zero(self):
-        assert predict_preferences_cf(RatingsMatrix(rows={}), "t", "x") == 0
-
-    def test_already_rated_rejected(self):
-        ratings = RatingsMatrix.from_triplets([("t", "x", 2)])
-        with pytest.raises(PreconditionError, match="already rated"):
-            predict_preferences_cf(ratings, "t", "x")
-
-    def test_duplicate_and_negative_triplets_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            RatingsMatrix.from_triplets([("t", "x", 1), ("t", "x", 2)])
-        with pytest.raises(ValidationError, match="nonnegative"):
-            RatingsMatrix.from_triplets([("t", "x", -1)])
-
-    @pytest.mark.parametrize("rating", [2.7, 2.0, True, "2"])
-    def test_non_integer_rating_rejected(self, rating):
-        with pytest.raises(ValidationError, match="must be an integer"):
-            RatingsMatrix.from_triplets([("t", "x", rating)])
-
-
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=25, deadline=None)
-def test_cf_prediction_ignores_triplet_order(rng):
-    triplets = [
-        ("t", "a", 4), ("t", "b", 1),
-        ("n1", "a", 4), ("n1", "b", 1), ("n1", "x", 8),
-        ("n2", "a", 1), ("n2", "b", 4), ("n2", "x", 2),
-        ("n3", "a", 4), ("n3", "b", 2), ("n3", "x", 6),
-    ]
-    expected = predict_preferences_cf(RatingsMatrix.from_triplets(triplets), "t", "x")
-    rng.shuffle(triplets)
-    shuffled = predict_preferences_cf(RatingsMatrix.from_triplets(triplets), "t", "x")
-    assert shuffled == expected
-
-
 class TestJsonDecoding:
     def test_records(self):
         data = [
@@ -663,3 +508,13 @@ class TestFitCategories:
         with pytest.raises(error, match=message):
             fit_categories(Counter(), None, **options)
         assert fit_categories(Counter(), None, max_h=2, grid=4) == {}
+
+
+def test_public_names_resolve():
+    # __all__ names no symbol the package lost, such as the preference and
+    # grouping estimators that learning no longer has
+    for name in mcap.__all__:
+        getattr(mcap, name)
+    for name in ("RatingsMatrix", "categorize_customers", "predict_preferences_cf"):
+        assert name not in mcap.__all__
+        assert not hasattr(learning, name)
