@@ -126,7 +126,7 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    formula = reduction.parse_dimacs(io.read_text(args.cnf), sanitize=args.sanitize)
+    formula = reduction.parse_dimacs(io.read_text(args.cnf))
     red = reduction.reduce_3sat(formula)
     io.write_instance(red.instance, args.out_instance)
     io.dump_json(reduction.sidecar_dict(red), args.out_sidecar)
@@ -352,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True)
     p.add_argument("--out-instance", required=True)
     p.add_argument("--out-sidecar", required=True)
-    p.add_argument("--sanitize", action="store_true",
-                   help="drop tautological clauses, renumber unused variables")
 
     p = sub.add_parser("embed", help="satisfying assignment to threshold matrix")
     p.add_argument("--instance", required=True)

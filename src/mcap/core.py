@@ -165,26 +165,26 @@ class Instance:
 class AssignmentMatrix:
     """An n-by-k binary matrix; ``entries[i][j] = 1`` assigns campaign j to customer i.
 
-    Construction raises :class:`ValidationError` unless the rows all have the
-    same length and every entry is 0 or 1; ``True`` and ``1.0`` are stored as ``1``.
+    Construction raises :class:`ValidationError` unless ``entries`` is a tuple
+    of equal-length tuples whose entries are the ``int`` 0 or 1; it converts
+    nothing, so ``True``, ``1.0`` and numpy values are refused, as
+    :class:`Instance` refuses them.
     """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries: list[tuple[int, ...]] = []
-        for i, row in enumerate(self.entries):
-            if entries and len(row) != len(entries[0]):
+        entries = self.entries
+        check_tuple(entries, "matrix rows")
+        for i, row in enumerate(entries):
+            check_tuple(row, f"matrix row {i}")
+            if len(row) != len(entries[0]):
                 raise ValidationError(
                     f"matrix row {i} has {len(row)} entries, row 0 has {len(entries[0])}"
                 )
-            cells = []
             for j, m in enumerate(row):
-                if m not in (0, 1):
-                    raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m}")
-                cells.append(int(m))
-            entries.append(tuple(cells))
-        object.__setattr__(self, "entries", tuple(entries))
+                if type(m) is not int or m not in (0, 1):
+                    raise ValidationError(f"matrix entry ({i}, {j}) must be 0 or 1, got {m!r}")
 
     @property
     def n(self) -> int:
@@ -206,7 +206,8 @@ class AssignmentMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "AssignmentMatrix":
-        return cls(rows)
+        """The matrix of ``rows``, any iterable of int sequences; only containers change."""
+        return cls(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

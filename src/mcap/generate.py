@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Instance, SuppressionTable, ValidationError
+from . import reduction
+from .core import GuardExceededError, Instance, SuppressionTable, ValidationError
 from .reduction import BooleanAssignment, CnfFormula
 
 SUPPRESSION_FAMILIES = ("constant", "indicator", "linear", "grid")
@@ -53,6 +54,10 @@ def random_instance(
     ``bounds="random"`` draws each campaign's pair uniformly from valid
     ``0 <= lower <= upper <= n``; ``bounds="unbounded"`` fixes them to
     ``[0, n]`` (the class :func:`mcap.solvers.solve_unbounded` accepts).
+
+    Raises :class:`GuardExceededError` before any draw when ``n * k`` exceeds
+    :data:`mcap.reduction.REDUCTION_CELL_LIMIT`, the largest instance the
+    reduction writes.
     """
     if bounds not in BOUND_STYLES:
         raise ValidationError(f"unknown bound style {bounds!r}; expected one of {BOUND_STYLES}")
@@ -63,6 +68,11 @@ def random_instance(
     ):
         if value < least:
             raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if n * k > reduction.REDUCTION_CELL_LIMIT:
+        raise GuardExceededError(
+            f"{n} customers x {k} campaigns = {n * k} cells, "
+            f"over the {reduction.REDUCTION_CELL_LIMIT} limit"
+        )
     rng = random.Random(seed)
     weights = tuple(rng.randint(1, weight_max) for _ in range(k))
     prefs = tuple(tuple(rng.randint(0, pref_max) for _ in range(k)) for _ in range(n))

@@ -17,6 +17,7 @@ included, and :func:`read_text` the one reader: UTF-8 whatever the locale.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -68,11 +69,15 @@ def _list(value, what: str) -> list:
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    # one shared string per distinct integer: a reduced instance repeats a few
+    # powers of ten over a million cells.  Suppression Fractions are not
+    # cached, because hashing a Fraction costs more than formatting it
+    text = functools.cache(str)
     return {
         "n": inst.n,
         "k": inst.k,
-        "weights": [str(w) for w in inst.weights],
-        "preferences": [[str(p) for p in row] for row in inst.preferences],
+        "weights": list(map(text, inst.weights)),
+        "preferences": [list(map(text, row)) for row in inst.preferences],
         "suppression": [[str(v) for v in t.values] for t in inst.suppression],
         "lower_bounds": list(inst.lower_bounds),
         "upper_bounds": list(inst.upper_bounds),

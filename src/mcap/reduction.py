@@ -59,8 +59,8 @@ BooleanAssignment = tuple[bool, ...]
 DEFAULT_SAT_VARS = 24
 
 # reduce_3sat builds n * k = (2l + 3m)(m + l) preference cells, quadratic in
-# the formula; above this many it refuses before building any.  Read at call
-# time; SATLIB's uf100-430 needs 789,700
+# the formula; above this many it refuses before building any, and so does
+# generate.random_instance.  Read at call time; SATLIB's uf100-430 needs 789,700
 REDUCTION_CELL_LIMIT = 10**6
 
 
@@ -131,17 +131,12 @@ def satisfies(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
     )
 
 
-def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
+def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF ("p cnf <vars> <clauses>", 0-terminated clauses).
 
     Header counts and literals are integers under :func:`mcap.io.parse_int`.
     A ``%`` line ends the clause data, so the SATLIB trailer (``%`` then
     ``0``) is ignored.
-
-    With ``sanitize=True``, tautological clauses are dropped and variables
-    left unused are removed with dense renumbering; everything else (wrong
-    literal counts, repeated variables, malformed syntax) is still an error,
-    because no faithful repair exists for those.
     """
     header: tuple[int, ...] | None = None
     tokens: list[int] = []
@@ -182,24 +177,6 @@ def parse_dimacs(text: str, sanitize: bool = False) -> CnfFormula:
         raise ValidationError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-
-    if sanitize:
-        kept = []
-        for clause in clauses:
-            if any(-lit in clause for lit in clause):
-                continue
-            kept.append(clause)
-        if not kept:
-            raise ValidationError("no clauses remain after dropping tautologies")
-        used = sorted({abs(lit) for cl in kept for lit in cl})
-        for v in used:
-            if v > num_vars:
-                raise ValidationError(f"literal {v} out of range")
-        renumber = {v: i + 1 for i, v in enumerate(used)}
-        clauses = [
-            tuple((1 if lit > 0 else -1) * renumber[abs(lit)] for lit in cl) for cl in kept
-        ]
-        num_vars = len(used)
 
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 

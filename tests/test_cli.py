@@ -11,7 +11,7 @@ import pytest
 
 from mcap import cli, generate, io, reduction, solvers
 from mcap.cli import main
-from mcap.core import AssignmentMatrix, Instance, SuppressionTable
+from mcap.core import AssignmentMatrix, GuardExceededError, Instance, SuppressionTable
 
 FOUR_CLAUSE_CNF = "p cnf 3 4\n1 2 3 0\n1 -2 3 0\n-1 2 3 0\n-1 2 -3 0\n"
 SINGLE_CLAUSE_CNF = "p cnf 3 1\n1 2 3 0\n"
@@ -356,6 +356,19 @@ class TestReductionFlow:
         assert_one_error(captured, code, 2, "ValidationError")
         assert not instance.exists() and not sidecar.exists()
 
+    def test_sanitize_is_a_usage_error(self, capsys, tmp_path):
+        # a CNF is reduced as given or refused; no option repairs it
+        cnf = tmp_path / "formula.cnf"
+        cnf.write_text(FOUR_CLAUSE_CNF)
+        instance, sidecar = tmp_path / "i.json", tmp_path / "s.json"
+        code, captured = run(
+            capsys, "--format", "json", "reduce", "--cnf", cnf,
+            "--out-instance", instance, "--out-sidecar", sidecar, "--sanitize",
+        )
+        assert_one_error(captured, code, 2, "ValidationError")
+        assert "--sanitize" in json.loads(captured.out)["error"]["message"]
+        assert not instance.exists() and not sidecar.exists()
+
     def test_reduction_cell_guard_exit(self, capsys, tmp_path):
         # a planted 200-variable, 840-clause CNF: 2,920 customers x 1,040
         # campaigns = 3,036,800 cells, over the reduction's cell limit
@@ -550,6 +563,22 @@ class TestGen:
         assert list(report) == ["error"]
         assert report["error"]["type"] == "ValidationError"
 
+
+    def test_cell_guard(self, monkeypatch):
+        # the limit is read at call time, and checked before any draw
+        monkeypatch.setattr(reduction, "REDUCTION_CELL_LIMIT", 11)
+        assert generate.random_instance(seed=1, n=3, k=3).n == 3
+        with pytest.raises(GuardExceededError, match="4 customers x 3 campaigns = 12 cells"):
+            generate.random_instance(seed=1, n=4, k=3)
+
+    def test_cell_guard_exit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(reduction, "REDUCTION_CELL_LIMIT", 11)
+        path = tmp_path / "gen.json"
+        code, captured = run(
+            capsys, "--format", "json", "gen", "--seed", 1, "--n", 4, "--k", 3, "--out", path,
+        )
+        assert_one_error(captured, code, 4, "GuardExceededError")
+        assert not path.exists()
 
 # monotone -> SHA-256 of the JSON stdout of test_fit_report_matches_recorded_hash,
 # recorded when the fit still decoded one object per record

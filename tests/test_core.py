@@ -166,9 +166,22 @@ class TestAssignmentMatrixConstruction:
     @pytest.mark.parametrize("one", [1, True, 1.0, Fraction(1), np.int64(1), np.array(1)],
                              ids=["int", "bool", "float", "fraction", "numpy-int", "numpy-0d"])
     def test_numeric_bits_are_stored_as_int(self, one):
-        matrix = AssignmentMatrix.from_rows([[0, one], [one, 0 * one]])
-        assert matrix.entries == ((0, 1), (1, 0))
-        assert {type(m) for row in matrix.entries for m in row} == {int}
+        # a matrix holds int bits only: any other value equal to 1 is refused,
+        # never converted
+        rows = [[0, 1], [one, 0]]
+        if type(one) is int:
+            # from_rows changes only the containers
+            assert AssignmentMatrix.from_rows(rows) == AssignmentMatrix(((0, 1), (1, 0)))
+        else:
+            with pytest.raises(ValidationError, match=r"matrix entry \(1, 0\) must be 0 or 1"):
+                AssignmentMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("entries, what", [
+        ([(0, 1)], "matrix rows"), (((0, 1), [1, 0]), "matrix row 1"),
+    ], ids=["list-of-rows", "list-row"])
+    def test_lists_are_refused(self, entries, what):
+        with pytest.raises(ValidationError, match=f"{what} must be a tuple, got list"):
+            AssignmentMatrix(entries)
 
     @pytest.mark.parametrize("value", [2, -1, 0.5, "1"])
     def test_non_binary_entry(self, value):

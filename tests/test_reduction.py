@@ -165,17 +165,6 @@ class TestDimacs:
         with pytest.raises(ValidationError, match="declares 2 clauses"):
             parse_dimacs("p cnf 3 2\n1 2 3 0\n")
 
-    def test_sanitize_drops_tautology_and_renumbers(self):
-        # var 2 only occurs in the tautological clause, so it disappears
-        text = "p cnf 4 2\n1 -1 2 0\n1 3 4 0\n"
-        formula = parse_dimacs(text, sanitize=True)
-        assert formula.num_vars == 3
-        assert formula.clauses == ((1, 2, 3),)
-
-    def test_sanitize_with_nothing_left(self):
-        with pytest.raises(ValidationError, match="no clauses remain"):
-            parse_dimacs("p cnf 2 1\n1 -1 2 0\n", sanitize=True)
-
     def test_format_roundtrip(self):
         formula = four_clause_formula()
         assert parse_dimacs(format_dimacs(formula)) == formula
