@@ -237,6 +237,7 @@ def cmd_fit(args) -> dict:
                 "label": label,
                 "table": [_exact(v) for v in fit.table.values],
                 "satisfied": fit.satisfied,
+                "upper_bound": fit.upper_bound,
                 "total": fit.total,
             }
             for label, fit in results.items()

@@ -9,19 +9,17 @@ searches a grid-valued table for ``r`` that satisfies as many conditions as
 possible.  A condition mentions two levels ``h >= 1`` only (``r(0) = 0``), so
 the satisfied count is a sum over pairs ``(h_i, h_j)`` of ``(grid+1) x
 (grid+1)`` tables, built once per fit from the sorted outcome counts without
-listing a pair; small spaces are enumerated in one gather, and a hill-climb
-step scores every value of one level ``r(h)`` by slices.  The categories come
-from the caller's labels (:func:`fit_categories`).
+listing a pair; a branch and bound over the levels, bounded by those tables,
+finds the best table and certifies it.  The categories come from the
+caller's labels (:func:`fit_categories`).
 
-Everything is deterministic: the fit's random starts come from a fixed seed,
-and condition evaluation is exact integer arithmetic (a grid value ``q/Q``
-satisfies ``p_i*q_i > p_j*q_j`` independently of ``Q``).
+Everything is deterministic: the search has no random part, and condition
+evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
+``p_i*q_i > p_j*q_j`` independently of ``Q``).
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,21 +35,17 @@ CampaignId = int | str
 
 DEFAULT_GRID = 20
 
-# up to this many candidate tables the fit enumerates them all instead of
-# hill climbing, making small fits exactly optimal
-EXHAUSTIVE_SPACE = 4096
-
 # the fit's level tables hold max_h^2 * (grid + 1)^2 cells, one per pair of
 # levels 1..max_h and pair of grid values, and each step of their build works
 # on distinct responder (campaign, preference) x max_h x (grid + 1), linear in
-# the input; a fit over either is refused up front.  A climb pass slices
-# max_h x (grid + 1) x (2 * max_h - 1) cells, the pairs that mention each
-# level it moves, so it does at most about twice the table's cells of work
+# the input; a fit over either is refused up front.  A search node slices
+# the pairs from its level to the later ones, at most max_h x (grid + 1)^2
+# cells
 TABLE_CELL_LIMIT = 10**7
 
-# above EXHAUSTIVE_SPACE the climb starts from the all-ones table and from
-# this many random starts drawn from random.Random(0)
-RESTARTS = 3
+# once it has found a table, the search stops after this many nodes and
+# reports the largest bound it left unvisited
+SEARCH_NODE_LIMIT = 100_000
 
 
 # a customer recommended h campaigns in total did (not) respond to campaign
@@ -85,6 +79,8 @@ class FitResult:
     table: SuppressionTable
     satisfied: int
     total: int
+    # no table satisfies more; equal to satisfied unless the search stopped
+    upper_bound: int
 
 
 def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
@@ -138,52 +134,70 @@ def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     return tables
 
 
-def _satisfied(tables: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """The satisfied count of each row of the levels matrix ``levels``.
+def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[int], int]:
+    """Branch and bound over ``r(1..max_h)``: (count, levels, upper bound).
 
-    ``levels[row, h - 1]`` is ``r(h) * grid``; one broadcast gather looks up
-    every level pair's table at the row's two levels, and the lookups add up.
+    ``levels[h - 1]`` is ``r(h) * grid``.  A table's count sums each level's
+    diagonal ``tables[b, b]`` and each pair's ``P[a, b] = tables[a, b] +
+    tables[b, a].T`` at its values.  Depth first, a node at depth ``d``
+    keeps the count among its set levels, ``partial``, and a row ``V[b]``
+    per unset level: its diagonal plus the pair slices at the set levels.
+    Child ``x`` is bounded by ``partial + V[d][x] + sum over b > d of max_y
+    (V[b][y] + P[d, b][x, y] + R[b][y])``, with ``R[b][y] = sum over c > b
+    of max_z P[b, c][y, z]`` computed once; under ``monotone``, ``y`` and
+    ``z`` go up to the previous level only.  Children are visited by
+    descending ``(bound, x)`` and skipped unless they can beat the
+    incumbent's ``(count, levels)``; the last level is scored as one
+    vector.  So the result has the most satisfied conditions and, among
+    those, the largest levels.  Past :data:`SEARCH_NODE_LIMIT` nodes, once
+    it has a table, the search returns it with the largest bound it left
+    unvisited; a finished search's upper bound is its count.
     """
-    h = np.arange(len(tables))
-    return tables[h[:, None], h, levels[:, :, None], levels[:, None, :]].sum((1, 2))
-
-
-def _climb(
-    levels: list[int], tables: np.ndarray, grid: int, monotone: bool
-) -> tuple[int, list[int]]:
-    """Coordinate ascent from ``levels``; returns (count, final levels).
-
-    Each step re-optimizes one coordinate over its whole admissible range by
-    the key ``(count, level)``, so a move happens when it satisfies strictly
-    more conditions or the same number at a higher level.  Every accepted
-    move increases the lexicographic objective ``(count, levels)``, which
-    bounds the climb and guarantees termination.
-
-    Moving ``r(h)`` changes only the ``2 * max_h - 1`` level pairs that
-    mention ``h``: slices of ``(h, b)`` and ``(b, h)`` at each other level's
-    value, and the diagonal of ``(h, h)``, score all of its levels at once.
-    The first maximum over the range in descending order is the largest
-    level among the best counts; a move adds the difference of two scores.
-    """
-    levels = np.array(levels)
-    best = int(_satisfied(tables, levels[None])[0])
-    size = len(levels)
-    changed = True
-    while changed:
-        changed = False
-        for h in range(size):
-            lo = levels[h + 1] if monotone and h + 1 < size else 0
-            hi = levels[h - 1] if monotone and h > 0 else grid
-            rest = np.arange(size) != h
-            at = levels[rest]
-            mentions = tables[h, rest, :, at].sum(0) + tables[rest, h, at, :].sum(0)
-            mentions += tables[h, h].diagonal()
-            level = hi - int(np.argmax(mentions[lo : hi + 1][::-1]))
-            if level != levels[h]:
-                best += int(mentions[level] - mentions[levels[h]])
-                levels[h] = level
-                changed = True
-    return best, levels.tolist()
+    size = len(tables)
+    span = np.arange(grid + 1)
+    # below[x, y]: a later level may take y after x
+    below = span <= (span[:, None] if monotone else grid)
+    rest = np.zeros((size, grid + 1), dtype=tables.dtype)
+    for b in range(size - 1):
+        pairs = tables[b, b + 1 :] + tables[b + 1 :, b].swapaxes(1, 2)
+        rest[b] = np.where(below, pairs, 0).max(2).sum(0)
+    h = np.arange(size)[:, None]
+    levels, partial, rows = [], 0, tables[h, h, span, span]
+    best, best_levels, nodes = -1, [], 0
+    stack = []  # (levels, partial, rows, children by ascending (bound, x))
+    while True:
+        nodes += 1
+        depth = len(levels)
+        top = levels[-1] if monotone and levels else grid
+        if depth == size - 1:
+            count, x = max(zip((partial + rows[0, : top + 1]).tolist(), range(top + 1)))
+            if (count, [*levels, x]) > (best, best_levels):
+                best, best_levels = count, [*levels, x]
+        else:
+            pairs = tables[depth, depth + 1 :] + tables[depth + 1 :, depth].swapaxes(1, 2)
+            ahead = np.where(below, pairs + (rows[1:] + rest[depth + 1 :])[:, None, :], 0)
+            bounds = (partial + rows[0] + ahead.max(2).sum(0))[: top + 1].tolist()
+            stack.append((levels, partial, rows, sorted(zip(bounds, range(top + 1)))))
+        while stack:
+            levels, partial, rows, children = stack[-1]
+            if not children:
+                stack.pop()
+                continue
+            bound, x = children.pop()
+            depth = len(levels)
+            if bound < best or (bound == best and [*levels, x] < best_levels[: depth + 1]):
+                continue
+            if best_levels and nodes >= SEARCH_NODE_LIMIT:
+                return best, best_levels, max(bound, *(c[-1][0] for *_, c in stack if c))
+            # rebuilt on descent, not kept per child: a frame holds one set of rows
+            levels, partial, rows = (
+                [*levels, x],
+                partial + int(rows[0, x]),
+                rows[1:] + tables[depth, depth + 1 :, x] + tables[depth + 1 :, depth, :, x],
+            )
+            break
+        else:
+            return best, best_levels, best
 
 
 def _check_fit_options(max_h: int, grid: int) -> None:
@@ -212,21 +226,22 @@ def fit_suppression(
     ``bool``.  The table takes
     values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the
     number of satisfied responder/non-responder conditions (ties count as
-    unsatisfied).  Small spaces (at most :data:`EXHAUSTIVE_SPACE` candidate
-    tables) are enumerated exactly; otherwise the search is
-    coordinate-ascent hill climbing from the all-ones table plus
-    :data:`RESTARTS` random starts drawn from ``random.Random(0)``, so every
-    fit of the same counts gives the same table.  Among equal-count optima the
-    lexicographically largest table wins (larger values at smaller ``h``
-    preferred).  With ``monotone=True`` the search is restricted to
-    non-increasing tables.
+    unsatisfied).  The search is an exact branch and bound (:func:`_search`),
+    so every fit of the same counts gives the same table.  Among equal-count
+    optima the lexicographically largest table wins (larger values at
+    smaller ``h`` preferred).  With ``monotone=True`` the search is
+    restricted to non-increasing tables.  Past :data:`SEARCH_NODE_LIMIT`
+    nodes it stops with the best table found, and ``upper_bound`` states
+    how many conditions a table could satisfy at most; it equals
+    ``satisfied`` when the search finished.
 
     Every count comes from the pairwise level tables of :func:`_tables`,
-    built once per fit from the sorted outcome counts: a candidate's count
-    is one lookup per pair of levels.  They hold ``max_h^2 * (grid + 1)^2``
-    cells, and each of the ``grid + 1`` steps of their build works on
-    the distinct responder ``(campaign, preference)`` times ``max_h * (grid
-    + 1)`` cells; over :data:`TABLE_CELL_LIMIT` either way, the fit raises
+    built once per fit from the sorted outcome counts: a table's count is
+    one lookup per pair of levels, and the search's bounds are slices.
+    They hold ``max_h^2 * (grid + 1)^2`` cells, and each of the ``grid + 1``
+    steps of their build works on the distinct responder ``(campaign,
+    preference)`` times ``max_h * (grid + 1)`` cells; over
+    :data:`TABLE_CELL_LIMIT` either way, the fit raises
     :class:`GuardExceededError` before building anything.
     """
     _check_fit_options(max_h, grid)
@@ -249,27 +264,11 @@ def fit_suppression(
         )
     total = sum(no * yes for no, yes in sides.values())
     if total == 0:
-        return FitResult(SuppressionTable.constant(1, max_h), satisfied=0, total=0)
+        return FitResult(SuppressionTable.constant(1, max_h), satisfied=0, total=0, upper_bound=0)
 
-    tables = _tables(counts, max_h, grid)
-    if (grid + 1) ** max_h <= EXHAUSTIVE_SPACE:
-        # descending enumeration: the first table reaching the maximum count
-        # is automatically the lexicographically largest one
-        candidates = np.array(list(itertools.product(range(grid, -1, -1), repeat=max_h)))
-        if monotone:
-            candidates = candidates[(np.diff(candidates) <= 0).all(axis=1)]
-        scores = _satisfied(tables, candidates)
-        top = int(np.argmax(scores))
-        best_count, best_levels = int(scores[top]), candidates[top].tolist()
-    else:
-        rng = random.Random(0)
-        starts = [[grid] * max_h]
-        for _ in range(RESTARTS):
-            levels = [rng.randint(0, grid) for _ in range(max_h)]
-            starts.append(sorted(levels, reverse=True) if monotone else levels)
-        best_count, best_levels = max(_climb(levels, tables, grid, monotone) for levels in starts)
+    best_count, best_levels, upper_bound = _search(_tables(counts, max_h, grid), grid, monotone)
     table = SuppressionTable((Fraction(0), *(Fraction(q, grid) for q in best_levels)))
-    return FitResult(table=table, satisfied=best_count, total=total)
+    return FitResult(table, satisfied=best_count, total=total, upper_bound=upper_bound)
 
 
 def _record_id(value, what: str) -> CustomerId:

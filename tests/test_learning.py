@@ -18,8 +18,7 @@ from mcap.learning import (
     fit_categories,
     fit_suppression,
     records_from_json,
-    _climb,
-    _satisfied,
+    _search,
     _tables,
 )
 
@@ -197,7 +196,8 @@ class TestFitSuppression:
 
     @pytest.mark.parametrize("option", ["restarts", "seed"])
     def test_has_no_search_options(self, option):
-        # the starts are fixed, so a fit of the same counts is the same table
+        # the search is exact and has no random part, so a fit of the same
+        # counts is the same table
         with pytest.raises(TypeError, match=option):
             fit_suppression(counts(rec(1, 1, True)), max_h=2, **{option: 1})
         with pytest.raises(TypeError, match=option):
@@ -225,8 +225,8 @@ class TestFitSuppression:
         with pytest.raises(GuardExceededError, match="44 cells .* over the 43 limit"):
             fit_categories(grouped, None, max_h=2, grid=1)
 
-    def test_hill_climb_agrees_on_its_own_report(self):
-        # grid large enough to skip the exhaustive path
+    def test_search_agrees_on_its_own_report(self):
+        # 21^4 tables: the search bounds its way past most of them
         true = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(0)]
         history = noise_free_records(true, prefs=(1, 2, 3, 5), threshold=1)
         result = fit_suppression(history, max_h=4, grid=20)
@@ -238,7 +238,7 @@ class TestFitSuppression:
             for p_j, h_j, n_j in no:
                 if p_i * table[h_i] > p_j * table[h_j]:
                     recount += n_i * n_j
-        assert recount == result.satisfied
+        assert recount == result.satisfied == result.upper_bound
         assert result.total == sum(n for *_, n in yes) * sum(n for *_, n in no)
 
 
@@ -321,68 +321,59 @@ def recount(levels, conditions):
     )
 
 
-def per_candidate_climb(levels, conditions, grid, monotone):
-    """Reference coordinate ascent: one full recount per candidate level.
+def gather(tables, levels):
+    """The satisfied count of each row of ``levels`` (``r(1..max_h) * grid``), by lookups.
 
-    ``levels`` holds ``r(1..max_h) * grid``; the fixed ``r(0) = 0`` is
-    prepended to count and dropped from the result.
+    One broadcast gather looks up every level pair's table at the row's two
+    levels, and the lookups add up.
     """
-    levels = [0, *levels]
-    best = recount(levels, conditions)
-    changed = True
-    while changed:
-        changed = False
-        for h in range(1, len(levels)):
-            current = levels[h]
-            lo = levels[h + 1] if monotone and h + 1 < len(levels) else 0
-            hi = levels[h - 1] if monotone and h > 1 else grid
-            top_count, top_level = best, current
-            for candidate in range(lo, hi + 1):
-                if candidate == current:
-                    continue
-                levels[h] = candidate
-                count = recount(levels, conditions)
-                if (count, candidate) > (top_count, top_level):
-                    top_count, top_level = count, candidate
-            levels[h] = top_level
-            if top_level != current:
-                best = top_count
-                changed = True
-    return best, levels[1:]
+    h = np.arange(len(tables))
+    return tables[h[:, None], h, levels[:, :, None], levels[:, None, :]].sum((1, 2))
+
+
+def enumerate_best(tables, grid, monotone):
+    """Oracle for ``_search``: (count, levels) of the first maximum over every table.
+
+    The tables are listed in descending order, so the first maximum has the
+    lexicographically largest levels among the best counts.
+    """
+    candidates = np.array(list(product(range(grid, -1, -1), repeat=len(tables))))
+    if monotone:
+        candidates = candidates[(np.diff(candidates) <= 0).all(axis=1)]
+    scores = gather(tables, candidates).tolist()
+    top = scores.index(max(scores))
+    return scores[top], candidates[top].tolist()
 
 
 @st.composite
-def climb_cases(draw):
-    """(grid, max_h, monotone, conditions, start levels), preferences 0 to > 2^64."""
-    grid = draw(st.integers(1, 25))
+def search_cases(draw, space=26**5):
+    """(grid, max_h, monotone, conditions), at most ``space`` tables, preferences 0 to > 2^64."""
     max_h = draw(st.integers(1, 5))
+    grid = draw(st.integers(1, max(g for g in range(1, 26) if (g + 1) ** max_h <= space)))
     monotone = draw(st.booleans())
     pref = st.one_of(st.integers(0, 9), st.integers(2**64, 2**66))
     h = st.integers(1, max_h)
     conditions = draw(st.dictionaries(st.tuples(pref, h, pref, h), st.integers(1, 5), max_size=30))
-    levels = draw(st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h))
-    if monotone:
-        levels.sort(reverse=True)
-    return grid, max_h, monotone, conditions, levels
+    return grid, max_h, monotone, conditions
 
 
-@given(climb_cases())
+@given(search_cases(space=5000))
 @settings(max_examples=300, deadline=None)
-def test_climb_matches_per_candidate_loop(case):
-    grid, max_h, monotone, conditions, levels = case
+def test_search_matches_enumeration(case):
+    grid, max_h, monotone, conditions = case
     tables = _tables(condition_counts(conditions), max_h, grid)
-    assert _climb(list(levels), tables, grid, monotone) == per_candidate_climb(
-        list(levels), conditions, grid, monotone
-    )
+    count, levels, upper_bound = _search(tables, grid, monotone)
+    assert (count, levels) == enumerate_best(tables, grid, monotone)
+    assert upper_bound == count
 
 
-@given(climb_cases(), st.data())
+@given(search_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_table_counts_match_recount(case, data):
-    grid, max_h, _, conditions, _ = case
+    grid, max_h, _, conditions = case
     level_row = st.lists(st.integers(0, grid), min_size=max_h, max_size=max_h)
     levels = data.draw(st.lists(level_row, min_size=1, max_size=8))
-    counts = _satisfied(_tables(condition_counts(conditions), max_h, grid), np.array(levels))
+    counts = gather(_tables(condition_counts(conditions), max_h, grid), np.array(levels))
     assert [int(c) for c in counts] == [recount([0, *row], conditions) for row in levels]
 
 
@@ -395,14 +386,15 @@ def test_table_guard():
         fit_suppression(history, max_h=4, grid=790)
 
 
-def test_climb_memory_stays_below_all_pairs():
-    # max_h 300, grid 1: 2.7 MB of tables; a step slices the 599 level pairs
-    # that mention its level, and a start's count is one broadcast gather
-    # (all-pairs index arrays for that count took 3.7 MB)
+def test_search_memory_stays_below_all_pairs():
+    # max_h 300, grid 1: 2.7 MB of tables; a node slices the pairs from its
+    # level on, and the search keeps one row per later level on each of its
+    # 300 frames, rebuilding a child's rows on descent (keeping every
+    # child's rows would take about 2^2 * 300^2 / 2 cells per frame)
     tables = _tables(counts(rec(1, 1, True), rec(1, 2, False)), max_h=300, grid=1)
     tracemalloc.start()
     try:
-        assert _climb([1] * 300, tables, grid=1, monotone=False) == (1, [1, 0] + [1] * 298)
+        assert _search(tables, grid=1, monotone=False) == (1, [1, 0] + [1] * 298, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,22 +414,76 @@ def seeded_history(seed, count=4500, max_h=4, campaigns=4):
 
 
 # (seed, monotone) -> (table, satisfied) of fit_suppression(max_h=4, grid=20),
-# recorded from the per-candidate hill climb
-HILL_CLIMB_PINS = {
-    (1, False): (("0", "13/20", "1/2", "17/20", "9/20"), 486688),
+# recorded from the search and equal to enumerate_best
+FIT_PINS = {
+    (1, False): (("0", "13/20", "11/20", "17/20", "1/2"), 486724),
     (1, True): (("0", "1", "19/20", "9/10", "13/20"), 477084),
-    (2, False): (("0", "3/20", "1/4", "1/5", "13/20"), 476283),
+    (2, False): (("0", "1/4", "7/20", "3/10", "19/20"), 476318),
     (2, True): (("0", "1", "1", "19/20", "9/10"), 430859),
     (3, False): (("0", "2/5", "17/20", "7/20", "11/20"), 671612),
-    (3, True): (("0", "4/5", "3/4", "1/2", "9/20"), 640626),
+    (3, True): (("0", "1", "19/20", "7/10", "13/20"), 644716),
 }
 
 
-@pytest.mark.parametrize("seed, monotone", sorted(HILL_CLIMB_PINS))
+@pytest.mark.parametrize("seed, monotone", sorted(FIT_PINS))
 def test_hill_climb_matches_recorded_fit(seed, monotone):
-    result = fit_suppression(seeded_history(seed), max_h=4, grid=20, monotone=monotone)
-    table, satisfied = HILL_CLIMB_PINS[seed, monotone]
+    history = seeded_history(seed)
+    result = fit_suppression(history, max_h=4, grid=20, monotone=monotone)
+    table, satisfied = FIT_PINS[seed, monotone]
     assert (tuple(str(v) for v in result.table.values), result.satisfied) == (table, satisfied)
+    # the search finished at the optimum, and the pin is enumeration's table
+    optimum, levels = enumerate_best(_tables(history, 4, 20), 20, monotone)
+    assert result.satisfied == result.upper_bound == optimum
+    assert result.table.values[1:] == tuple(Fraction(q, 20) for q in levels)
+
+
+def test_node_limit_stops_with_a_bound(monkeypatch):
+    # the monotone fit of seed 3 needs more than 20 nodes; after 10 it has a
+    # table 1,474 short of the optimum and a bound 9,210 above it
+    history = seeded_history(3)
+    optimum, _ = enumerate_best(_tables(history, 4, 20), 20, monotone=True)
+    monkeypatch.setattr("mcap.learning.SEARCH_NODE_LIMIT", 10)
+    result = fit_suppression(history, max_h=4, grid=20, monotone=True)
+    assert result.satisfied <= optimum <= result.upper_bound
+    assert result.upper_bound > result.satisfied
+
+
+def report_history():
+    """(records, labels by customer) of two categories, with repeated and string-valued records."""
+    rng = random.Random(8)
+    records = []
+    for _ in range(600):
+        idx = rng.randrange(60)
+        p, h = rng.randint(0, 9), rng.randint(1, 4)
+        records.append({
+            "customer": idx if idx % 2 else f"c{idx}",
+            "campaign": rng.randrange(3),
+            "preference": p if rng.random() < 0.5 else str(p),
+            "h": h,
+            "responded": rng.random() < 0.1 + p * (5 - h) / 45,
+        })
+    records += records[::7]
+    return records, {idx if idx % 2 else f"c{idx}": int(idx < 25) for idx in range(60)}
+
+
+def test_free_fit_reaches_monotone_fit():
+    # every non-increasing table is in the free search space; the report
+    # history's two categories have non-increasing free optima
+    records, labels = report_history()
+    history = records_from_json(records)
+    free = fit_categories(history, labels, max_h=4, grid=20)
+    mono = fit_categories(history, labels, max_h=4, grid=20, monotone=True)
+    for label, (table, satisfied) in {
+        0: (("0", "4/5", "7/10", "11/20", "1/4"), 8749),
+        1: (("0", "17/20", "11/20", "3/10", "1/4"), 4958),
+    }.items():
+        for fit in (free[label], mono[label]):
+            assert (tuple(str(v) for v in fit.table.values), fit.satisfied) == (table, satisfied)
+    for seed in (1, 2, 3):
+        history = seeded_history(seed)
+        free = fit_suppression(history, max_h=4, grid=20)
+        mono = fit_suppression(history, max_h=4, grid=20, monotone=True)
+        assert free.satisfied >= mono.satisfied
 
 
 class TestJsonDecoding:
