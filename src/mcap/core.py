@@ -69,6 +69,13 @@ def check_tuple(value, what: str) -> None:
         raise ValidationError(f"{what} must be a tuple, got {type(value).__name__}")
 
 
+def check_int(value, what: str) -> int:
+    """Return ``value``; raise :class:`ValidationError` unless it is an ``int`` (not ``bool``)."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SuppressionTable:
     """Response multipliers ``r(0), r(1), ..., r(max_h)`` for one customer.

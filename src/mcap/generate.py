@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import reduction
-from .core import GuardExceededError, Instance, SuppressionTable, ValidationError
+from .core import GuardExceededError, Instance, SuppressionTable, ValidationError, check_int
 from .reduction import BooleanAssignment, CnfFormula
 
 SUPPRESSION_FAMILIES = ("constant", "indicator", "linear", "grid")
@@ -55,9 +55,9 @@ def random_instance(
     ``0 <= lower <= upper <= n``; ``bounds="unbounded"`` fixes them to
     ``[0, n]`` (the class :func:`mcap.solvers.solve_unbounded` accepts).
 
-    Raises :class:`GuardExceededError` before any draw when ``n * k`` exceeds
-    :data:`mcap.reduction.REDUCTION_CELL_LIMIT`, the largest instance the
-    reduction writes.
+    The sizes must be ``int``.  Raises :class:`GuardExceededError` before any
+    draw when ``n * k`` exceeds :data:`mcap.reduction.REDUCTION_CELL_LIMIT`,
+    the largest instance the reduction writes.
     """
     if bounds not in BOUND_STYLES:
         raise ValidationError(f"unknown bound style {bounds!r}; expected one of {BOUND_STYLES}")
@@ -66,7 +66,7 @@ def random_instance(
         ("n", n, 1), ("k", k, 1), ("pref_max", pref_max, 0), ("weight_max", weight_max, 1),
         ("grid", grid, 1),
     ):
-        if value < least:
+        if check_int(value, name) < least:
             raise ValidationError(f"{name} must be >= {least}, got {value}")
     if n * k > reduction.REDUCTION_CELL_LIMIT:
         raise GuardExceededError(
@@ -123,8 +123,10 @@ def random_planted_formula(
     """A random formula together with an assignment planted to satisfy it.
 
     One literal per clause is signed to agree with the planted assignment;
-    the other two are signed at random.
+    the other two are signed at random.  The sizes must be ``int``.
     """
+    check_int(num_vars, "num_vars")
+    check_int(num_clauses, "num_clauses")
     rng = random.Random(seed)
     planted = tuple(rng.random() < 0.5 for _ in range(num_vars))
     triples = _clause_variables(rng, num_vars, num_clauses)

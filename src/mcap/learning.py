@@ -7,11 +7,11 @@ every (responder ``i``, non-responder ``j``) pair this yields one strict
 condition ``p_i * r(h_i) > p_j * r(h_j)``, and :func:`fit_suppression`
 searches a grid-valued table for ``r`` that satisfies as many conditions as
 possible.  A condition mentions two levels ``h >= 1`` only (``r(0) = 0``), so
-the satisfied count is a sum over pairs ``(h_i, h_j)`` of ``(grid+1) x
+the satisfied count is a sum over level pairs ``a <= b`` of ``(grid+1) x
 (grid+1)`` tables, built once per fit from the sorted outcome counts without
-listing a pair; a branch and bound over the levels, bounded by those tables,
-finds the best table and certifies it.  The categories come from the
-caller's labels (:func:`fit_categories`).
+listing a pair; a branch and bound over the levels, bounded by slices of
+those tables, finds the best table and certifies it.  The categories come
+from the caller's labels (:func:`fit_categories`).
 
 Everything is deterministic: the search has no random part, and condition
 evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GuardExceededError, SuppressionTable, ValidationError
+from .core import GuardExceededError, SuppressionTable, ValidationError, check_int
 from .io import parse_int
 
 CustomerId = int | str
@@ -38,9 +38,8 @@ DEFAULT_GRID = 20
 # the fit's level tables hold max_h^2 * (grid + 1)^2 cells, one per pair of
 # levels 1..max_h and pair of grid values, and each step of their build works
 # on distinct responder (campaign, preference) x max_h x (grid + 1), linear in
-# the input; a fit over either is refused up front.  A search node slices
-# the pairs from its level to the later ones, at most max_h x (grid + 1)^2
-# cells
+# the input; a fit over either is refused up front.  A search node reads one
+# slice of them, the pairs from its level on: at most max_h x (grid + 1)^2 cells
 TABLE_CELL_LIMIT = 10**7
 
 # once it has found a table, the search stops after this many nodes and
@@ -52,18 +51,8 @@ SEARCH_NODE_LIMIT = 100_000
 Outcome = tuple[CampaignId, int, int, bool]  # (campaign, preference, h, responded)
 
 
-def _check_int(value, what: str) -> int:
-    """Return ``value``; raise :class:`ValidationError` unless it is an ``int`` (not ``bool``)."""
-    if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _check_outcome(preference, h, responded) -> None:
-    """Raise :class:`ValidationError` unless an outcome's fields are valid.
-
-    ``preference`` and ``h`` must be integers, ``responded`` a ``bool``.
-    """
+    """Raise :class:`ValidationError` unless an outcome's fields have valid types and values."""
     if type(preference) is not int or type(h) is not int:
         raise ValidationError(f"preference and h must be integers, got {preference!r} and {h!r}")
     if preference < 0:
@@ -86,18 +75,20 @@ class FitResult:
 def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     """Pairwise level tables: the satisfied count of a fit is a sum of lookups.
 
-    ``tables[a - 1, b - 1, x, y]`` counts the responder/non-responder pairs
-    of a campaign at ``h = a`` and ``h = b`` with ``p_i * x > p_j * y`` (read
-    on the diagonal ``x == y`` only when ``a == b``); ``r(0) = 0`` has none.
-    No pair is listed; they are counted by sorting, as in Knight's method for
-    Kendall's tau.  The non-responders are sorted by ``(campaign rank * max_h
-    + h - 1) * (top + 1) + p``, a block of keys per campaign and level, with
+    For ``a <= b``, ``tables[a - 1, b - 1, x, y]`` counts the pairs of a
+    campaign at levels ``a`` and ``b``, either way round, satisfied at
+    ``r(a) = x/grid`` and ``r(b) = y/grid`` (read at ``x == y`` only when
+    ``a == b``); no block below the diagonal is read.  No pair is listed;
+    they are counted by sorting, as in Knight's method for Kendall's tau.
+    The non-responders are sorted by ``(campaign rank * max_h + h - 1) *
+    (top + 1) + p``, a block of keys per campaign and level, with
     cumulative counts.  For each ``x`` one ``searchsorted`` counts, for each
     distinct responder ``(campaign, p)`` and block, the keys up to ``min((p*x
     - 1) // y, top)`` (for ``y == 0``, the whole block when ``p*x > 0``), and
-    the responders' counts per level times those fill ``tables[:, :, x]``.
-    Entries are int64 when every key, product ``p * x``, each side's count
-    sum and their product fit, and Python integers (``dtype=object``) if not.
+    the responders' counts per level times those fill ``tables[:, :, x]``,
+    one direction each; a last pass adds each lower block, transposed, to
+    its mirror.  Entries are int64 when every key, product ``p * x``, each
+    side's count sum and their product fit, and Python integers if not.
     """
     top = max((preference for _, preference, _, _ in counts), default=0)
     ranks: dict[CampaignId, int] = {}
@@ -131,6 +122,8 @@ def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
         thresholds[:, 1:] = np.minimum((product[:, None] - 1) // divisors, top)
         found = np.searchsorted(keys, base[:, :, None] + thresholds, side="right")
         tables[:, :, x] = (weights @ (cumulative[found] - start[:, :, None])).swapaxes(0, 1)
+    for a in range(max_h - 1):
+        tables[a, a + 1 :] += tables[a + 1 :, a].swapaxes(1, 2)
     return tables
 
 
@@ -138,20 +131,20 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
     """Branch and bound over ``r(1..max_h)``: (count, levels, upper bound).
 
     ``levels[h - 1]`` is ``r(h) * grid``.  A table's count sums each level's
-    diagonal ``tables[b, b]`` and each pair's ``P[a, b] = tables[a, b] +
-    tables[b, a].T`` at its values.  Depth first, a node at depth ``d``
-    keeps the count among its set levels, ``partial``, and a row ``V[b]``
-    per unset level: its diagonal plus the pair slices at the set levels.
-    Child ``x`` is bounded by ``partial + V[d][x] + sum over b > d of max_y
-    (V[b][y] + P[d, b][x, y] + R[b][y])``, with ``R[b][y] = sum over c > b
-    of max_z P[b, c][y, z]`` computed once; under ``monotone``, ``y`` and
-    ``z`` go up to the previous level only.  Children are visited by
-    descending ``(bound, x)`` and skipped unless they can beat the
-    incumbent's ``(count, levels)``; the last level is scored as one
-    vector.  So the result has the most satisfied conditions and, among
-    those, the largest levels.  Past :data:`SEARCH_NODE_LIMIT` nodes, once
-    it has a table, the search returns it with the largest bound it left
-    unvisited; a finished search's upper bound is its count.
+    diagonal ``tables[b, b]`` and each pair's ``tables[a, b]``, ``a < b``, at
+    its values; a node at depth ``d`` reads only ``tables[d, d + 1 :]``.  Depth
+    first, it keeps the count among its set levels, ``partial``, and a row
+    ``V[b]`` per unset level: its diagonal plus the pair slices at the set
+    levels.  Child ``x`` is bounded by ``partial + V[d][x] + sum over b > d of
+    max_y (V[b][y] + tables[d, b][x, y] + R[b][y])``, with ``R[b][y] = sum
+    over c > b of max_z tables[b, c][y, z]`` computed once; under
+    ``monotone``, ``y`` and ``z`` go up to the previous level only.  Children
+    are visited by descending ``(bound, x)`` and skipped unless they can beat
+    the incumbent's ``(count, levels)``; the last level is scored as one
+    vector.  So the result has the most satisfied conditions and, among those,
+    the largest levels.  Past :data:`SEARCH_NODE_LIMIT` nodes, once it has a
+    table, the search returns it with the largest bound it left unvisited; a
+    finished search's upper bound is its count.
     """
     size = len(tables)
     span = np.arange(grid + 1)
@@ -159,8 +152,7 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
     below = span <= (span[:, None] if monotone else grid)
     rest = np.zeros((size, grid + 1), dtype=tables.dtype)
     for b in range(size - 1):
-        pairs = tables[b, b + 1 :] + tables[b + 1 :, b].swapaxes(1, 2)
-        rest[b] = np.where(below, pairs, 0).max(2).sum(0)
+        rest[b] = np.where(below, tables[b, b + 1 :], 0).max(2).sum(0)
     h = np.arange(size)[:, None]
     levels, partial, rows = [], 0, tables[h, h, span, span]
     best, best_levels, nodes = -1, [], 0
@@ -174,8 +166,8 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
             if (count, [*levels, x]) > (best, best_levels):
                 best, best_levels = count, [*levels, x]
         else:
-            pairs = tables[depth, depth + 1 :] + tables[depth + 1 :, depth].swapaxes(1, 2)
-            ahead = np.where(below, pairs + (rows[1:] + rest[depth + 1 :])[:, None, :], 0)
+            later = (rows[1:] + rest[depth + 1 :])[:, None, :]
+            ahead = np.where(below, tables[depth, depth + 1 :] + later, 0)
             bounds = (partial + rows[0] + ahead.max(2).sum(0))[: top + 1].tolist()
             stack.append((levels, partial, rows, sorted(zip(bounds, range(top + 1)))))
         while stack:
@@ -193,19 +185,21 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
             levels, partial, rows = (
                 [*levels, x],
                 partial + int(rows[0, x]),
-                rows[1:] + tables[depth, depth + 1 :, x] + tables[depth + 1 :, depth, :, x],
+                rows[1:] + tables[depth, depth + 1 :, x],
             )
             break
         else:
             return best, best_levels, best
 
 
-def _check_fit_options(max_h: int, grid: int) -> None:
-    """Raise unless the fit options are in range and the level tables fit the guard."""
-    if max_h < 1:
+def _check_fit_options(max_h: int, grid: int, monotone: bool) -> None:
+    """Raise unless the fit options have their types and ranges and the tables fit the guard."""
+    if check_int(max_h, "max_h") < 1:
         raise ValidationError(f"max_h must be >= 1, got {max_h}")
-    if grid < 1:
+    if check_int(grid, "grid resolution") < 1:
         raise ValidationError(f"grid resolution must be >= 1, got {grid}")
+    if type(monotone) is not bool:
+        raise ValidationError(f"monotone must be true or false, got {monotone!r}")
     cells = max_h**2 * (grid + 1) ** 2
     if cells > TABLE_CELL_LIMIT:
         raise GuardExceededError(
@@ -223,28 +217,25 @@ def fit_suppression(
 
     ``counts`` maps each outcome ``(campaign, preference, h, responded)`` to
     how many times it happened, with ``1 <= h <= max_h`` and ``responded`` a
-    ``bool``.  The table takes
-    values in ``{0, 1/grid, ..., 1}`` with ``r(0) = 0``, and maximizes the
-    number of satisfied responder/non-responder conditions (ties count as
-    unsatisfied).  The search is an exact branch and bound (:func:`_search`),
-    so every fit of the same counts gives the same table.  Among equal-count
-    optima the lexicographically largest table wins (larger values at
-    smaller ``h`` preferred).  With ``monotone=True`` the search is
-    restricted to non-increasing tables.  Past :data:`SEARCH_NODE_LIMIT`
-    nodes it stops with the best table found, and ``upper_bound`` states
-    how many conditions a table could satisfy at most; it equals
-    ``satisfied`` when the search finished.
+    ``bool``.  The table takes values in ``{0, 1/grid, ..., 1}`` with
+    ``r(0) = 0``, and maximizes the number of satisfied responder/non-responder
+    conditions (ties count as unsatisfied).  The search is an exact branch and
+    bound (:func:`_search`), so every fit of the same counts gives the same
+    table.  Among equal-count optima the lexicographically largest table wins
+    (larger values at smaller ``h`` preferred).  With ``monotone=True`` the
+    search is restricted to non-increasing tables.  Past
+    :data:`SEARCH_NODE_LIMIT` nodes it stops with the best table found, and
+    ``upper_bound`` states how many conditions a table could satisfy at most;
+    it equals ``satisfied`` when the search finished.
 
-    Every count comes from the pairwise level tables of :func:`_tables`,
-    built once per fit from the sorted outcome counts: a table's count is
-    one lookup per pair of levels, and the search's bounds are slices.
-    They hold ``max_h^2 * (grid + 1)^2`` cells, and each of the ``grid + 1``
-    steps of their build works on the distinct responder ``(campaign,
-    preference)`` times ``max_h * (grid + 1)`` cells; over
-    :data:`TABLE_CELL_LIMIT` either way, the fit raises
+    ``max_h`` and ``grid`` must be ``int`` and ``monotone`` a ``bool``.  The
+    level tables of :func:`_tables` hold ``max_h^2 * (grid + 1)^2`` cells,
+    and each of the ``grid + 1`` steps of their build works on the distinct
+    responder ``(campaign, preference)`` times ``max_h * (grid + 1)`` cells;
+    over :data:`TABLE_CELL_LIMIT` either way, the fit raises
     :class:`GuardExceededError` before building anything.
     """
-    _check_fit_options(max_h, grid)
+    _check_fit_options(max_h, grid, monotone)
     sides: dict[CampaignId, list[int]] = {}  # campaign -> [non-responders, responders]
     columns = set()
     for (campaign, preference, h, responded), count in counts.items():
@@ -313,7 +304,7 @@ def fit_categories(
     an empty history.  The search has no knobs: the result depends on the
     history, the labels and the options only.
     """
-    _check_fit_options(max_h, grid)
+    _check_fit_options(max_h, grid, monotone)
     groups: dict[int, dict[Outcome, int]] = {}
     for key, count in history.items():
         if labels_by_customer is None:
@@ -325,7 +316,7 @@ def fit_categories(
                 raise ValidationError(
                     f"customer {key[0]!r} has records but no category label"
                 ) from exc
-            _check_int(label, f"label of customer {key[0]!r}")
+            check_int(label, f"label of customer {key[0]!r}")
         group = groups.setdefault(label, {})
         outcome = key[1:]
         group[outcome] = group.get(outcome, 0) + count

@@ -121,12 +121,16 @@ def validate_formula(formula: CnfFormula) -> CnfFormula:
 
 
 def satisfies(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
+    """Whether ``assignment`` (``x_1`` first, each a ``bool``) satisfies every clause."""
     if len(assignment) != formula.num_vars:
         raise ValidationError(
             f"assignment has {len(assignment)} values for {formula.num_vars} variables"
         )
+    for i, value in enumerate(assignment, start=1):
+        if type(value) is not bool:
+            raise ValidationError(f"assignment value of x{i} must be true or false, got {value!r}")
     return all(
-        any((lit > 0) == bool(assignment[abs(lit) - 1]) for lit in clause)
+        any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
         for clause in formula.clauses
     )
 
@@ -334,10 +338,9 @@ def embed_assignment(red: ReducedInstance, assignment: Sequence[bool]) -> Assign
     ``u_i`` (or ``u_i'`` when ``x_i`` is false) takes its variable column and
     every clause column where its literal is true; clause columns are then
     topped up to four recommendations using ``s_j, s_j', s_j''`` in that
-    order.
+    order.  As in :func:`satisfies`, every value must be a ``bool``.
     """
     formula = red.formula
-    assignment = tuple(bool(a) for a in assignment)
     if not satisfies(formula, assignment):
         for j, clause in enumerate(formula.clauses, start=1):
             if not any((lit > 0) == assignment[abs(lit) - 1] for lit in clause):

@@ -10,7 +10,13 @@ import pytest
 
 from mcap import cli, generate, io, reduction, solvers
 from mcap.cli import main
-from mcap.core import AssignmentMatrix, GuardExceededError, Instance, SuppressionTable
+from mcap.core import (
+    AssignmentMatrix,
+    GuardExceededError,
+    Instance,
+    SuppressionTable,
+    ValidationError,
+)
 
 from test_learning import report_history
 
@@ -564,6 +570,22 @@ class TestGen:
         assert list(report) == ["error"]
         assert report["error"]["type"] == "ValidationError"
 
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2.0), ("k", True), ("pref_max", "9"), ("weight_max", 5.0), ("grid", 4.0),
+    ])
+    def test_random_instance_refuses_non_int_sizes(self, monkeypatch, name, value):
+        # before any draw: a draw would fail on the missing random module
+        monkeypatch.setattr(generate, "random", None)
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+            generate.random_instance(**{"seed": 1, "n": 2, "k": 2, name: value})
+
+    @pytest.mark.parametrize("name, value", [("num_vars", 5.0), ("num_clauses", True)])
+    def test_random_planted_formula_refuses_non_int_sizes(self, monkeypatch, name, value):
+        monkeypatch.setattr(generate, "random", None)
+        sizes = {"num_vars": 5, "num_clauses": 8, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+            generate.random_planted_formula(1, **sizes)
 
     def test_cell_guard(self, monkeypatch):
         # the limit is read at call time, and checked before any draw

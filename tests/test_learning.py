@@ -88,12 +88,18 @@ def pair_conditions(outcome_counts):
 def pair_tables(outcome_counts, max_h, grid):
     """Oracle for ``_tables``: each listed pair's truth table of ``p_i*x > p_j*y``, weighted.
 
-    Level ``h`` is index ``h - 1``.
+    Level ``h`` is index ``h - 1``.  A pair goes to the block of its lower
+    level first, so a responder above its non-responder adds its table
+    transposed; the blocks below the diagonal stay zero.
     """
     tables = np.zeros((max_h, max_h, grid + 1, grid + 1), dtype=object)
     levels = np.arange(grid + 1, dtype=object)
     for (p_i, h_i, p_j, h_j), mult in pair_conditions(outcome_counts).items():
-        tables[h_i - 1, h_j - 1] += (p_i * levels[:, None] > p_j * levels).astype(object) * mult
+        truth = (p_i * levels[:, None] > p_j * levels).astype(object) * mult
+        if h_i <= h_j:
+            tables[h_i - 1, h_j - 1] += truth
+        else:
+            tables[h_j - 1, h_i - 1] += truth.T
     return tables
 
 
@@ -193,6 +199,22 @@ class TestFitSuppression:
             fit_suppression(counts(), max_h=0)
         with pytest.raises(ValidationError, match="grid"):
             fit_suppression(counts(), max_h=2, grid=0)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"max_h": 2.0}, "max_h must be an integer, got 2.0"),
+        ({"max_h": True}, "max_h must be an integer, got True"),
+        ({"max_h": 2, "grid": True}, "grid resolution must be an integer, got True"),
+        ({"max_h": 2, "grid": 4.0}, "grid resolution must be an integer, got 4.0"),
+        ({"max_h": 2, "monotone": "yes"}, "monotone must be true or false, got 'yes'"),
+        ({"max_h": 2, "monotone": 1}, "monotone must be true or false, got 1"),
+    ], ids=["max_h-float", "max_h-bool", "grid-bool", "grid-float", "monotone-str", "monotone-int"])
+    def test_option_types_refused(self, options, message):
+        # refused, not converted: grid True would fit at grid 1, "yes" as true
+        history = counts(rec(1, 1, True), rec(1, 2, False))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit_suppression(history, **options)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit_categories(Counter({("a", *key): n for key, n in history.items()}), None, **options)
 
     @pytest.mark.parametrize("option", ["restarts", "seed"])
     def test_has_no_search_options(self, option):
@@ -294,7 +316,9 @@ def test_tables_match_pair_enumeration(case):
     outcome_counts, max_h, grid = case
     tables = _tables(outcome_counts, max_h, grid)
     assert tables.shape == (max_h, max_h, grid + 1, grid + 1)
-    assert np.array_equal(tables, pair_tables(outcome_counts, max_h, grid))
+    # the blocks below the diagonal are never read
+    upper = np.triu_indices(max_h)
+    assert np.array_equal(tables[upper], pair_tables(outcome_counts, max_h, grid)[upper])
 
 
 @given(counts_strategy, st.integers(1, 4))
@@ -324,11 +348,11 @@ def recount(levels, conditions):
 def gather(tables, levels):
     """The satisfied count of each row of ``levels`` (``r(1..max_h) * grid``), by lookups.
 
-    One broadcast gather looks up every level pair's table at the row's two
-    levels, and the lookups add up.
+    One broadcast gather looks up each level pair ``a <= b``'s table at the
+    row's two levels, and the lookups add up.
     """
-    h = np.arange(len(tables))
-    return tables[h[:, None], h, levels[:, :, None], levels[:, None, :]].sum((1, 2))
+    a, b = np.triu_indices(len(tables))
+    return tables[a, b, levels[:, a], levels[:, b]].sum(1)
 
 
 def enumerate_best(tables, grid, monotone):
@@ -435,6 +459,36 @@ def test_hill_climb_matches_recorded_fit(seed, monotone):
     optimum, levels = enumerate_best(_tables(history, 4, 20), 20, monotone)
     assert result.satisfied == result.upper_bound == optimum
     assert result.table.values[1:] == tuple(Fraction(q, 20) for q in levels)
+
+
+# (seed, monotone) -> satisfied of fit_suppression(max_h=8, grid=20) on
+# seeded_history(seed, max_h=8), each search finished
+DEEP_FIT_PINS = {
+    (1, False): 682475,
+    (1, True): 639416,
+    (2, False): 519613,
+    (2, True): 484094,
+    (3, False): 678469,
+    (3, True): 631127,
+}
+
+
+@pytest.mark.parametrize("seed, monotone", sorted(DEEP_FIT_PINS))
+def test_deep_fit_matches_recorded_count(seed, monotone):
+    result = fit_suppression(seeded_history(seed, max_h=8), max_h=8, grid=20, monotone=monotone)
+    assert result.satisfied == result.upper_bound == DEEP_FIT_PINS[seed, monotone]
+
+
+def test_node_limit_pins_the_traversal(monkeypatch):
+    # the free max_h 12 fit of seed 1 needs more than 2,000 nodes (its
+    # optimum is 671,748); the table and the largest unvisited bound it has
+    # after 2,000 change with any change to the order nodes are visited in
+    monkeypatch.setattr("mcap.learning.SEARCH_NODE_LIMIT", 2000)
+    result = fit_suppression(seeded_history(1, max_h=12), max_h=12, grid=20)
+    table = ("0", "11/20", "9/20", "13/20", "1/4", "1", "9/10", "17/20", "4/5", "1/2", "7/20",
+             "19/20", "1/5")
+    assert tuple(str(v) for v in result.table.values) == table
+    assert (result.satisfied, result.upper_bound) == (671646, 674700)
 
 
 def test_node_limit_stops_with_a_bound(monkeypatch):

@@ -9,6 +9,7 @@ import json
 from itertools import product
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -273,6 +274,30 @@ class TestEmbed:
         red = reduce_3sat(four_clause_formula())
         with pytest.raises(PreconditionError, match="clause 1 is false"):
             embed_assignment(red, (False, False, False))
+
+    def test_non_bool_value_refused(self):
+        # (1, 0, 0) would embed as (True, False, False)
+        red = reduce_3sat(four_clause_formula())
+        message = "^assignment value of x2 must be true or false, got 0$"
+        with pytest.raises(ValidationError, match=message):
+            embed_assignment(red, (True, 0, False))
+        with pytest.raises(ValidationError, match="value of x1 .* got 1$"):
+            embed_assignment(red, (1, 0, 0))
+
+
+class TestSatisfies:
+    @pytest.mark.parametrize("assignment, index", [
+        (("x", "", ""), 1),  # a non-empty string would read as true
+        ((True, 1, True), 2),
+        ((False, False, np.True_), 3),
+    ])
+    def test_non_bool_value_refused(self, assignment, index):
+        with pytest.raises(ValidationError, match=f"^assignment value of x{index} must be true"):
+            satisfies(four_clause_formula(), assignment)
+
+    def test_length_checked(self):
+        with pytest.raises(ValidationError, match="2 values for 3 variables"):
+            satisfies(four_clause_formula(), (True, True))
 
 
 class TestExtract:
