@@ -1,8 +1,9 @@
 """Walk through fitting a response suppression table from history.
 
 One category's response history is counted per outcome, and one
-suppression table is fitted to it.  Categories come from the caller (see
-``fit_categories`` or ``mcap fit --labels``).
+suppression table is fitted to it.  With labels, ``records_from_json``
+counts the records per category as it decodes them and ``fit_categories``
+fits one table per category, as ``mcap fit --labels`` does.
 
 Run: python3 demos/learning_inputs.py
 """

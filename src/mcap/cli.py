@@ -214,22 +214,10 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
-    history = learning.records_from_json(io.load_json(args.records))
-    labels = None
-    if args.labels:
-        raw = io.load_json(args.labels)
-        if not isinstance(raw, dict):
-            raise ValidationError("labels file must be a JSON object customer -> label")
-        by_key = {key: io.parse_int(value, f"label of {key!r}") for key, value in raw.items()}
-        # JSON object keys are always strings, record customers need not be
-        customers = {customer for customer, *_ in history}
-        labels = {c: by_key[str(c)] for c in customers if str(c) in by_key}
+    labels = io.load_json(args.labels) if args.labels else None
+    groups = learning.records_from_json(io.load_json(args.records), labels)
     results = learning.fit_categories(
-        history,
-        labels,
-        max_h=args.max_h,
-        grid=args.grid,
-        monotone=args.monotone,
+        groups, max_h=args.max_h, grid=args.grid, monotone=args.monotone
     )
     report = {
         "categories": [

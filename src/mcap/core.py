@@ -102,10 +102,6 @@ class SuppressionTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def max_h(self) -> int:
-        return len(self.values) - 1
-
     def is_constant_above_zero(self) -> bool:
         """True when r(1) = r(2) = ... = r(max_h)."""
         tail = self.values[1:]

@@ -10,8 +10,9 @@ possible.  A condition mentions two levels ``h >= 1`` only (``r(0) = 0``), so
 the satisfied count is a sum over level pairs ``a <= b`` of ``(grid+1) x
 (grid+1)`` tables, built once per fit from the sorted outcome counts without
 listing a pair; a branch and bound over the levels, bounded by slices of
-those tables, finds the best table and certifies it.  The categories come
-from the caller's labels (:func:`fit_categories`).
+those tables, finds the best table and certifies it.  The records are
+counted per category label as they are decoded (:func:`records_from_json`),
+and :func:`fit_categories` fits one table per label.
 
 Everything is deterministic: the search has no random part, and condition
 evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
@@ -20,7 +21,7 @@ evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -178,6 +179,10 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
             bound, x = children.pop()
             depth = len(levels)
             if bound < best or (bound == best and [*levels, x] < best_levels[: depth + 1]):
+                # children pop by descending (bound, x), so every child left in
+                # the frame is pruned too: none of them is a node the search
+                # or the node-limit bound still needs
+                stack.pop()
                 continue
             if best_levels and nodes >= SEARCH_NODE_LIMIT:
                 return best, best_levels, max(bound, *(c[-1][0] for *_, c in stack if c))
@@ -263,17 +268,25 @@ def fit_suppression(
 
 
 def _record_id(value, what: str) -> CustomerId:
-    # bool is an int subclass, but JSON true/false is no identifier
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if type(value) not in (int, str):
         raise ValidationError(f"{what} must be a string or an integer, got {value!r}")
     return value
 
 
-def records_from_json(data) -> Counter:
-    """Count the records of each ``(customer, campaign, preference, h, responded)``."""
+def records_from_json(data, labels=None) -> dict[int, Counter]:
+    """Count each label's outcomes ``(campaign, preference, h, responded)`` in one pass.
+
+    ``labels`` is the decoded object customer -> label, or ``None`` for one
+    category 0.  Every label is parsed, and a record's is ``labels[str(customer)]``:
+    JSON object keys are always strings, record customers need not be.
+    """
     if not isinstance(data, list):
         raise ValidationError("historical data must be a JSON array of records")
-    history: Counter = Counter()
+    if labels is not None:
+        if not isinstance(labels, dict):
+            raise ValidationError("labels must be a JSON object customer -> label")
+        labels = {key: parse_int(value, f"label of {key!r}") for key, value in labels.items()}
+    groups: defaultdict[int, Counter] = defaultdict(Counter)
     for idx, obj in enumerate(data):
         try:
             customer = _record_id(obj["customer"], "customer")
@@ -286,41 +299,30 @@ def records_from_json(data) -> Counter:
             raise ValidationError(f"record {idx} is malformed: {exc}") from exc
         except ValidationError as exc:
             raise ValidationError(f"record {idx}: {exc}") from exc
-        history[customer, campaign, preference, h, responded] += 1
-    return history
+        label = 0 if labels is None else labels.get(str(customer))
+        if label is None:
+            raise ValidationError(f"record {idx}: customer {customer!r} has no category label")
+        groups[label][campaign, preference, h, responded] += 1
+    return dict(groups)
 
 
 def fit_categories(
-    history: Mapping[tuple[CustomerId, CampaignId, int, int, bool], int],
-    labels_by_customer: Mapping[CustomerId, int] | None,
+    groups: Mapping[int, Mapping[Outcome, int]],
     max_h: int,
     grid: int = DEFAULT_GRID,
     monotone: bool = False,
 ) -> dict[int, FitResult]:
-    """Fit one table per category of ``history``; without labels, everyone is category 0.
+    """Fit one table per category: ``groups`` maps each label to its outcome counts.
 
     Labels must be ``int`` (``bool`` is not one), so no two labels merge.
-    The options are checked as :func:`fit_suppression` checks them, also for
-    an empty history.  The search has no knobs: the result depends on the
-    history, the labels and the options only.
+    The options are checked as :func:`fit_suppression` checks them, also
+    without categories.  The search has no knobs: the result depends on the
+    counts and the options only.
     """
     _check_fit_options(max_h, grid, monotone)
-    groups: dict[int, dict[Outcome, int]] = {}
-    for key, count in history.items():
-        if labels_by_customer is None:
-            label = 0
-        else:
-            try:
-                label = labels_by_customer[key[0]]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"customer {key[0]!r} has records but no category label"
-                ) from exc
-            check_int(label, f"label of customer {key[0]!r}")
-        group = groups.setdefault(label, {})
-        outcome = key[1:]
-        group[outcome] = group.get(outcome, 0) + count
+    for label in groups:
+        check_int(label, "category label")
     return {
-        label: fit_suppression(group, max_h=max_h, grid=grid, monotone=monotone)
-        for label, group in sorted(groups.items())
+        label: fit_suppression(counts, max_h=max_h, grid=grid, monotone=monotone)
+        for label, counts in sorted(groups.items())
     }

@@ -760,6 +760,7 @@ class TestFit:
     @pytest.mark.parametrize("field, value", [
         ("h", 1.7), ("h", True), ("responded", "no"), ("responded", 1),
         ("campaign", [1]), ("customer", [1]), ("preference", "1_0"), ("h", "٢"),
+        ("customer", True), ("campaign", False), ("customer", 1.5),
     ])
     def test_malformed_record(self, capsys, tmp_path, field, value):
         records = [

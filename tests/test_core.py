@@ -128,9 +128,6 @@ class TestSuppressionTable:
         with pytest.raises(ValidationError):
             SuppressionTable.indicator(4, 3)
 
-    def test_max_h(self):
-        assert SuppressionTable((0, 1, 1)).max_h == 2
-
     def test_values_must_be_a_tuple(self):
         with pytest.raises(ValidationError, match="suppression values must be a tuple, got list"):
             SuppressionTable([0, 1])

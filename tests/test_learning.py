@@ -214,7 +214,7 @@ class TestFitSuppression:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             fit_suppression(history, **options)
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            fit_categories(Counter({("a", *key): n for key, n in history.items()}), None, **options)
+            fit_categories({0: history}, **options)
 
     @pytest.mark.parametrize("option", ["restarts", "seed"])
     def test_has_no_search_options(self, option):
@@ -223,7 +223,7 @@ class TestFitSuppression:
         with pytest.raises(TypeError, match=option):
             fit_suppression(counts(rec(1, 1, True)), max_h=2, **{option: 1})
         with pytest.raises(TypeError, match=option):
-            fit_categories(Counter(), None, max_h=2, **{option: 1})
+            fit_categories({}, max_h=2, **{option: 1})
 
     def test_build_step_guard(self, monkeypatch):
         # 11 distinct responder (campaign, preference) columns: p 1-10 of
@@ -237,15 +237,14 @@ class TestFitSuppression:
             rec(1, 1, True, campaign="other"),  # pairs with nothing
             *(rec(p, 2, False) for p in range(1, 9)),
         )
-        grouped = Counter({("a", *key): n for key, n in history.items()})
         monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 44)
         assert fit_suppression(history, max_h=2, grid=1).total == 11 * 8
-        assert fit_categories(grouped, None, max_h=2, grid=1)[0].total == 11 * 8
+        assert fit_categories({0: history}, max_h=2, grid=1)[0].total == 11 * 8
         monkeypatch.setattr("mcap.learning.TABLE_CELL_LIMIT", 43)
         with pytest.raises(GuardExceededError, match="11 distinct responder .* 44 cells"):
             fit_suppression(history, max_h=2, grid=1)
         with pytest.raises(GuardExceededError, match="44 cells .* over the 43 limit"):
-            fit_categories(grouped, None, max_h=2, grid=1)
+            fit_categories({0: history}, max_h=2, grid=1)
 
     def test_search_agrees_on_its_own_report(self):
         # 21^4 tables: the search bounds its way past most of them
@@ -524,9 +523,9 @@ def test_free_fit_reaches_monotone_fit():
     # every non-increasing table is in the free search space; the report
     # history's two categories have non-increasing free optima
     records, labels = report_history()
-    history = records_from_json(records)
-    free = fit_categories(history, labels, max_h=4, grid=20)
-    mono = fit_categories(history, labels, max_h=4, grid=20, monotone=True)
+    groups = records_from_json(records, {str(c): label for c, label in labels.items()})
+    free = fit_categories(groups, max_h=4, grid=20)
+    mono = fit_categories(groups, max_h=4, grid=20, monotone=True)
     for label, (table, satisfied) in {
         0: (("0", "4/5", "7/10", "11/20", "1/4"), 8749),
         1: (("0", "17/20", "11/20", "3/10", "1/4"), 4958),
@@ -545,14 +544,14 @@ class TestJsonDecoding:
         data = [
             {"customer": "a", "campaign": 1, "preference": "5", "h": 2, "responded": True}
         ]
-        assert records_from_json(data) == Counter({("a", 1, 5, 2, True): 1})
+        assert records_from_json(data) == {0: Counter({(1, 5, 2, True): 1})}
 
     def test_repeated_records_count(self):
+        # without labels customers 7 and "7" are both category 0, so their
+        # records share one counter
         record = {"customer": 7, "campaign": "c", "preference": " 5 ", "h": "+2", "responded": False}
         other = {**record, "customer": "7"}
-        assert records_from_json([record, other, record]) == Counter(
-            {(7, "c", 5, 2, False): 2, ("7", "c", 5, 2, False): 1}
-        )
+        assert records_from_json([record, other, record]) == {0: Counter({("c", 5, 2, False): 3})}
 
     def test_records_malformed(self):
         with pytest.raises(ValidationError, match="record 0"):
@@ -569,35 +568,65 @@ class TestJsonDecoding:
         with pytest.raises(ValidationError, match=f"^record 1: {message}$"):
             records_from_json([good, {**good, field: value}])
 
+    def test_labels_group_as_per_record_lookup(self):
+        # oracle: look up each record's label by str(customer) and count its
+        # outcome there; the history has int and str customers, repeated
+        # records and string preferences
+        records, labels = report_history()
+        labels = {str(customer): label for customer, label in labels.items()}
+        expected = {}
+        for r in records:
+            outcome = (r["campaign"], int(r["preference"]), r["h"], r["responded"])
+            expected.setdefault(labels[str(r["customer"])], Counter())[outcome] += 1
+        assert records_from_json(records, labels) == expected
+        assert sorted(expected) == [0, 1]
+
+    def test_unused_label_is_parsed(self):
+        data = [{"customer": "a", "campaign": 1, "preference": 5, "h": 2, "responded": True}]
+        assert records_from_json(data, {"a": "1"}) == {1: Counter({(1, 5, 2, True): 1})}
+        with pytest.raises(ValidationError, match="^bad integer literal for label of 'b': 1.7$"):
+            records_from_json(data, {"a": 1, "b": 1.7})
+
+    def test_missing_label_names_its_record(self):
+        good = {"customer": 3, "campaign": 1, "preference": 5, "h": 2, "responded": True}
+        with pytest.raises(ValidationError, match="^record 1: customer 'ghost' has no category label$"):
+            records_from_json([good, {**good, "customer": "ghost"}], {"3": 0})
+
+    @pytest.mark.parametrize("labels", [[], [["a", 0]], "a"])
+    def test_labels_must_be_an_object(self, labels):
+        with pytest.raises(ValidationError, match="labels must be a JSON object"):
+            records_from_json([], labels)
+
 
 class TestFitCategories:
     def test_one_table_per_label(self):
-        history = Counter({
-            ("a", *rec(1, 1, True)): 1,
-            ("a", *rec(1, 3, False)): 2,
-            ("b", *rec(1, 2, True)): 1,
-        })
-        results = fit_categories(history, {"a": 0, "b": 1}, max_h=3, grid=4)
+        record = {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True}
+        no = {**record, "h": 3, "responded": False}
+        groups = records_from_json([record, no, no, {**record, "customer": "b", "h": 2}],
+                                   {"a": 0, "b": 1})
+        results = fit_categories(groups, max_h=3, grid=4)
         assert sorted(results) == [0, 1]
         assert isinstance(results[0], FitResult)
         assert results[0].total == 2  # a's responder with a's two non-responses
         assert results[1].total == 0
 
     def test_no_labels_means_one_category(self):
-        history = Counter({("a", *rec(1, 1, True)): 1, ("b", *rec(1, 3, False)): 1})
-        results = fit_categories(history, None, max_h=3, grid=4)
+        record = {"customer": "a", "campaign": "c", "preference": 1, "h": 1, "responded": True}
+        groups = records_from_json([record, {**record, "customer": "b", "h": 3, "responded": False}])
+        results = fit_categories(groups, max_h=3, grid=4)
         assert list(results) == [0]
         assert results[0].total == 1
 
     def test_missing_label_rejected(self):
+        ghost = {"customer": "ghost", "campaign": "c", "preference": 1, "h": 1, "responded": True}
         with pytest.raises(ValidationError, match="no category label"):
-            fit_categories(Counter({("ghost", *rec(1, 1, True)): 1}), {}, max_h=3)
+            fit_categories(records_from_json([ghost], {}), max_h=3)
 
     @pytest.mark.parametrize("label", [1.7, True, "1"])
     def test_non_integer_label_rejected(self, label):
-        history = Counter({("a", *rec(1, 1, True)): 1, ("b", *rec(1, 3, False)): 1})
+        groups = {0: counts(rec(1, 1, True)), label: counts(rec(1, 3, False))}
         with pytest.raises(ValidationError, match="must be an integer"):
-            fit_categories(history, {"a": 1, "b": label}, max_h=2)
+            fit_categories(groups, max_h=2)
 
     @pytest.mark.parametrize("options, error, message", [
         ({"max_h": 0}, ValidationError, "max_h"),
@@ -606,8 +635,8 @@ class TestFitCategories:
     ])
     def test_empty_history_checks_options(self, options, error, message):
         with pytest.raises(error, match=message):
-            fit_categories(Counter(), None, **options)
-        assert fit_categories(Counter(), None, max_h=2, grid=4) == {}
+            fit_categories({}, **options)
+        assert fit_categories({}, max_h=2, grid=4) == {}
 
 
 def test_public_names_resolve():
