@@ -151,16 +151,17 @@ class Instance:
         the instance; it is no dataclass field, so equality, hashing and
         ``repr`` ignore it, and ``dataclasses.replace`` computes it afresh.
         """
-        scale = lcm(*(v.denominator for t in self.suppression for v in t.values))
+        # one conversion per distinct value object: a read instance shares
+        # one Fraction per distinct literal.  Keyed by id, since hashing a
+        # Fraction runs Python code; every value lives on this instance, so
+        # no id is reused while the dict is alive
+        distinct = {id(v): v for t in self.suppression for v in t.values}
+        scale = lcm(*{v.denominator for v in distinct.values()})
         # scale is a multiple of every denominator, so this is int(v * scale)
         # without a Fraction multiply
-        rates = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in t.values)
-            for t in self.suppression
-        )
-        weighted = tuple(
-            tuple(w * p for w, p in zip(self.weights, row)) for row in self.preferences
-        )
+        scaled = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
+        rates = tuple(tuple(map(scaled.__getitem__, map(id, t.values))) for t in self.suppression)
+        weighted = tuple(tuple(map(mul, self.weights, row)) for row in self.preferences)
         return scale, rates, weighted
 
 

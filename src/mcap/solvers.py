@@ -27,11 +27,15 @@ Heuristic routes (no optimality guarantee, always feasible):
 * :func:`greedy_construct` fills lower bounds first, then keeps adding the
   cell with the best marginal fitness gain while one exists, on a heap that
   holds each row's best open cell.
-* :func:`local_search` improves a feasible start by first-improvement scans
-  over single-cell flips and within-column swaps.  It keeps a table of every
-  cell's flip gain, updates only the rows a move touches, and tests each set
-  cell against its column's best free-row gain before walking swap partners,
-  so each step is O(nk).
+* :func:`local_search` improves a feasible start by two moves.  The row move
+  replaces one row by its best row under the column bounds (:func:`_best_row`
+  with the row's cells in columns at their lower bound kept), which covers
+  every single-cell flip; the within-column swap moves a 1 to another row.
+  It alternates a sweep of row moves over the rows with a first-improvement
+  swap scan until a swap scan applies nothing.  The swap scan keeps a table
+  of every cell's flip gain, updates only the rows a move touches, and tests
+  each set cell against its column's best free-row gain before walking swap
+  partners, so each step is O(nk).
 
 Internally every solver scores with plain integers: every suppression value
 is multiplied by the least common denominator of all table entries, so row
@@ -133,23 +137,28 @@ def _subset_scores(
 
 
 def _best_row(
-    weighted_i: Sequence[int], rates_i: Sequence[int], campaigns
+    weighted_i: Sequence[int], rates_i: Sequence[int], campaigns, kept: Sequence[int] = ()
 ) -> tuple[int, list[int]]:
-    """The best scaled score of one row over subsets of ``campaigns``, and its cells.
+    """The best scaled score of one row that holds ``kept`` plus a subset of ``campaigns``.
 
-    Rates are nonnegative, so the best subset of each size ``h`` holds the
-    ``h`` largest weighted preferences (ties to the earlier campaign); among
-    sizes with equal scores the smallest wins.  This is
-    ``max(_subset_scores(weighted_i, rates_i, campaigns))`` in O(b log b).
+    Returns the score and the row's cells, ``kept`` first.  Rates are
+    nonnegative, so the best row with ``t`` cells of ``campaigns`` holds their
+    ``t`` largest weighted preferences (ties to the earlier campaign); among
+    counts ``t`` with equal scores the smallest wins.  With ``kept`` empty
+    this is ``max(_subset_scores(weighted_i, rates_i, campaigns))`` in
+    O(b log b).
     """
-    ranked = sorted(campaigns, key=lambda j: -weighted_i[j])
-    best, best_h, prefix = 0, 0, 0
-    for h, j in enumerate(ranked, 1):
+    # a reversed sort is stable too: equal preferences keep their order
+    ranked = sorted(campaigns, key=weighted_i.__getitem__, reverse=True)
+    h = len(kept)
+    prefix = sum(map(weighted_i.__getitem__, kept))
+    best, best_t = rates_i[h] * prefix, 0
+    for t, j in enumerate(ranked, 1):
         prefix += weighted_i[j]
-        score = rates_i[h] * prefix
+        score = rates_i[h + t] * prefix
         if score > best:
-            best, best_h = score, h
-    return best, ranked[:best_h]
+            best, best_t = score, t
+    return best, [*kept, *ranked[:best_t]]
 
 
 def _finish(
@@ -528,27 +537,45 @@ def greedy_construct(inst: Instance) -> SolveResult:
 def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     """First-improvement local search from a feasible starting matrix.
 
-    Move set: (a) flip one cell in either direction when the column bound
-    allows it, (b) move a 1 to another row of the same column (column sum
-    unchanged).  Cells are scanned in row-major order; at a set cell the flip
-    is tried before the swaps, and swap partners are scanned by ascending row.
-    The first move that strictly increases fitness is applied and the scan
-    restarts, so the result is a deterministic local optimum; termination is
-    guaranteed because fitness strictly increases over a finite lattice.
+    Move set: (a) the row move, which replaces one row by its best row under
+    the column bounds, and (b) the swap, which moves a 1 to another row of
+    the same column (column sums unchanged).  A row move keeps the row's set
+    cells in columns at their lower bound, may drop its other set cells and
+    may add free cells in columns below their upper bound, so every column
+    changes by at most 1 and the matrix stays feasible.  The best such row
+    is the kept cells plus the top ``t`` of the others by ``w_j * p_ij``
+    (ties to the smaller campaign), maximized over ``t`` (ties to the
+    smaller ``t``): :func:`_best_row` with ``kept``.  A single-cell flip
+    changes one cell of one row, so it is a row move too.
 
-    The search keeps a gain table: ``gains[j][i]`` is the scaled score change
-    of flipping cell ``(i, j)`` (:func:`_gain`), the add gain of a 0 and the
-    remove gain of a 1.  A flip changes only its own row's score and its
-    column's count, so after a move only the touched rows are recomputed.
-    Two cells of one column lie in different rows, so a swap gains the sum of
-    its two flip gains.  Each scan first takes ``best_in[j]``, the largest
-    gain over the free rows of column ``j``: a set cell has an improving swap
-    iff its gain plus ``best_in[j]`` is positive, and only then are its
-    partners walked, up to the first improving one.  A scan step is O(nk).
+    The search alternates two phases until a swap phase applies nothing:
 
-    ``explored`` counts checked moves as a scan that walks every swap
-    partner would: one per visited cell plus one per free row tried as a
-    partner, so a set cell without an improving swap adds ``n - cols[j]``.
+    1. The row sweep visits rows 0, 1, ..., n - 1, 0, ... and applies each
+       row move whose score is strictly above the row's current score; it
+       stops after ``n`` visits in a row that apply none, so no row move
+       and no flip gains when it ends.
+    2. The swap scan visits the set cells in row-major order, walks swap
+       partners by ascending row, applies the first swap that strictly
+       increases fitness and restarts from row 0, until no swap gains.
+
+    The result admits no improving row move, flip or swap, and is
+    deterministic; fitness strictly increases with every move over a finite
+    lattice, so the search ends.
+
+    The swap scan keeps a gain table: ``gains[j][i]`` is the scaled score
+    change of flipping cell ``(i, j)`` (:func:`_gain`), the add gain of a 0
+    and the remove gain of a 1.  A move changes only its own rows' scores,
+    so after a move only those rows are recomputed.  Two cells of one column
+    lie in different rows, so a swap gains the sum of its two flip gains.
+    Each scan first takes ``best_in[j]``, the largest gain over the free rows
+    of column ``j``: a set cell has an improving swap iff its gain plus
+    ``best_in[j]`` is positive, and only then are its partners walked, up to
+    the first improving one.  A scan step is O(nk).
+
+    ``explored`` counts one per row visited in a sweep, plus, in the swap
+    scans, one per set cell visited and one per free row tried as a partner,
+    as a scan that walks every partner would: a set cell without an
+    improving swap adds ``n - cols[j]``.
     """
     report = check_feasibility(inst, start)
     if not report.feasible:
@@ -559,46 +586,78 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     scale, rates, weighted = inst.scaled
     rows = [list(row) for row in start.entries]
     h = [sum(row) for row in rows]
-    row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]
+    row_value = [sum(compress(weighted[i], rows[i])) for i in range(n)]
     cols = list(report.column_sums)
     total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
     moves_checked = 0
-    # column-major, so a column's best free gain is one C-level max
+    # column-major, so a column's best free gain is one C-level max; a sweep
+    # leaves them to be refreshed, for the rows it changed, before the swaps
     gains = [[0] * n for _ in range(k)]
-    free = [[1 - row[j] for row in rows] for j in range(k)]
+    free = [[0] * n for _ in range(k)]
+    stale = set(range(n))
 
     def set_gains(i: int) -> None:
         rates_i, value, h_i, weighted_i = rates[i], row_value[i], h[i], weighted[i]
         for j, cell in enumerate(rows[i]):
             step = 1 - 2 * cell
             gains[j][i] = _gain(rates_i, value, h_i, step * weighted_i[j], step)
+            free[j][i] = 1 - cell
 
     def flip(i: int, j: int) -> None:
         step = 1 - 2 * rows[i][j]
         rows[i][j] += step
-        free[j][i] -= step
         cols[j] += step
         row_value[i] += step * weighted[i][j]
         h[i] += step
         set_gains(i)
 
+    def row_move(i: int) -> int:
+        # replace row i by its best row under the column bounds when that
+        # scores strictly more, and return the gain (0 when it does not)
+        row, weighted_i = rows[i], weighted[i]
+        kept, campaigns = [], []
+        for j, cell in enumerate(row):
+            if cell:
+                (kept if cols[j] == lower[j] else campaigns).append(j)
+            elif cols[j] < upper[j]:
+                campaigns.append(j)
+        current = rates[i][h[i]] * row_value[i]
+        best, cells = _best_row(weighted_i, rates[i], campaigns, kept)
+        if best <= current:
+            return 0
+        for j in range(k):
+            cols[j] -= row[j]
+            row[j] = 0
+        for j in cells:
+            cols[j] += 1
+            row[j] = 1
+        h[i] = len(cells)
+        row_value[i] = sum(map(weighted_i.__getitem__, cells))
+        stale.add(i)
+        return best - current
+
+    def sweep() -> int:
+        # visit rows cyclically from row 0, applying each improving row
+        # move, until n visits in a row apply none; return the total gain
+        nonlocal moves_checked
+        gained, idle, i = 0, 0, 0
+        while idle < n:
+            moves_checked += 1
+            gain = row_move(i)
+            gained += gain
+            idle = 0 if gain else idle + 1
+            i = (i + 1) % n
+        return gained
+
     def improve() -> int:
-        # apply the first improving move in scan order and return its gain,
-        # or return 0 at a local optimum
+        # apply the first improving swap in scan order and return its gain,
+        # or return 0 when no swap gains
         nonlocal moves_checked
         best_in = [max(compress(gains[j], free[j]), default=None) for j in range(k)]
         for i, row in enumerate(rows):
-            for j in range(k):
+            for j in compress(range(k), row):
                 moves_checked += 1
                 gain = gains[j][i]
-                if row[j] == 0:
-                    if cols[j] < upper[j] and gain > 0:
-                        flip(i, j)
-                        return gain
-                    continue
-                if cols[j] > lower[j] and gain > 0:
-                    flip(i, j)
-                    return gain
                 best = best_in[j]
                 if best is None or gain + best <= 0:
                     moves_checked += n - cols[j]
@@ -611,8 +670,15 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
                         return gain + partner
         return 0
 
-    for i in range(n):
-        set_gains(i)
-    while (applied := improve()) > 0:
-        total += applied
+    while True:
+        total += sweep()
+        for i in stale:
+            set_gains(i)
+        stale.clear()
+        swapped = False
+        while (applied := improve()) > 0:
+            total += applied
+            swapped = True
+        if not swapped:
+            break
     return _finish(inst, rows, False, started, moves_checked, Fraction(total, scale))

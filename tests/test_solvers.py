@@ -4,13 +4,14 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mcap import generate, reduction, solvers
+from mcap import generate, io, reduction, solvers
 from mcap.capacity import CapacityBox
 from mcap.cli import run_bench
 from mcap.core import (
@@ -169,7 +170,7 @@ PIN_INSTANCES = {
     "negative-phase-1": lambda: generate.random_instance(seed=15, n=20, k=4),
     "constant-30x4": lambda: generate.random_instance(seed=5, n=30, k=4, family="constant"),
     "unbounded-30x4": lambda: generate.random_instance(seed=6, n=30, k=4, bounds="unbounded"),
-    # local search climbs 9% above its greedy start over 137,859 checked moves
+    # local search climbs 48% above its greedy start over 187,257 checked moves
     "improving-100x8": lambda: generate.random_instance(seed=6, n=100, k=8),
 }
 
@@ -184,7 +185,9 @@ PIN_SOLVERS = {
 # (solver, instance) -> fitness, SHA-256 of the '\n'-joined row strings and
 # explored, as recorded from the Fraction-scoring heuristics and closed forms
 # and from the per-state reference implementation of dp_solve; greedy's
-# explored counts the pops of its one-entry-per-row heap
+# explored counts the pops of its one-entry-per-row heap.  The local entries
+# were recorded with the row move and its sweep, which rescan_local_search
+# reproduces
 PINS = {
     ("dp", "grid-30x4"): (
         "3095/4", "7e8cb33531c5fde0b9ec5248511708f48e8b4d0c530e9bdaaeb1767cd86df666", 396566,
@@ -210,20 +213,20 @@ PINS = {
         "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 13,
     ),
     ("local", "grid-30x4"): (
-        "2379/4", "0ec08759af45da03b3aab3039b890a7529cb91d7f22cc8cf86246c2f33f03836", 741,
+        "2787/4", "53a2ec2f9b92724c0b2cc80c0b95de879077d96b5ebabdc788594600633262cf", 703,
     ),
     ("local", "negative-phase-1"): (
-        "2233/4", "236e86e070a43723b6b0fa111a76f99478d7acc2553c70fce3575f8f0522aed9", 574,
+        "1181/2", "c783cef6c6d62104135954fec548f00b730a108fedb13a336fd19472b53d3a47", 667,
     ),
     ("local", "huge-prefs"): (
         "2032298738718956958493/2",
-        "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 33,
+        "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 32,
     ),
     ("greedy", "improving-100x8"): (
         "14183/4", "8677dcbfd747222e8d606203d17dba2568116dae6012feba68795d424c53f353", 410,
     ),
     ("local", "improving-100x8"): (
-        "3870", "72ef4a74ab3ff0d5780af04ff893b059ccca94fabfdd7444c17830b46b1e869a", 137859,
+        "10481/2", "9f1330bea279b17a00b12ba0b80436e28a2cf24a04a02890d8538f234acc2124", 187257,
     ),
     ("const", "constant-30x4"): (
         "3453/4", "b5e3e5f7ec408e47f7e0db268887c8c4c7ad9c8b0d426c34e603d6a15104bc1c", 120,
@@ -255,6 +258,38 @@ def test_best_subset_score_is_the_maximum(weighted, rates):
     assert best == max(solvers._subset_scores(weighted, rates, campaigns))
     assert len(set(cells)) == len(cells) and set(cells) <= set(campaigns)
     assert rates[len(cells)] * sum(weighted[j] for j in cells) == best
+
+
+@given(
+    st.integers(1, 7).flatmap(lambda k: st.tuples(
+        st.lists(st.sampled_from((0, 1, 2, 5, 10**20)), min_size=k, max_size=k),
+        st.lists(st.integers(0, 12), min_size=k + 1, max_size=k + 1),
+        # per campaign: left out, kept, or free to join
+        st.lists(st.sampled_from(("out", "kept", "free")), min_size=k, max_size=k),
+    ))
+)
+@settings(max_examples=300, deadline=None)
+def test_best_row_with_kept_cells_matches_enumeration(case):
+    weighted, rates, roles = case
+    kept = [j for j, role in enumerate(roles) if role == "kept"]
+    campaigns = [j for j, role in enumerate(roles) if role == "free"]
+    best, cells = solvers._best_row(weighted, rates, campaigns, kept)
+    # every superset of kept within kept + campaigns, keyed by the tie rule:
+    # the best score, then the fewest cells, then the cells first by
+    # descending weighted preference and ascending campaign
+    expected = min(
+        (
+            -rates[len(kept) + len(chosen)] * sum(weighted[j] for j in kept + chosen),
+            len(chosen),
+            sorted((-weighted[j], j) for j in chosen),
+            chosen,
+        )
+        for mask in range(1 << len(campaigns))
+        for chosen in [[j for b, j in enumerate(campaigns) if mask >> b & 1]]
+    )
+    assert best == -expected[0]
+    assert cells[:len(kept)] == kept
+    assert sorted(cells[len(kept):]) == expected[3]
 
 
 def test_dp_exact_beyond_int64():
@@ -597,6 +632,31 @@ def test_scaled_rates_equal_fraction_products(levels):
     assert rates == tuple(tuple(int(v * scale) for v in t.values) for t in inst.suppression)
 
 
+def fraction_formula_scaled(inst):
+    """``Instance.scaled`` by the formula it replaced: one conversion per table entry."""
+    scale = lcm(*(v.denominator for t in inst.suppression for v in t.values))
+    rates = tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in t.values) for t in inst.suppression
+    )
+    weighted = tuple(
+        tuple(w * p for w, p in zip(inst.weights, row)) for row in inst.preferences
+    )
+    return scale, rates, weighted
+
+
+@pytest.mark.parametrize("name", [*sorted(PIN_INSTANCES), "read-reduced-3sat"])
+def test_scaled_equals_the_per_entry_formula(name, tmp_path):
+    if name == "read-reduced-3sat":
+        # read back from a file, so equal values share one Fraction
+        formula, _ = generate.random_planted_formula(11, 6, 25)
+        path = tmp_path / "reduced.json"
+        io.write_instance(reduction.reduce_3sat(formula).instance, path)
+        inst = io.read_instance(path)
+    else:
+        inst = PIN_INSTANCES[name]()
+    assert inst.scaled == fraction_formula_scaled(inst)
+
+
 def test_run_bench_keeps_scaled():
     # every solver runs on this instance and reads the one cached scaled form
     inst = generate.random_instance(seed=3, n=4, k=3, family="constant", bounds="unbounded")
@@ -608,59 +668,84 @@ def test_run_bench_keeps_scaled():
 
 
 def rescan_local_search(inst, start):
-    """Local search that rescans every swap partner: the oracle for the gain table.
+    """Local search that enumerates every row and every swap partner: the oracle.
 
-    Returns the rows, the scaled total and the checked moves.  Each step
-    scans the cells in row-major order and applies the first improving move:
-    a flip within the column bounds, or else a swap with the first free row
-    of the column, counting every partner it tries.
+    Returns the rows, the scaled total and the checked moves.  It alternates
+    local_search's two phases.  The row sweep visits rows cyclically from
+    row 0 until ``n`` visits in a row apply nothing; each visit tries all
+    2^k rows of the customer that keep every column within its bounds and
+    takes the one of the best score, then the fewest cells, then the cells
+    first in descending weighted preference and ascending campaign, when it
+    scores strictly more than the row.  The swap scan visits the set cells
+    in row-major order, tries every free row of the column and applies the
+    first improving swap, counting each partner it tries, and restarts.
     """
     n, k = inst.n, inst.k
+    lower, upper = inst.lower_bounds, inst.upper_bounds
     _, rates, weighted = inst.scaled
     rows = [list(row) for row in start.entries]
-    h = [sum(row) for row in rows]
-    row_value = [sum(w for w, m in zip(weighted[i], rows[i]) if m) for i in range(n)]
     cols = [sum(column) for column in zip(*rows)]
-    total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
     moves_checked = 0
 
-    def gain(i, j):
-        step = 1 - 2 * rows[i][j]
-        return solvers._gain(rates[i], row_value[i], h[i], step * weighted[i][j], step)
+    def score(i, row):
+        return rates[i][sum(row)] * sum(w for w, m in zip(weighted[i], row) if m)
 
-    def flip(i, j):
-        step = 1 - 2 * rows[i][j]
-        rows[i][j] += step
-        cols[j] += step
-        row_value[i] += step * weighted[i][j]
-        h[i] += step
+    def row_move(i):
+        candidates = [
+            (-score(i, row), sum(row), sorted((-weighted[i][j], j) for j in range(k) if row[j]), row)
+            for row in product((0, 1), repeat=k)
+            if all(lower[j] <= cols[j] - rows[i][j] + row[j] <= upper[j] for j in range(k))
+        ]
+        # the row itself is a candidate, so the gain is never negative
+        neg_best, _, _, row = min(candidates)
+        gain = -neg_best - score(i, rows[i])
+        if gain > 0:
+            for j in range(k):
+                cols[j] += row[j] - rows[i][j]
+            rows[i] = list(row)
+        return gain
 
-    def improve():
+    def sweep():
+        nonlocal moves_checked
+        gained, idle, i = 0, 0, 0
+        while idle < n:
+            moves_checked += 1
+            gain = row_move(i)
+            gained += gain
+            idle = 0 if gain else idle + 1
+            i = (i + 1) % n
+        return gained
+
+    def flip_gain(i, j):
+        row = list(rows[i])
+        row[j] ^= 1
+        return score(i, row) - score(i, rows[i])
+
+    def swap():
         nonlocal moves_checked
         for i in range(n):
             for j in range(k):
-                moves_checked += 1
                 if rows[i][j] == 0:
-                    if cols[j] < inst.upper_bounds[j] and (add := gain(i, j)) > 0:
-                        flip(i, j)
-                        return add
                     continue
-                out_gain = gain(i, j)
-                if cols[j] > inst.lower_bounds[j] and out_gain > 0:
-                    flip(i, j)
-                    return out_gain
+                moves_checked += 1
+                out_gain = flip_gain(i, j)
                 for i2 in range(n):
                     if rows[i2][j] == 0:
                         moves_checked += 1
-                        if (swap := out_gain + gain(i2, j)) > 0:
-                            flip(i, j)
-                            flip(i2, j)
-                            return swap
+                        if (gain := out_gain + flip_gain(i2, j)) > 0:
+                            rows[i][j], rows[i2][j] = 0, 1
+                            return gain
         return 0
 
-    while (applied := improve()) > 0:
-        total += applied
-    return rows, total, moves_checked
+    total = sum(score(i, row) for i, row in enumerate(rows))
+    while True:
+        total += sweep()
+        swapped = False
+        while (applied := swap()) > 0:
+            total += applied
+            swapped = True
+        if not swapped:
+            return rows, total, moves_checked
 
 
 @given(
@@ -688,6 +773,52 @@ def test_local_search_matches_rescan(seed, n, k, pref_max, family, bounds, from_
     assert result.stats.explored == explored
 
 
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.sampled_from((0, 1, 9)),
+    st.sampled_from(generate.SUPPRESSION_FAMILIES),
+    st.sampled_from(("random", "unbounded")),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_local_search_ends_where_no_move_gains(seed, n, k, pref_max, family, bounds, from_greedy):
+    inst = generate.random_instance(
+        seed=seed, n=n, k=k, pref_max=pref_max, family=family, bounds=bounds
+    )
+    start = greedy_construct(inst).matrix if from_greedy else random_feasible_matrix(seed, inst)
+    result = local_search(inst, start)
+    fitness = result.fitness
+    rows = [list(row) for row in result.matrix.entries]
+
+    def fitness_of(candidate):
+        matrix = AssignmentMatrix.from_rows(candidate)
+        return evaluate_fitness(inst, matrix) if check_feasibility(inst, matrix).feasible else None
+
+    def replaced(changes):
+        return [changes.get(i, row) for i, row in enumerate(rows)]
+
+    moves = []
+    for i in range(n):
+        for j in range(k):
+            # a flip
+            moves.append({i: [cell ^ (q == j) for q, cell in enumerate(rows[i])]})
+            # a swap within column j
+            if rows[i][j]:
+                for i2 in range(n):
+                    if not rows[i2][j]:
+                        moves.append({
+                            i: [cell & (q != j) for q, cell in enumerate(rows[i])],
+                            i2: [cell | (q == j) for q, cell in enumerate(rows[i2])],
+                        })
+        # a row move: any row of customer i
+        moves.extend({i: list(row)} for row in product((0, 1), repeat=k))
+    for changes in moves:
+        candidate = fitness_of(replaced(changes))
+        assert candidate is None or candidate <= fitness
+
+
 class TestLocalSearch:
     def test_fixed_point_at_optimum(self):
         inst = single_customer_instance()
@@ -699,6 +830,24 @@ class TestLocalSearch:
         inst = single_customer_instance()
         result = local_search(inst, AssignmentMatrix.zero(1, 2))
         assert result.fitness == 21
+
+    def test_fills_a_row_whose_first_cell_gains_nothing(self):
+        # r(1) = 0: greedy leaves the row empty and every flip gains 0, but
+        # the row move to both campaigns gains 2, the optimum
+        inst = Instance(
+            n=1, k=2, weights=(1, 1), preferences=((1, 1),),
+            suppression=(SuppressionTable((0, 0, 1)),),
+            lower_bounds=(0, 0), upper_bounds=(1, 1),
+        )
+        greedy = greedy_construct(inst)
+        assert greedy.matrix == AssignmentMatrix.zero(1, 2)
+        assert all(
+            evaluate_fitness(inst, AssignmentMatrix((cells,))) == 0
+            for cells in ((1, 0), (0, 1))
+        )
+        result = local_search(inst, greedy.matrix)
+        assert result.matrix.entries == ((1, 1),)
+        assert result.fitness == 2 == dp_solve(inst).fitness
 
     def test_rejects_infeasible_start(self):
         inst = single_customer_instance(lower=(1, 1))
