@@ -10,7 +10,6 @@ from mcap import (
     extract_assignment,
     parse_dimacs,
     reduce_3sat,
-    sat_brute_force,
     satisfies,
 )
 
@@ -50,10 +49,11 @@ print(f"  optimum reaches t, so the formula is satisfiable; extracted x = {bits}
 assert satisfies(formula, assignment)
 
 print()
-print("The other direction embeds a known satisfying assignment:")
-reference = sat_brute_force(formula)
-matrix = embed_assignment(red, reference)
-print(f"  brute-force SAT found  x = {''.join('1' if a else '0' for a in reference)}")
+print("The other direction embeds a satisfying assignment:")
+known = (True, True, True)
+assert satisfies(formula, known)
+matrix = embed_assignment(red, known)
+print(f"  x = {''.join('1' if a else '0' for a in known)} satisfies every clause")
 print(f"  embedded matrix fitness = {evaluate_fitness(inst, matrix)} (= t exactly)")
 
 print()

@@ -29,7 +29,6 @@ from .reduction import (
     extract_assignment,
     parse_dimacs,
     reduce_3sat,
-    sat_brute_force,
     satisfies,
 )
 from .solvers import (
@@ -78,7 +77,6 @@ __all__ = [
     "random_instance",
     "random_planted_formula",
     "reduce_3sat",
-    "sat_brute_force",
     "satisfies",
     "solve_constant_suppression",
     "solve_unbounded",

@@ -26,8 +26,7 @@ fitness ``t``, and no feasible matrix can exceed ``t``.
 :func:`embed_assignment` turns a satisfying assignment into a matrix with
 fitness exactly ``t``; :func:`extract_assignment` inverts the construction,
 double-checking the structural facts that make the inversion sound (see
-:func:`property_failures`).  :func:`sat_brute_force` is the independent
-oracle the equivalence is tested against.
+:func:`property_failures`).
 
 A reduced instance describes itself: :func:`recover_reduction` rebuilds the
 layout, formula and threshold from the instance alone, so the sidecar
@@ -54,9 +53,6 @@ from .core import (
 from .io import parse_int
 
 BooleanAssignment = tuple[bool, ...]
-
-# the size guard of sat_brute_force, read at call time
-DEFAULT_SAT_VARS = 24
 
 # reduce_3sat builds n * k = (2l + 3m)(m + l) preference cells, quadratic in
 # the formula; above this many it refuses before building any, and so does
@@ -443,21 +439,6 @@ def extract_assignment(red: ReducedInstance, matrix: AssignmentMatrix) -> Boolea
     if not satisfies(red.formula, assignment):
         raise InternalCheckError("extracted assignment fails the formula")
     return assignment
-
-
-def sat_brute_force(formula: CnfFormula) -> BooleanAssignment | None:
-    """Lexicographically smallest satisfying assignment, or None.
-
-    Guarded at ``num_vars <= DEFAULT_SAT_VARS`` (the search is 2^num_vars).
-    """
-    l = formula.num_vars
-    if l > DEFAULT_SAT_VARS:
-        raise GuardExceededError(f"{l} variables exceed the {DEFAULT_SAT_VARS}-variable guard")
-    for code in range(1 << l):
-        assignment = tuple(bool((code >> (l - 1 - i)) & 1) for i in range(l))
-        if satisfies(formula, assignment):
-            return assignment
-    return None
 
 
 def sidecar_dict(red: ReducedInstance) -> dict:

@@ -318,6 +318,10 @@ def dp_solve(inst: Instance) -> SolveResult:
     array of the smallest unsigned dtype; :func:`dp_guard` bounds the states
     per layer, and the choice cells and working set in total.
 
+    ``explored`` counts the states reachable before each customer.  Before
+    customer ``i`` those are exactly the vectors with ``c_j <= min(i, u_j)``,
+    so the count is ``sum(prod(min(i, u_j) + 1 for j) for i < n)``.
+
     Ties go to the earliest candidate in scan order (ascending predecessor
     index, then ascending subset mask, then ascending terminal index).
     Offsets are distinct, so of equal values into one state the earliest
@@ -363,7 +367,6 @@ def dp_solve(inst: Instance) -> SolveResult:
     del state, digit
 
     # keys pack value << bits | mask; key >= 0 is reachability
-    explored = 0
     keys = np.full(size, floor, dtype=dtype)
     keys[0] = 0
     choices = np.zeros((n, size), dtype=mask_dtype)
@@ -371,7 +374,6 @@ def dp_solve(inst: Instance) -> SolveResult:
     sources = [None] + [np.empty(size, dtype=dtype) for _ in active]
     cand = np.empty(size, dtype=dtype)
     for i in range(n):
-        explored += int(np.count_nonzero(keys >= 0))
         sources[0] = keys & -(1 << bits)
         # the empty subset scores 0 with mask 0: the previous layer itself
         keys = sources[0].copy()
@@ -406,6 +408,7 @@ def dp_solve(inst: Instance) -> SolveResult:
         idx -= deltas[mask]
     if idx != 0:
         raise InternalCheckError("DP reconstruction did not land on the empty state")
+    explored = sum(prod(min(i, cap) + 1 for cap in box.caps) for i in range(n))
     return _finish(inst, rows, True, started, explored, best)
 
 

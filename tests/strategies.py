@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable, validate_instance
 from mcap.generate import _clause_variables
-from mcap.reduction import CnfFormula, validate_formula
+from mcap.reduction import BooleanAssignment, CnfFormula, satisfies, validate_formula
 
 FAMILIES = ("grid", "constant", "zero_one")
 
@@ -96,6 +96,20 @@ def random_formula(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
         tuple(v if rng.random() < 0.5 else -v for v in triple) for triple in triples
     )
     return validate_formula(CnfFormula(num_vars=num_vars, clauses=clauses))
+
+
+def sat_brute_force(formula: CnfFormula) -> BooleanAssignment | None:
+    """Lexicographically smallest satisfying assignment, or None.
+
+    The independent oracle for the reduction's satisfiable <=> threshold
+    equivalence; it tries all 2^num_vars assignments.
+    """
+    l = formula.num_vars
+    for code in range(1 << l):
+        assignment = tuple(bool((code >> (l - 1 - i)) & 1) for i in range(l))
+        if satisfies(formula, assignment):
+            return assignment
+    return None
 
 
 def random_feasible_matrix(seed: int, inst: Instance) -> AssignmentMatrix:

@@ -19,7 +19,6 @@ from mcap.reduction import (
     embed_assignment,
     extract_assignment,
     reduce_3sat,
-    sat_brute_force,
     satisfies,
 )
 from mcap.solvers import (
@@ -30,7 +29,7 @@ from mcap.solvers import (
     solve_constant_suppression,
     solve_unbounded,
 )
-from strategies import random_feasible_matrix, random_formula
+from strategies import random_feasible_matrix, random_formula, sat_brute_force
 from test_learning import exhaustive_best, noise_free_records
 
 FOUR_CLAUSE = CnfFormula(

@@ -241,6 +241,33 @@ class TestSolve:
         assert code == 0
         assert report["method"] == "greedy+local"
 
+    def test_greedy_local_reports_both_times(self, capsys, small_instance, tmp_path, monkeypatch):
+        # local search starts its clock after greedy ends, so a start built
+        # by greedy adds greedy's time; explored stays local search's
+        _, inst_path = small_instance
+        zero = AssignmentMatrix.zero(2, 2)
+
+        def fake(elapsed_s, explored):
+            stats = solvers.SolveStats(elapsed_s=elapsed_s, explored=explored)
+            return lambda *args: solvers.SolveResult(zero, Fraction(0), False, stats)
+
+        monkeypatch.setattr(solvers, "greedy_construct", fake(0.25, 3))
+        monkeypatch.setattr(solvers, "local_search", fake(0.5, 7))
+        monkeypatch.setattr(solvers, "DEFAULT_DP_STATE_LIMIT", 2)
+        for method in ("auto", "local"):
+            code, report = run_json(capsys, "solve", "--instance", inst_path, "--method", method)
+            assert code == 0
+            assert (report["elapsed_s"], report["explored"]) == (0.75, 7)
+        code, report = run_json(capsys, "bench", "--instance", inst_path)
+        (row,) = [r for r in report["rows"] if r["method"] == "local"]
+        assert (row["elapsed_s"], row["explored"]) == (0.75, 7)
+        start = tmp_path / "start.json"
+        io.write_matrix(zero, start)
+        code, report = run_json(
+            capsys, "solve", "--instance", inst_path, "--method", "local", "--start", start,
+        )
+        assert (report["elapsed_s"], report["explored"]) == (0.5, 7)
+
     def test_brute_force_guard_exit(self, capsys, small_instance, monkeypatch):
         _, inst_path = small_instance
         monkeypatch.setattr(solvers, "DEFAULT_BRUTE_FORCE_CELLS", 1)

@@ -32,13 +32,12 @@ from mcap.reduction import (
     property_failures,
     recover_reduction,
     reduce_3sat,
-    sat_brute_force,
     satisfies,
     sidecar_dict,
     validate_formula,
 )
 from mcap.solvers import dp_solve
-from strategies import random_feasible_matrix, random_formula
+from strategies import random_feasible_matrix, random_formula, sat_brute_force
 
 
 # SATLIB files (uf20-91 and the like) end with a '%' line and then a '0' line
@@ -385,13 +384,6 @@ class TestSatBruteForce:
             for bits in product((False, True), repeat=3)
         )
         assert sat_brute_force(CnfFormula(3, clauses)) is None
-
-    def test_guard(self, monkeypatch):
-        monkeypatch.setattr(reduction, "DEFAULT_SAT_VARS", 3)
-        assert sat_brute_force(single_clause_formula()) == (False, False, True)
-        monkeypatch.setattr(reduction, "DEFAULT_SAT_VARS", 2)
-        with pytest.raises(GuardExceededError, match="2-variable guard"):
-            sat_brute_force(single_clause_formula())
 
 
 class TestSidecar:
