@@ -29,10 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+
+# for the one-call checks: ``issuperset`` walks an iterable in C, stops at
+# the first miss and builds no set
+_INT = frozenset({int})
+_RATE_TYPES = frozenset({int, Fraction})
+_BITS = frozenset({0, 1})
 
 
 class McapError(Exception):
@@ -92,6 +99,9 @@ class SuppressionTable:
 
     def __post_init__(self) -> None:
         check_tuple(self.values, "suppression values")
+        # one check for the whole table; the loop names the first bad value
+        if _RATE_TYPES.issuperset(map(type, self.values)):
+            return
         for v in self.values:
             if type(v) is not int and not isinstance(v, Fraction):
                 raise ValidationError(f"suppression value {v!r} is not an int or a Fraction")
@@ -116,7 +126,10 @@ class SuppressionTable:
         """Table that is 1 exactly at ``active_h`` and 0 elsewhere."""
         if not 1 <= active_h <= max_h:
             raise ValidationError(f"indicator position {active_h} outside 1..{max_h}")
-        return cls(tuple(Fraction(1 if h == active_h else 0) for h in range(max_h + 1)))
+        # two value objects, not one per entry: a reduced instance holds a
+        # million entries
+        zero, one = Fraction(0), Fraction(1)
+        return cls(tuple(one if h == active_h else zero for h in range(max_h + 1)))
 
 
 @dataclass(frozen=True)
@@ -181,6 +194,14 @@ class AssignmentMatrix:
         entries = self.entries
         check_tuple(entries, "matrix rows")
         for i, row in enumerate(entries):
+            # one check per row; the loop below names the first offending entry
+            if (
+                type(row) is tuple
+                and len(row) == len(entries[0])
+                and _INT.issuperset(map(type, row))
+                and _BITS.issuperset(row)
+            ):
+                continue
             check_tuple(row, f"matrix row {i}")
             if len(row) != len(entries[0]):
                 raise ValidationError(
@@ -246,24 +267,39 @@ def validate_instance(inst: Instance) -> Instance:
             raise ValidationError(f"campaign {j}: weight must be an integer, got {w!r}")
         if w <= 0:
             raise ValidationError(f"campaign {j}: weight must be positive, got {w}")
-    check_tuple(inst.preferences, "preferences")
-    if len(inst.preferences) != inst.n:
-        raise ValidationError(f"expected {inst.n} preference rows, got {len(inst.preferences)}")
-    for i, row in enumerate(inst.preferences):
-        check_tuple(row, f"customer {i}: preference row")
-        if len(row) != inst.k:
-            raise ValidationError(f"customer {i}: expected {inst.k} preferences, got {len(row)}")
-        for j, p in enumerate(row):
-            if type(p) is not int or p < 0:
+    prefs = inst.preferences
+    check_tuple(prefs, "preferences")
+    if len(prefs) != inst.n:
+        raise ValidationError(f"expected {inst.n} preference rows, got {len(prefs)}")
+    # one check for the whole matrix (n, k >= 1, so no row is empty); the
+    # loop runs only to name the first offending row or cell
+    if not (
+        set(map(type, prefs)) == {tuple}
+        and set(map(len, prefs)) == {inst.k}
+        and _INT.issuperset(map(type, chain.from_iterable(prefs)))
+        and min(map(min, prefs)) >= 0
+    ):
+        for i, row in enumerate(prefs):
+            check_tuple(row, f"customer {i}: preference row")
+            if len(row) != inst.k:
                 raise ValidationError(
-                    f"customer {i}: preference for campaign {j} must be a nonnegative "
-                    f"integer, got {p!r}"
+                    f"customer {i}: expected {inst.k} preferences, got {len(row)}"
                 )
+            for j, p in enumerate(row):
+                if type(p) is not int or p < 0:
+                    raise ValidationError(
+                        f"customer {i}: preference for campaign {j} must be a nonnegative "
+                        f"integer, got {p!r}"
+                    )
     check_tuple(inst.suppression, "suppression tables")
     if len(inst.suppression) != inst.n:
         raise ValidationError(
             f"expected {inst.n} suppression tables, got {len(inst.suppression)}"
         )
+    # ids of values found in [0, 1]: read and generated instances share one
+    # value object per distinct value, so few are checked.  Every value lives
+    # on ``inst``, so no id is reused while the set is alive
+    checked: set[int] = set()
     for i, table in enumerate(inst.suppression):
         if not isinstance(table, SuppressionTable):
             raise ValidationError(f"customer {i}: {table!r} is not a SuppressionTable")
@@ -274,12 +310,15 @@ def validate_instance(inst: Instance) -> Instance:
             )
         if table[0] != 0:
             raise ValidationError(f"customer {i}: r(0) must be 0, got {table[0]}")
+        if checked.issuperset(map(id, table.values)):
+            continue
         for h, v in enumerate(table.values):
             # a Fraction's denominator is positive: this is 0 <= v <= 1
             if not 0 <= v.numerator <= v.denominator:
                 raise ValidationError(
                     f"customer {i}: suppression value r({h}) = {v} outside [0, 1]"
                 )
+        checked.update(map(id, table.values))
     check_tuple(inst.lower_bounds, "lower bounds")
     check_tuple(inst.upper_bounds, "upper bounds")
     if len(inst.lower_bounds) != inst.k or len(inst.upper_bounds) != inst.k:

@@ -7,7 +7,9 @@ calls with equal arguments return equal objects, byte-for-byte once written.
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import reduction
@@ -19,10 +21,11 @@ BOUND_STYLES = ("random", "unbounded")
 
 
 def _random_suppression(
-    rng: random.Random, family: str, k: int, grid: int
+    rng: random.Random, family: str, k: int, grid: int, level: Callable[[int], Fraction]
 ) -> SuppressionTable:
+    # level(q) is the shared Fraction q / grid
     if family == "constant":
-        return SuppressionTable.constant(Fraction(rng.randint(0, grid), grid), k)
+        return SuppressionTable.constant(level(rng.randint(0, grid)), k)
     if family == "indicator":
         return SuppressionTable.indicator(rng.randint(1, k), k)
     if family == "linear":
@@ -32,7 +35,7 @@ def _random_suppression(
         )
     if family == "grid":
         return SuppressionTable(
-            (Fraction(0),) + tuple(Fraction(rng.randint(0, grid), grid) for _ in range(k))
+            (level(0),) + tuple(level(rng.randint(0, grid)) for _ in range(k))
         )
     raise ValidationError(
         f"unknown suppression family {family!r}; expected one of {SUPPRESSION_FAMILIES}"
@@ -76,7 +79,10 @@ def random_instance(
     rng = random.Random(seed)
     weights = tuple(rng.randint(1, weight_max) for _ in range(k))
     prefs = tuple(tuple(rng.randint(0, pref_max) for _ in range(k)) for _ in range(n))
-    suppression = tuple(_random_suppression(rng, family, k, grid) for _ in range(n))
+    # one Fraction per distinct level, not per cell: validation and
+    # Instance.scaled then handle each value object once
+    level = functools.cache(lambda q: Fraction(q, grid))
+    suppression = tuple(_random_suppression(rng, family, k, grid, level) for _ in range(n))
     if bounds == "unbounded":
         lower, upper = (0,) * k, (n,) * k
     else:

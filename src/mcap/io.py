@@ -11,6 +11,13 @@ literal, after the same stripping, is ``[+-]?digits`` or
 Decimal and exponent forms such as ``"0.5"`` or ``"1e-5"`` are rejected: an
 exponent literal can stand for a number with millions of digits.
 
+A row is read in one call: a weights or preference row of plain ASCII
+digit strings, the form :func:`instance_to_dict` writes, converts with one
+``map``, and a suppression row whose literals were all seen before is one
+``map`` of dict lookups.  The per-cell parsers run only on a row that fails
+that check, to accept what the grammar allows or name the first offending
+cell, so the result and every error are those of a cell-by-cell read.
+
 :func:`parse_int` is the one integer grammar of every input file, DIMACS
 included, and :func:`read_text` the one reader: UTF-8 whatever the locale.
 """
@@ -28,6 +35,9 @@ from .core import AssignmentMatrix, Instance, SuppressionTable, ValidationError
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# ``issuperset`` walks an iterable in C and builds no set
+_STR = frozenset({str})
+_BIT_CHARS = frozenset("01")
 
 
 def fraction_from_str(text: str) -> Fraction:
@@ -68,6 +78,18 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _ints(row: list, what: str) -> tuple[int, ...]:
+    """``row``'s values parsed by :func:`parse_int`, a row of ASCII digit strings in one call."""
+    if _STR.issuperset(map(type, row)):  # parse_int refuses a str subclass
+        text = "".join(row)
+        if text.isdigit() and text.isascii():
+            try:
+                return tuple(map(int, row))
+            except ValueError:  # an empty string, or one past the int digit limit
+                pass
+    return tuple(parse_int(v, what) for v in row)
+
+
 def instance_to_dict(inst: Instance) -> dict:
     # one shared string per distinct integer: a reduced instance repeats a few
     # powers of ten over a million cells.  Suppression Fractions are not
@@ -88,11 +110,11 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         n = parse_int(data["n"], "n")
         k = parse_int(data["k"], "k")
-        weights = [parse_int(w, "weight") for w in _list(data["weights"], "weights")]
-        preferences = [
-            [parse_int(p, "preference") for p in _list(row, "a preference row")]
+        weights = _ints(_list(data["weights"], "weights"), "weight")
+        preferences = tuple(
+            _ints(_list(row, "a preference row"), "preference")
             for row in _list(data["preferences"], "preferences")
-        ]
+        )
         # fitted and generated tables repeat a few grid values: parse each
         # distinct literal once and share the (immutable) Fraction
         parsed: dict[str, Fraction] = {}
@@ -103,8 +125,14 @@ def instance_from_dict(data: dict) -> Instance:
                 value = parsed[text] = fraction_from_str(text)
             return value
 
+        def table(row: list) -> tuple[Fraction, ...]:
+            try:
+                return tuple(map(parsed.__getitem__, row))
+            except (KeyError, TypeError):  # a literal not seen yet, or no string
+                return tuple(map(rational, row))
+
         suppression = [
-            SuppressionTable(tuple(rational(v) for v in _list(row, "a suppression row")))
+            SuppressionTable(table(_list(row, "a suppression row")))
             for row in _list(data["suppression"], "suppression")
         ]
         lower = [
@@ -118,8 +146,8 @@ def instance_from_dict(data: dict) -> Instance:
     return Instance(
         n=n,
         k=k,
-        weights=tuple(weights),
-        preferences=tuple(tuple(row) for row in preferences),
+        weights=weights,
+        preferences=preferences,
         suppression=tuple(suppression),
         lower_bounds=tuple(lower),
         upper_bounds=tuple(upper),
@@ -127,7 +155,7 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def matrix_to_dict(matrix: AssignmentMatrix) -> dict:
-    return {"rows": ["".join(str(m) for m in row) for row in matrix.entries]}
+    return {"rows": ["".join(map("01".__getitem__, row)) for row in matrix.entries]}
 
 
 def matrix_from_dict(data: dict) -> AssignmentMatrix:
@@ -138,6 +166,8 @@ def matrix_from_dict(data: dict) -> AssignmentMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
         raise ValidationError("matrix rows must be a JSON list of '0'/'1' strings")
     for i, row in enumerate(rows):
+        if _BIT_CHARS.issuperset(row):
+            continue
         for ch in row:
             if ch not in "01":
                 raise ValidationError(f"matrix row {i}: character {ch!r} is not '0' or '1'")

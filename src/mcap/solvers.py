@@ -493,9 +493,9 @@ def greedy_construct(inst: Instance) -> SolveResult:
     started = time.perf_counter()
     n, k = inst.n, inst.k
     scale, rates, weighted = inst.scaled
-    # campaigns by descending weighted preference; the sort is stable, so
-    # equal preferences keep the smaller campaign first
-    ranked = [sorted(range(k), key=lambda j: -row[j]) for row in weighted]
+    # campaigns by descending weighted preference; a reversed sort is still
+    # stable, so equal preferences keep the smaller campaign first
+    ranked = [sorted(range(k), key=row.__getitem__, reverse=True) for row in weighted]
     rows = [[0] * k for _ in range(n)]
     h = [0] * n
     row_value = [0] * n

@@ -95,6 +95,60 @@ class TestValidateInstance:
         with pytest.raises(ValidationError, match="integer"):
             minimal_instance(**overrides)
 
+    @pytest.mark.parametrize("cell", [True, -1, 1.0])
+    def test_a_bad_preference_after_valid_ones_is_named(self, cell):
+        # a row is accepted in one check; a row that fails it is walked to
+        # name the first bad cell
+        with pytest.raises(ValidationError) as exc:
+            minimal_instance(
+                k=3, weights=(1, 1, 1), preferences=((4, cell, 5),),
+                suppression=(SuppressionTable((0, 1, 1, 1)),),
+                lower_bounds=(0, 0, 0), upper_bounds=(1, 1, 1),
+            )
+        assert str(exc.value) == (
+            f"customer 0: preference for campaign 1 must be a nonnegative integer, got {cell!r}"
+        )
+
+    @pytest.mark.parametrize("row, message", [
+        ((4, 5), "customer 1: expected 3 preferences, got 2"),
+        ((4, 5, 6, 7), "customer 1: expected 3 preferences, got 4"),
+        ([4, 5, 6], "customer 1: preference row must be a tuple, got list"),
+    ], ids=["short", "long", "list"])
+    def test_a_bad_preference_row_after_valid_ones_is_named(self, row, message):
+        with pytest.raises(ValidationError) as exc:
+            minimal_instance(
+                n=2, k=3, weights=(1, 1, 1), preferences=((1, 2, 3), row),
+                suppression=(SuppressionTable((0, 1, 1, 1)),) * 2,
+                lower_bounds=(0, 0, 0), upper_bounds=(2, 2, 2),
+            )
+        assert str(exc.value) == message
+
+    def test_tuple_subclass_preference_rows_are_accepted(self):
+        class Row(tuple):
+            pass
+
+        inst = minimal_instance(
+            n=2, k=2, weights=(1, 1), preferences=((1, 2), Row((3, 4))),
+            suppression=(SuppressionTable((0, 1, 1)),) * 2,
+            lower_bounds=(0, 0), upper_bounds=(2, 2),
+        )
+        assert inst.preferences[1] == (3, 4)
+
+    def test_a_shared_value_does_not_hide_a_bad_one(self):
+        # values already found in [0, 1] are skipped by identity; an equal
+        # twin or a new value in a later table is still checked
+        half = Fraction(1, 2)
+        with pytest.raises(ValidationError) as exc:
+            minimal_instance(
+                n=2, k=2, weights=(1, 1), preferences=((1, 1), (1, 1)),
+                suppression=(
+                    SuppressionTable((0, half, half)),
+                    SuppressionTable((0, half, Fraction(5, 4))),
+                ),
+                lower_bounds=(0, 0), upper_bounds=(2, 2),
+            )
+        assert str(exc.value) == "customer 1: suppression value r(2) = 5/4 outside [0, 1]"
+
     def test_raw_suppression_sequence_rejected(self):
         with pytest.raises(ValidationError, match="not a SuppressionTable"):
             minimal_instance(suppression=((0, 1),))
@@ -137,6 +191,19 @@ class TestSuppressionTable:
         # a float once became its binary expansion, a string was parsed
         with pytest.raises(ValidationError, match="not an int or a Fraction"):
             SuppressionTable(values)
+
+    def test_a_bool_after_fractions_is_named(self):
+        with pytest.raises(ValidationError) as exc:
+            SuppressionTable((0, Fraction(1, 2), True))
+        assert str(exc.value) == "suppression value True is not an int or a Fraction"
+
+    def test_fraction_subclass_values_are_accepted(self):
+        class Rate(Fraction):
+            pass
+
+        table = SuppressionTable((0, Rate(1, 2), 1))
+        assert type(table[1]) is Rate
+        minimal_instance(suppression=(SuppressionTable((0, Rate(3, 4))),))
 
 
 class TestRecommendationCounts:
@@ -184,6 +251,20 @@ class TestAssignmentMatrixConstruction:
     def test_non_binary_entry(self, value):
         with pytest.raises(ValidationError, match=r"matrix entry \(1, 0\) must be 0 or 1"):
             AssignmentMatrix(((0, 1), (value, 0)))
+
+    @pytest.mark.parametrize("value", [True, 2, -1, 1.0])
+    def test_a_bad_entry_after_valid_ones_is_named(self, value):
+        # True equals 1, so only the entry's type tells it apart
+        with pytest.raises(ValidationError) as exc:
+            AssignmentMatrix(((0, 1, 1), (1, 0, value)))
+        assert str(exc.value) == f"matrix entry (1, 2) must be 0 or 1, got {value!r}"
+
+    def test_tuple_subclass_rows_are_accepted(self):
+        class Row(tuple):
+            pass
+
+        matrix = AssignmentMatrix(((0, 1), Row((1, 0))))
+        assert matrix.row_sums() == (1, 1)
 
 
 class TestEvaluateFitness:

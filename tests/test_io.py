@@ -77,6 +77,95 @@ def test_fraction_grammar_rejects_other_forms(text):
         io.fraction_from_str(text)
 
 
+class Digits(str):
+    pass
+
+
+def small_instance_dict() -> dict:
+    return io.instance_to_dict(Instance(
+        n=2, k=3, weights=(4, 5, 6), preferences=((1, 2, 3), (7, 8, 9)),
+        suppression=(SuppressionTable((0, Fraction(1, 2), Fraction(1, 3), 0)),) * 2,
+        lower_bounds=(0, 0, 0), upper_bounds=(2, 2, 2),
+    ))
+
+
+LONG = "5" * 5000  # past the default int digit limit (4300) of Python 3.11+
+# a cell after valid ones and the error naming it ({what} is "weight" or
+# "preference"); None for a value the grammar reads as 7, a message per row
+# for a value that parses but is out of range
+ROW_CELLS = [
+    (True, "bad integer literal for {what}: True"),
+    (1.5, "bad integer literal for {what}: 1.5"),
+    (None, "bad integer literal for {what}: None"),
+    ("", "bad integer literal for {what}: ''"),
+    (" 7", None),
+    ("+7", None),
+    ("-3", {
+        "weights": "campaign 1: weight must be positive, got -3",
+        "preferences": "customer 1: preference for campaign 1 must be a nonnegative integer, got -3",
+    }),
+    ("\u0663", "bad integer literal for {what}: '\u0663'"),
+    ("1_0", "bad integer literal for {what}: '1_0'"),
+    pytest.param(
+        LONG, f"bad integer literal for {{what}}: '{LONG}'",
+        marks=pytest.mark.skipif(
+            not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+            reason="this Python parses a 5000-digit integer",
+        ),
+    ),
+    (["7"], "bad integer literal for {what}: ['7']"),
+    (Digits("7"), "bad integer literal for {what}: '7'"),
+]
+ROW_IDS = ["true", "float", "null", "empty", "space", "plus", "minus", "arabic-indic", "underscore",
+           "5000-digits", "nested-list", "str-subclass"]
+
+
+@pytest.mark.parametrize("cell, message", ROW_CELLS, ids=ROW_IDS)
+@pytest.mark.parametrize("field", ["weights", "preferences"])
+def test_a_bad_cell_after_valid_ones_is_named(field, cell, message):
+    # every row is read in one call when it is all ASCII digit strings; any
+    # other row is read cell by cell, to the same values or the same error
+    data = small_instance_dict()
+    row = data["weights"] if field == "weights" else data["preferences"][1]
+    row[1] = cell
+    if message is None:
+        inst = io.instance_from_dict(data)
+        assert (inst.weights[1] if field == "weights" else inst.preferences[1][1]) == 7
+        return
+    if isinstance(message, dict):
+        message = message[field]
+    with pytest.raises(ValidationError) as exc:
+        io.instance_from_dict(data)
+    assert str(exc.value) == message.format(what=field[:-1])
+
+
+def test_json_integer_rows_are_read():
+    data = small_instance_dict()
+    data["weights"] = [4, 5, 6]
+    data["preferences"][1] = [7, "8", 9]
+    assert io.instance_from_dict(data) == io.instance_from_dict(small_instance_dict())
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("1/4", None),
+    ("0.5", "bad rational literal '0.5': expected an integer or \"num/den\" such as \"1/2\""),
+    ("5/4", "customer 1: suppression value r(2) = 5/4 outside [0, 1]"),
+    (1, "rational literal must be a string such as \"1/2\", got 1"),
+    (["1/2"], "rational literal must be a string such as \"1/2\", got ['1/2']"),
+], ids=["unseen", "unseen-bad", "unseen-above-one", "non-string", "unhashable"])
+def test_a_suppression_row_with_a_literal_not_seen_before(cell, message):
+    # row 1 repeats row 0's literals but for one cell
+    data = small_instance_dict()
+    data["suppression"][1][2] = cell
+    if message is None:
+        table = io.instance_from_dict(data).suppression[1]
+        assert table.values == (0, Fraction(1, 2), Fraction(1, 4), 0)
+        return
+    with pytest.raises(ValidationError) as exc:
+        io.instance_from_dict(data)
+    assert str(exc.value) == message
+
+
 def test_repeated_suppression_literals_share_one_fraction():
     data = io.instance_to_dict(Instance(
         n=2, k=2, weights=(1, 1), preferences=((1, 2), (3, 4)),
@@ -92,6 +181,13 @@ def test_repeated_suppression_literals_share_one_fraction():
 def test_matrix_rejects_non_binary_characters():
     with pytest.raises(ValidationError, match="not '0' or '1'"):
         io.matrix_from_dict({"rows": ["01", "0x"]})
+
+
+@pytest.mark.parametrize("row, ch", [("10x1", "x"), ("1\u0661", "\u0661"), ("0 ", " ")])
+def test_matrix_names_the_first_bad_character(row, ch):
+    with pytest.raises(ValidationError) as exc:
+        io.matrix_from_dict({"rows": ["01", row]})
+    assert str(exc.value) == f"matrix row 1: character {ch!r} is not '0' or '1'"
 
 
 @pytest.mark.parametrize("rows", ["01", [1, 0], None])
