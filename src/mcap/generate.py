@@ -21,7 +21,12 @@ BOUND_STYLES = ("random", "unbounded")
 
 
 def _random_suppression(
-    rng: random.Random, family: str, k: int, grid: int, level: Callable[[int], Fraction]
+    rng: random.Random,
+    family: str,
+    k: int,
+    grid: int,
+    level: Callable[[int], Fraction],
+    linear: SuppressionTable,
 ) -> SuppressionTable:
     # level(q) is the shared Fraction q / grid
     if family == "constant":
@@ -29,10 +34,7 @@ def _random_suppression(
     if family == "indicator":
         return SuppressionTable.indicator(rng.randint(1, k), k)
     if family == "linear":
-        # full response for one recommendation, decaying linearly to 1/k
-        return SuppressionTable(
-            (Fraction(0),) + tuple(Fraction(k - h + 1, k) for h in range(1, k + 1))
-        )
+        return linear
     if family == "grid":
         return SuppressionTable(
             (level(0),) + tuple(level(rng.randint(0, grid)) for _ in range(k))
@@ -79,10 +81,15 @@ def random_instance(
     rng = random.Random(seed)
     weights = tuple(rng.randint(1, weight_max) for _ in range(k))
     prefs = tuple(tuple(rng.randint(0, pref_max) for _ in range(k)) for _ in range(n))
-    # one Fraction per distinct level, not per cell: validation and
-    # Instance.scaled then handle each value object once
+    # one Fraction per distinct level and one linear table, not one per cell:
+    # validation and Instance.scaled then handle each value object once.  The
+    # linear table draws nothing, so sharing it leaves every draw in place
     level = functools.cache(lambda q: Fraction(q, grid))
-    suppression = tuple(_random_suppression(rng, family, k, grid, level) for _ in range(n))
+    # full response for one recommendation, decaying linearly to 1/k
+    linear = SuppressionTable((Fraction(0),) + tuple(Fraction(h, k) for h in range(k, 0, -1)))
+    suppression = tuple(
+        _random_suppression(rng, family, k, grid, level, linear) for _ in range(n)
+    )
     if bounds == "unbounded":
         lower, upper = (0,) * k, (n,) * k
     else:

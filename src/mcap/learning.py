@@ -17,6 +17,10 @@ and :func:`fit_categories` fits one table per label.
 Everything is deterministic: the search has no random part, and condition
 evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
 ``p_i*q_i > p_j*q_j`` independently of ``Q``).
+
+numpy is imported by the table build and the search only (:func:`_tables`,
+:func:`_search`), so importing this module, decoding records and a fit with
+no conditions run without it.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .core import GuardExceededError, SuppressionTable, ValidationError, check_int
 from .io import parse_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CustomerId = int | str
 CampaignId = int | str
@@ -91,6 +96,8 @@ def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     its mirror.  Entries are int64 when every key, product ``p * x``, each
     side's count sum and their product fit, and Python integers if not.
     """
+    import numpy as np
+
     top = max((preference for _, preference, _, _ in counts), default=0)
     ranks: dict[CampaignId, int] = {}
     yes: dict[tuple[int, int], list[int]] = {}
@@ -147,6 +154,8 @@ def _search(tables: np.ndarray, grid: int, monotone: bool) -> tuple[int, list[in
     table, the search returns it with the largest bound it left unvisited; a
     finished search's upper bound is its count.
     """
+    import numpy as np
+
     size = len(tables)
     span = np.arange(grid + 1)
     # below[x, y]: a later level may take y after x

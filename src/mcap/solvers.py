@@ -55,6 +55,10 @@ recomputed from the matrix with :func:`mcap.core.evaluate_fitness`, which
 sums in integers of its own and never reads ``Instance.scaled``, and must
 equal it.
 
+Only :func:`dp_solve` uses numpy, and it imports numpy once :func:`dp_guard`
+has passed.  Importing this module, a refused DP and every other solver run
+without loading it, so a CLI call above the guard starts without numpy.
+
 All solvers are deterministic: every tie-breaking rule is fixed and
 documented on the operation.  Fitness equality across solvers is guaranteed;
 matrix equality is not, because optima are generically non-unique.
@@ -69,8 +73,6 @@ from fractions import Fraction
 from itertools import compress
 from math import prod
 from typing import Sequence
-
-import numpy as np
 
 from .capacity import CapacityBox
 from .core import (
@@ -328,8 +330,13 @@ def dp_solve(inst: Instance) -> SolveResult:
     has the largest mask and key; the terminal scan takes the first maximum
     of the values, not the keys.
     """
-    started = time.perf_counter()
     dp_guard(inst)
+    # numpy loads on the first call past the guard, so a refused DP and the
+    # other solvers run without it; the clock starts after the import, as it
+    # did when the module loaded numpy
+    import numpy as np
+
+    started = time.perf_counter()
     n, k = inst.n, inst.k
     box = CapacityBox.from_caps(inst.upper_bounds)
     scale, rates, weighted = inst.scaled

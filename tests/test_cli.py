@@ -3,8 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -598,6 +601,17 @@ class TestGen:
         assert report["error"]["type"] == "ValidationError"
 
 
+    def test_linear_tables_share_their_values(self):
+        # one table per instance, so validation meets each value object once
+        inst = generate.random_instance(seed=1, n=5, k=3, family="linear")
+        first = inst.suppression[0].values
+        assert first == (0, 1, Fraction(2, 3), Fraction(1, 3))
+        assert all(
+            value is shared
+            for table in inst.suppression
+            for value, shared in zip(table.values, first, strict=True)
+        )
+
     @pytest.mark.parametrize("name, value", [
         ("n", 2.0), ("k", True), ("pref_max", "9"), ("weight_max", 5.0), ("grid", 4.0),
     ])
@@ -917,3 +931,82 @@ class TestRepeatedCalls:
             alone_code, alone = run_alone(capsys, *argv)
             assert code == alone_code == 0
             assert without_elapsed(captured.out) == without_elapsed(alone.out)
+
+
+# Runs each argv list of sys.argv[1] (JSON) through main in this one fresh
+# interpreter and prints, per call, its exit code, its report and whether
+# numpy is loaded after it.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from mcap.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--format", "json", *argv])
+    results.append([code, json.loads(out.getvalue()), "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def numpy_probe(cwd, *calls):
+    """(exit code, report, numpy loaded) after each call of a fresh ``mcap.cli``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps([[str(a) for a in argv] for argv in calls])],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    """numpy loads with the DP sweep and the fit only, not with ``mcap.cli``."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # 80 x 4 unbounded: 81^4 states per layer, over the DP guard
+        for name, kwargs in (
+            ("big", {"n": 80, "k": 4, "bounds": "unbounded"}),
+            ("const", {"n": 80, "k": 4, "family": "constant"}),
+            ("small", {"n": 3, "k": 2}),
+        ):
+            io.write_instance(generate.random_instance(seed=1, **kwargs), tmp_path / f"{name}.json")
+        (tmp_path / "f.cnf").write_text(SINGLE_CLAUSE_CNF)
+        (tmp_path / "records.json").write_text(json.dumps([
+            {"customer": c, "campaign": "c", "preference": 1, "h": h, "responded": c == "a"}
+            for c, h in (("a", 1), ("b", 2))
+        ]))
+        return tmp_path
+
+    def test_only_the_dp_loads_numpy(self, files):
+        reduced = ("--instance", "r.json", "--sidecar", "s.json")
+        calls = [
+            ("gen", "--seed", 2, "--n", 4, "--k", 2),
+            *(("solve", "--instance", "big.json", "--method", method)
+              for method in ("greedy", "local", "unbounded", "auto")),
+            ("solve", "--instance", "const.json", "--method", "const"),
+            ("solve", "--instance", "small.json", "--method", "brute", "--out", "m.json"),
+            ("bench", "--instance", "big.json"),
+            ("evaluate", "--instance", "small.json", "--matrix", "m.json"),
+            ("reduce", "--cnf", "f.cnf", "--out-instance", "r.json", "--out-sidecar", "s.json"),
+            ("embed", *reduced, "--assignment", "111", "--out", "e.json"),
+            ("extract", *reduced, "--matrix", "e.json"),
+            ("verify", *reduced, "--matrix", "e.json"),
+            ("solve", "--instance", "big.json", "--method", "dp"),
+            ("solve", "--instance", "small.json", "--method", "dp"),
+        ]
+        results = numpy_probe(files, *calls)
+        # the DP refused by its guard exits 4
+        assert [code for code, _, _ in results] == [0] * (len(calls) - 2) + [4, 0]
+        assert results[4][1]["method"] == "greedy+local"
+        assert [loaded for _, _, loaded in results] == [False] * (len(calls) - 1) + [True]
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--records", "records.json", "--max-h", 2),
+        ("solve", "--instance", "small.json"),
+        ("bench", "--instance", "small.json"),
+    ], ids=["fit", "auto-under-guard", "bench-under-guard"])
+    def test_the_fit_and_a_guarded_dp_load_numpy(self, files, argv):
+        ((code, _, loaded),) = numpy_probe(files, argv)
+        assert (code, loaded) == (0, True)
