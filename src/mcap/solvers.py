@@ -11,13 +11,17 @@ Exact routes:
   subsets are walked depth first, and each ORs one poison array into its
   parent's sources (``floor``, a single high bit, on the states whose new
   campaign is at capacity), then takes one shifted add and one unmasked
-  ``np.maximum``.  Integer keys pack each value with its subset's mask,
-  which ascends with the subset's index offset and so serves as its rank:
-  the maximum is order-free, and the documented tie-break (ascending
-  predecessor, then ascending subset) holds exactly.  :func:`dp_guard` is
-  its size check (:data:`DEFAULT_DP_STATE_LIMIT` and :data:`DP_CELL_LIMIT`,
-  which counts the choices and the sweep's working set), shared with the
-  CLI's ``auto`` method.
+  ``np.maximum``.  The subsets holding the outermost active campaign skip the
+  OR: they read only states below its capacity.  The layer buffers are updated
+  in place, so each subset's views into them are planned once per reachable
+  box and reused by every later layer, and the inner loop is two or three
+  ufunc calls on prebuilt views.  Integer keys pack each value with its
+  subset's mask, which ascends with the subset's index offset and so serves
+  as its rank: the maximum is order-free, and the documented tie-break
+  (ascending predecessor, then ascending subset) holds exactly.
+  :func:`dp_guard` is its size check (:data:`DEFAULT_DP_STATE_LIMIT` and
+  :data:`DP_CELL_LIMIT`, which counts the choices and the sweep's working
+  set), shared with the CLI's ``auto`` method.
 * :func:`solve_constant_suppression` and :func:`solve_unbounded` handle the
   two polynomially solvable special classes (per-customer constant
   suppression; no capacity constraints) by direct sorting arguments.
@@ -259,18 +263,20 @@ def dp_guard(inst: Instance) -> None:
     The DP keeps ``prod(upper_bounds[j] + 1)`` states per layer, so the
     layer is bounded by :data:`DEFAULT_DP_STATE_LIMIT`.  Its memory in total
     is bounded by :data:`DP_CELL_LIMIT` cells, one per state in each of
-    ``n + 2 * active + 3`` arrays: the ``n`` layers of recorded subsets, the
-    working set of the sweep (this layer, the previous one, a candidate, and
-    per active campaign one poison array and one stacked source array), where
-    ``active`` counts the campaigns with a positive upper bound.  A cell
-    counts once at any width, from an int8 key to a Python integer.
+    ``n + 2 * active + 2`` arrays: the ``n`` layers of recorded subsets and
+    the full-layer arrays the sweep holds at once (this layer, a candidate,
+    the lower-bound mask, and per active campaign one stacked source array
+    and, for all but the last, one poison array), where ``active`` counts the
+    campaigns with a positive upper bound, and at least 1 since the stack
+    keeps its base.  A cell counts once at any width, from a bool or an int8
+    key to a Python integer.
     """
     states = prod(b + 1 for b in inst.upper_bounds)
     if states > DEFAULT_DP_STATE_LIMIT:
         raise GuardExceededError(
             f"DP needs {states} states per layer, over the {DEFAULT_DP_STATE_LIMIT} limit"
         )
-    working = 2 * sum(1 for b in inst.upper_bounds if b > 0) + 3
+    working = 2 * max(sum(1 for b in inst.upper_bounds if b > 0), 1) + 2
     if (inst.n + working) * states > DP_CELL_LIMIT:
         raise GuardExceededError(
             f"DP needs {inst.n} x {states} choice cells and a {working} x {states} working set,"
@@ -300,7 +306,22 @@ def dp_solve(inst: Instance) -> SolveResult:
     sources plus the subset's packed score go into
     the next layer's ``[d, size)`` by one unmasked ``np.maximum``; the
     maximum is the same in any subset order.  Then the layer's masks are
-    recorded and dropped.
+    recorded through the candidate buffer and dropped.
+
+    The last active campaign is the most significant digit, so a subset
+    holding it has ``d`` at least that campaign's stride and reads only
+    sources below ``size - d``, where the campaign is under its capacity:
+    its poison would be all 0 and its OR a copy.  Those subsets, half of
+    them, add their score straight to their parent's sources, and since no
+    subset extends them, they take no stack slot; that campaign has no
+    poison array.  ``keys``, the stack and the candidate are allocated once
+    and updated in place (``keys & -(1 << bits)`` into ``sources[0]``, then
+    copied back into ``keys``), so every view into them stays valid across
+    layers.  A step's views depend on its layer only through the reach
+    bound ``hi``, so the list of steps, ``(mask, parent, poison, sources,
+    candidate, target)`` views in walk order, is built once per distinct
+    ``hi``: rebuilt while ``hi`` grows in the first ``max(upper_bounds)``
+    layers, then reused by every later one.
 
     ``floor`` is the single high bit ``-(1 << L)``, ``L`` the bit length of
     ``(bound + 1) << bits`` and ``bound`` the sum of every customer's best
@@ -359,16 +380,16 @@ def dp_solve(inst: Instance) -> SolveResult:
     dtype = np.min_scalar_type(floor)
     mask_dtype = np.min_scalar_type(nmasks - 1)
 
-    # per active campaign: floor where it is at capacity, 0 elsewhere; per
-    # state: whether every column meets its lower bound
+    # per active campaign but the last: floor where it is at capacity, 0
+    # elsewhere; per state: whether every column meets its lower bound
     size = box.size
     state = np.arange(size)
     poison = []
     meets_lower = np.ones(size, dtype=bool)
-    for cap, stride, lower in zip(box.caps, box.strides, inst.lower_bounds):
+    for j, (cap, stride, lower) in enumerate(zip(box.caps, box.strides, inst.lower_bounds)):
         digit = state // stride % (cap + 1)
         meets_lower &= digit >= lower
-        if cap:
+        if cap and j != active[-1]:
             poison.append(np.zeros(size, dtype=dtype))
             poison[-1][digit == cap] = floor
     del state, digit
@@ -377,27 +398,45 @@ def dp_solve(inst: Instance) -> SolveResult:
     keys = np.full(size, floor, dtype=dtype)
     keys[0] = 0
     choices = np.zeros((n, size), dtype=mask_dtype)
-    # sources[t] holds the sources of the walk's subset at depth t
-    sources = [None] + [np.empty(size, dtype=dtype) for _ in active]
+    # sources[t] holds the sources of the walk's subset at depth t; a subset
+    # holding the last bit reads its parent's, so none needs a slot of its own
+    sources = [np.empty(size, dtype=dtype) for _ in range(max(bits, 1))]
     cand = np.empty(size, dtype=dtype)
+    planned = None
     for i in range(n):
-        sources[0] = keys & -(1 << bits)
-        # the empty subset scores 0 with mask 0: the previous layer itself
-        keys = sources[0].copy()
         hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
+        if hi != planned:
+            # keys, the stack and cand are updated in place, so views into
+            # them stay valid; they depend on the layer only through hi,
+            # which stops growing once i reaches the largest upper bound
+            steps, planned = [], hi
+            for mask in walk:
+                # state s moves to s + d; a poisoned source, one without
+                # headroom in some campaign of the mask, stays negative
+                d = deltas[mask]
+                m = min(size - d, hi)
+                depth = mask.bit_count()
+                top = mask.bit_length() - 1
+                parent = sources[depth - 1][:m]
+                if top == bits - 1:
+                    # the sources [0, size - d) hold the last campaign below
+                    # its capacity, so its poison is all 0 and the OR a copy
+                    steps.append((mask, parent, None, parent, cand[:m], keys[d:d + m]))
+                else:
+                    steps.append(
+                        (mask, parent, poison[top][:m], sources[depth][:m], cand[:m], keys[d:d + m])
+                    )
+        np.bitwise_and(keys, -(1 << bits), out=sources[0])
+        # the empty subset scores 0 with mask 0: the previous layer itself
+        np.copyto(keys, sources[0])
         scores = _subset_scores(weighted[i], rates[i], active)
-        for mask in walk:
-            # state s moves to s + d; a poisoned source, one without
-            # headroom in some campaign of the mask, stays negative
-            d = deltas[mask]
-            m = min(size - d, hi)
-            depth = mask.bit_count()
-            src = sources[depth][:m]
-            np.bitwise_or(sources[depth - 1][:m], poison[mask.bit_length() - 1][:m], out=src)
-            np.add(src, (scores[mask] << bits) | mask, out=cand[:m])
-            tgt = keys[d:d + m]
-            np.maximum(tgt, cand[:m], out=tgt)
-        choices[i] = keys & (nmasks - 1)
+        for mask, parent, blocked, src, out, tgt in steps:
+            if blocked is not None:
+                np.bitwise_or(parent, blocked, out=src)
+            np.add(src, (scores[mask] << bits) | mask, out=out)
+            np.maximum(tgt, out, out=tgt)
+        np.bitwise_and(keys, nmasks - 1, out=cand)
+        choices[i] = cand
 
     terminals = np.flatnonzero((keys >= 0) & meets_lower)
     if terminals.size == 0:

@@ -124,11 +124,11 @@ class TestDpSolve:
             dp_solve(inst)
 
     def test_total_cell_guard(self, monkeypatch):
-        # (1 customer + a working set of 2 x 2 active + 3 arrays) x 4 states
+        # (1 customer + the sweep's 2 x 2 active + 2 arrays) x 4 states
         inst = single_customer_instance()
-        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 32)
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 28)
         assert dp_solve(inst).fitness == 21
-        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 31)
+        monkeypatch.setattr(solvers, "DP_CELL_LIMIT", 27)
         with pytest.raises(GuardExceededError, match="choice cells"):
             dp_solve(inst)
 
@@ -463,6 +463,87 @@ def test_dp_matches_dense_sweep_with_no_active_campaign():
     ))
     assert_dp_matches_dense_sweep(inst)
     assert dp_solve(inst).matrix == AssignmentMatrix.zero(3, 2)
+
+
+def sweep_instance(n, lower, upper, seed=0):
+    """A seeded instance with the given bounds and grid-family tables."""
+    rng = random.Random(seed)
+    k = len(upper)
+    return validate_instance(Instance(
+        n=n, k=k, weights=tuple(rng.randint(1, 5) for _ in range(k)),
+        preferences=tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(n)),
+        suppression=tuple(
+            SuppressionTable((Fraction(0),) + tuple(Fraction(rng.randint(0, 4), 4) for _ in range(k)))
+            for _ in range(n)
+        ),
+        lower_bounds=tuple(lower), upper_bounds=tuple(upper),
+    ))
+
+
+def assert_dp_matches_oracles(inst):
+    assert_dp_matches_dense_sweep(inst)
+    assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+# the sweep's last active campaign takes no poison array and no stack slot;
+# each case is one path through its step plan
+SWEEP_PATHS = {
+    # trailing zero uppers: the last active campaign is 2 of 0-3, free or
+    # filled to capacity by its lower bound
+    "last-active-free": (5, (0, 0, 0, 0), (2, 0, 3, 0)),
+    "last-active-filled": (5, (1, 0, 3, 0), (2, 0, 3, 0)),
+    # the largest upper is n, so the reachable box grows and the steps are
+    # planned again in every layer
+    "box-grows-every-layer": (4, (0, 1, 0, 2), (4, 1, 2, 3)),
+    # every upper is below n, so the steps are planned in the first layers
+    # and reused by the rest
+    "box-full-early": (6, (0, 1, 0), (1, 2, 1)),
+    # one active campaign: no poison array, every step adds to the base
+    "single-active": (5, (0, 2, 0), (0, 3, 0)),
+    "single-campaign": (7, (3,), (5,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PATHS))
+@pytest.mark.parametrize("seed", range(4))
+def test_dp_sweep_paths_match_oracles(name, seed):
+    n, lower, upper = SWEEP_PATHS[name]
+    assert_dp_matches_oracles(sweep_instance(n, lower, upper, seed))
+
+
+def test_dp_back_to_back_solves_share_nothing():
+    # object keys, then small keys over other boxes and campaign counts: no
+    # buffer, view or step plan of one call may reach the next
+    big = huge_preference_instance()
+    small = sweep_instance(4, (0, 1, 0), (4, 2, 1), seed=3)
+    trailing = sweep_instance(5, (0, 0, 3, 0), (2, 0, 3, 0), seed=1)
+    for inst in (big, small, trailing, small, big):
+        assert_dp_matches_oracles(inst)
+
+
+@pytest.mark.parametrize("n, upper", [
+    (3, (2, 0, 1)),
+    (4, (1, 2, 0, 1)),
+    (2, (0, 2, 0)),
+    (3, (1, 1, 1, 1, 1)),
+    (2, (0, 0)),
+])
+def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
+    # only subsets without the last active campaign OR in a poison array:
+    # 2^(active - 1) - 1 of them per layer
+    inst = sweep_instance(n, (0,) * len(upper), upper)
+    active = sum(1 for u in upper if u)
+    calls = []
+    bitwise_or = np.bitwise_or
+
+    def counting_or(*args, **kwargs):
+        calls.append(1)
+        return bitwise_or(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bitwise_or", counting_or)
+    result = dp_solve(inst)
+    assert len(calls) == (n * (2 ** (active - 1) - 1) if active else 0)
+    assert result.fitness == brute_force_solve(inst).fitness
 
 
 class TestConstantSuppression:
