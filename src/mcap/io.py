@@ -72,6 +72,13 @@ def parse_int(text, what: str) -> int:
     raise ValidationError(f"bad integer literal for {what}: {text!r}")
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; ``what`` prefixes the error that names its type if not."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a JSON list, got {value!r}")
@@ -107,6 +114,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    json_object(data, "malformed instance object")
     try:
         n = parse_int(data["n"], "n")
         k = parse_int(data["k"], "k")
@@ -141,8 +149,8 @@ def instance_from_dict(data: dict) -> Instance:
         upper = [
             parse_int(b, "upper bound") for b in _list(data["upper_bounds"], "upper_bounds")
         ]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed instance object: {exc}") from exc
+    except KeyError as exc:
+        raise ValidationError(f"malformed instance object: missing field {exc.args[0]!r}") from exc
     return Instance(
         n=n,
         k=k,
@@ -160,9 +168,9 @@ def matrix_to_dict(matrix: AssignmentMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> AssignmentMatrix:
     try:
-        rows = data["rows"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed matrix object: {exc}") from exc
+        rows = json_object(data, "malformed matrix object")["rows"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed matrix object: missing field {exc.args[0]!r}") from exc
     if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
         raise ValidationError("matrix rows must be a JSON list of '0'/'1' strings")
     for i, row in enumerate(rows):

@@ -11,8 +11,10 @@ the satisfied count is a sum over level pairs ``a <= b`` of ``(grid+1) x
 (grid+1)`` tables, built once per fit from the sorted outcome counts without
 listing a pair; a branch and bound over the levels, bounded by slices of
 those tables, finds the best table and certifies it.  The records are
-counted per category label as they are decoded (:func:`records_from_json`),
-and :func:`fit_categories` fits one table per label.
+counted per category label in whole-column passes, with a record-by-record
+count behind them that names the first bad record
+(:func:`records_from_json`), and :func:`fit_categories` fits one table per
+label.
 
 Everything is deterministic: the search has no random part, and condition
 evaluation is exact integer arithmetic (a grid value ``q/Q`` satisfies
@@ -28,10 +30,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .core import GuardExceededError, SuppressionTable, ValidationError, check_int
-from .io import parse_int
+from .io import json_object, parse_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,50 +89,61 @@ def _tables(counts: Mapping[Outcome, int], max_h: int, grid: int) -> np.ndarray:
     ``r(a) = x/grid`` and ``r(b) = y/grid`` (read at ``x == y`` only when
     ``a == b``); no block below the diagonal is read.  No pair is listed;
     they are counted by sorting, as in Knight's method for Kendall's tau.
-    The non-responders are sorted by ``(campaign rank * max_h + h - 1) *
-    (top + 1) + p``, a block of keys per campaign and level, with
-    cumulative counts.  For each ``x`` one ``searchsorted`` counts, for each
-    distinct responder ``(campaign, p)`` and block, the keys up to ``min((p*x
-    - 1) // y, top)`` (for ``y == 0``, the whole block when ``p*x > 0``), and
-    the responders' counts per level times those fill ``tables[:, :, x]``,
-    one direction each; a last pass adds each lower block, transposed, to
-    its mirror.  Entries are int64 when every key, product ``p * x``, each
-    side's count sum and their product fit, and Python integers if not.
+    The distinct non-responder outcomes are keyed and sorted by ``campaign
+    rank * (top + 1) + p``, a block of keys per campaign, with one
+    cumulative row of counts per level.  So a threshold is ranked once per
+    campaign, not once per campaign and level: for each ``x >= 1`` one
+    ``searchsorted`` finds, for each distinct responder ``(campaign, p)``
+    and each ``y``, the last key up to ``min((p*x - 1) // y, top)`` in its
+    campaign's block (for ``y == 0``, the whole block when ``p > 0``), and
+    one gather reads every level's count there.  The responders' counts per
+    level times those fill ``tables[:, :, x]``, one direction each (at
+    ``x == 0`` no pair holds); a last pass adds each lower block,
+    transposed, to its mirror.  Memory is linear in the distinct outcomes.
+    Entries are int64 when every key, product ``p * x``, each side's count
+    sum and their product fit, and Python integers if not.
     """
     import numpy as np
 
     top = max((preference for _, preference, _, _ in counts), default=0)
     ranks: dict[CampaignId, int] = {}
     yes: dict[tuple[int, int], list[int]] = {}
-    no = []
+    no: dict[int, list[int]] = {}
     for (campaign, preference, h, responded), count in counts.items():
         rank = ranks.setdefault(campaign, len(ranks))
         if responded:
             yes.setdefault((rank, preference), [0] * max_h)[h - 1] += count
         else:
-            no.append(((rank * max_h + h - 1) * (top + 1) + preference, count))
-    no.sort()
-    yes_total, no_total = sum(map(sum, yes.values())), sum(count for _, count in no)
-    key_end = len(ranks) * max_h * (top + 1)
-    largest = max(key_end, top * grid, yes_total, no_total, yes_total * no_total)
+            no.setdefault(rank * (top + 1) + preference, [0] * max_h)[h - 1] += count
+    yes_total, no_total = sum(map(sum, yes.values())), sum(map(sum, no.values()))
+    largest = max(len(ranks) * (top + 1), top * grid, yes_total, no_total, yes_total * no_total)
     dtype = np.int64 if largest < 2**63 else object
-    keys = np.array([key for key, _ in no], dtype=dtype)
-    cumulative = np.array([0, *(count for _, count in no)], dtype=dtype).cumsum()
+    keys = sorted(no)
+    # cumulative[b - 1, i]: the non-responders at level b among the first i keys
+    cumulative = np.zeros((max_h, len(keys) + 1), dtype=dtype)
+    cumulative[:, 1:] = np.array([no[key] for key in keys], dtype=dtype).reshape(-1, max_h).T
+    cumulative = cumulative.cumsum(1)
+    keys = np.array(keys, dtype=dtype)
     weights = np.array(list(yes.values()), dtype=dtype).reshape(-1, max_h).T
     column_rank, column_p = np.array(list(yes), dtype=dtype).reshape(-1, 2).T
-    # base[b - 1, column] is the first key of the column's block at level b
-    base = (column_rank * max_h + np.arange(max_h)[:, None]) * (top + 1)
-    start = cumulative[np.searchsorted(keys, base)]
+    # base[column] is the first key of the column's campaign
+    base = column_rank * (top + 1)
+    start = cumulative[:, np.searchsorted(keys, base), None]
     divisors = np.arange(1, grid + 1, dtype=dtype)
+    # at x = 0 no pair holds, so tables[:, :, 0] stays 0; from x = 1 on,
+    # y = 0 takes the whole campaign under a positive p and none under 0
     thresholds = np.empty((len(yes), grid + 1), dtype=dtype)
+    thresholds[:, 0] = -1
+    thresholds[column_p > 0, 0] = top
+    column_p = column_p[:, None]
+    # below[b - 1, column, y]: the non-responders at level b up to the threshold
+    below = np.empty((max_h, len(yes), grid + 1), dtype=dtype)
     tables = np.zeros((max_h, max_h, grid + 1, grid + 1), dtype=dtype)
-    for x in range(grid + 1):
-        product = column_p * x
-        thresholds[:, 0] = -1
-        thresholds[product > 0, 0] = top
-        thresholds[:, 1:] = np.minimum((product[:, None] - 1) // divisors, top)
-        found = np.searchsorted(keys, base[:, :, None] + thresholds, side="right")
-        tables[:, :, x] = (weights @ (cumulative[found] - start[:, :, None])).swapaxes(0, 1)
+    for x in range(1, grid + 1):
+        np.minimum((column_p * x - 1) // divisors, top, out=thresholds[:, 1:])
+        found = np.searchsorted(keys, base[:, None] + thresholds, side="right")
+        np.take(cumulative, found, axis=1, out=below)
+        tables[:, :, x] = (weights @ (below - start)).swapaxes(0, 1)
     for a in range(max_h - 1):
         tables[a, a + 1 :] += tables[a + 1 :, a].swapaxes(1, 2)
     return tables
@@ -282,12 +296,60 @@ def _record_id(value, what: str) -> CustomerId:
     return value
 
 
+# the exact types each record field may hold.  ``1``, ``1.0`` and ``true``
+# are equal dict keys, so the column counter needs the types checked first
+_FIELD_TYPES = (
+    ("customer", frozenset({int, str})),
+    ("campaign", frozenset({int, str})),
+    ("preference", frozenset({int, str})),
+    ("h", frozenset({int, str})),
+    ("responded", frozenset({bool})),
+)
+_OUTCOME_FIELDS = itemgetter("campaign", "preference", "h", "responded")
+
+
+def _count_columns(data: list, labels: dict[str, int] | None) -> dict[int, Counter] | None:
+    """:func:`records_from_json`'s counts in whole-column passes, or ``None`` if a record is bad.
+
+    Each field's types are checked in one C pass.  One ``Counter`` then
+    counts the records' raw outcome fields, paired with their labels when
+    there are labels (looked up in C as well), and each distinct key is
+    parsed and checked once.  The distinct keys come in the order of their
+    first records, so every returned ``Counter`` has its keys in the order
+    a record-by-record count inserts them.
+    """
+    try:
+        for field, types in _FIELD_TYPES:
+            if not types.issuperset(map(type, map(itemgetter(field), data))):
+                return None
+        outcomes = map(_OUTCOME_FIELDS, data)
+        if labels is None:
+            distinct = ((outcome, 0, count) for outcome, count in Counter(outcomes).items())
+        else:
+            record_labels = map(labels.__getitem__, map(str, map(itemgetter("customer"), data)))
+            raw = Counter(zip(outcomes, record_labels))
+            distinct = ((outcome, label, count) for (outcome, label), count in raw.items())
+        groups: defaultdict[int, Counter] = defaultdict(Counter)
+        for (campaign, preference, h, responded), label, count in distinct:
+            preference, h = parse_int(preference, "preference"), parse_int(h, "h")
+            _check_outcome(preference, h, responded)
+            groups[label][campaign, preference, h, responded] += count
+    except (KeyError, TypeError, ValidationError):
+        return None
+    return dict(groups)
+
+
 def records_from_json(data, labels=None) -> dict[int, Counter]:
-    """Count each label's outcomes ``(campaign, preference, h, responded)`` in one pass.
+    """Count each label's outcomes ``(campaign, preference, h, responded)``.
 
     ``labels`` is the decoded object customer -> label, or ``None`` for one
     category 0.  Every label is parsed, and a record's is ``labels[str(customer)]``:
     JSON object keys are always strings, record customers need not be.
+
+    The records are counted in whole-column passes (:func:`_count_columns`);
+    if that fails on any record, they are counted again one at a time, which
+    names the first bad record by its index.  So the counts, their key order
+    and every error are those of the record-by-record count.
     """
     if not isinstance(data, list):
         raise ValidationError("historical data must be a JSON array of records")
@@ -295,8 +357,12 @@ def records_from_json(data, labels=None) -> dict[int, Counter]:
         if not isinstance(labels, dict):
             raise ValidationError("labels must be a JSON object customer -> label")
         labels = {key: parse_int(value, f"label of {key!r}") for key, value in labels.items()}
+    counted = _count_columns(data, labels)
+    if counted is not None:
+        return counted
     groups: defaultdict[int, Counter] = defaultdict(Counter)
     for idx, obj in enumerate(data):
+        json_object(obj, f"record {idx} is malformed")
         try:
             customer = _record_id(obj["customer"], "customer")
             campaign = _record_id(obj["campaign"], "campaign")
@@ -304,8 +370,9 @@ def records_from_json(data, labels=None) -> dict[int, Counter]:
             h = parse_int(obj["h"], "h")
             responded = obj["responded"]
             _check_outcome(preference, h, responded)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"record {idx} is malformed: {exc}") from exc
+        except KeyError as exc:
+            field = exc.args[0]
+            raise ValidationError(f"record {idx} is malformed: missing field {field!r}") from exc
         except ValidationError as exc:
             raise ValidationError(f"record {idx}: {exc}") from exc
         label = 0 if labels is None else labels.get(str(customer))

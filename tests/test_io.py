@@ -203,8 +203,27 @@ def test_instance_missing_field():
                  lower_bounds=(0,), upper_bounds=(1,))
     )
     del data["weights"]
-    with pytest.raises(ValidationError, match="malformed instance"):
+    with pytest.raises(ValidationError, match="^malformed instance object: missing field 'weights'$"):
         io.instance_from_dict(data)
+
+
+@pytest.mark.parametrize("read, what", [
+    (io.instance_from_dict, "instance"),
+    (io.matrix_from_dict, "matrix"),
+])
+@pytest.mark.parametrize("data, type_name", [
+    ([], "list"), ("rows", "str"), (3, "int"), (None, "NoneType"),
+])
+def test_a_non_object_names_its_type(read, what, data, type_name):
+    # one message on every Python version, not the interpreter's TypeError text
+    message = f"^malformed {what} object: expected a JSON object, got {type_name}$"
+    with pytest.raises(ValidationError, match=message):
+        read(data)
+
+
+def test_matrix_missing_field():
+    with pytest.raises(ValidationError, match="^malformed matrix object: missing field 'rows'$"):
+        io.matrix_from_dict({"row": ["01"]})
 
 
 def test_load_json_rejects_garbage(tmp_path):

@@ -1,8 +1,10 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -287,21 +289,41 @@ def test_fit_matches_exhaustive_oracle(history):
 def table_cases(draw):
     """(counts, max_h, grid): responders, non-responders, both or neither.
 
-    Preferences and counts reach past 2^64.
+    Preferences and counts reach past 2^64.  Half the cases have up to three
+    campaigns sharing preferences; the other half have 6 to 9 campaigns,
+    each with its own preference range, the first responders only and the
+    second non-responders only, so most thresholds lie past a campaign's
+    largest preference.
     """
     max_h = draw(st.integers(1, 3))
     grid = draw(st.integers(1, 25))
-    sides = draw(st.sampled_from([(True, False), (True,), (False,)]))
-    outcome = st.tuples(
-        st.sampled_from(("a", "b", 1)),
-        # p * grid crosses 2^63 between 2^58 and 2^62 at grids 2 to 25; the keys above 2^64
-        st.one_of(st.integers(0, 9), st.integers(2**58, 2**62), st.integers(2**64, 2**66)),
-        st.integers(1, max_h),
-        st.sampled_from(sides),
-    )
     # pair totals and sums of counts on both sides of 2^63
     count = st.one_of(st.integers(1, 5), st.integers(2**30, 2**34), st.integers(2**62, 2**64))
-    return draw(st.dictionaries(outcome, count, max_size=30)), max_h, grid
+    if draw(st.booleans()):
+        sides = draw(st.sampled_from([(True, False), (True,), (False,)]))
+        outcome = st.tuples(
+            st.sampled_from(("a", "b", 1)),
+            # p * grid crosses 2^63 between 2^58 and 2^62 at grids 2 to 25; the keys above 2^64
+            st.one_of(st.integers(0, 9), st.integers(2**58, 2**62), st.integers(2**64, 2**66)),
+            st.integers(1, max_h),
+            st.sampled_from(sides),
+        )
+        return draw(st.dictionaries(outcome, count, max_size=30)), max_h, grid
+    # campaign c takes preferences offset + 4c to offset + 4c + 3
+    offset = draw(st.sampled_from([0, 2**60, 2**64]))
+    outcome_counts = {}
+    for c in range(draw(st.integers(6, 9))):
+        sides = {0: (True,), 1: (False,)}.get(c) or draw(
+            st.sampled_from([(True, False), (True,), (False,)])
+        )
+        outcome = st.tuples(
+            st.just(f"c{c}" if c % 2 else c),
+            st.integers(offset + 4 * c, offset + 4 * c + 3),
+            st.integers(1, max_h),
+            st.sampled_from(sides),
+        )
+        outcome_counts.update(draw(st.dictionaries(outcome, count, min_size=1, max_size=5)))
+    return outcome_counts, max_h, grid
 
 
 @given(table_cases())
@@ -310,7 +332,7 @@ def table_cases(draw):
 @example(({("a", 2**61, 1, True): 1, ("a", 2**61 - 1, 1, False): 1}, 1, 4))
 @example(({("a", 1, 1, True): 2**63}, 1, 1))
 @example(({("a", 1, 1, False): 2**63}, 1, 1))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_tables_match_pair_enumeration(case):
     outcome_counts, max_h, grid = case
     tables = _tables(outcome_counts, max_h, grid)
@@ -559,6 +581,21 @@ class TestJsonDecoding:
         with pytest.raises(ValidationError, match="array"):
             records_from_json({"customer": "a"})
 
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], "expected a JSON object, got list"),
+        ("customer", "expected a JSON object, got str"),
+        (7, "expected a JSON object, got int"),
+        (None, "expected a JSON object, got NoneType"),
+        ({"customer": "a"}, "missing field 'campaign'"),
+        ({"campaign": 1, "preference": 5, "h": 2, "responded": True}, "missing field 'customer'"),
+    ])
+    def test_malformed_record_message(self, record, message):
+        # one message on every Python version, not the interpreter's
+        # TypeError or KeyError text
+        good = {"customer": "a", "campaign": 1, "preference": "5", "h": 2, "responded": True}
+        with pytest.raises(ValidationError, match=f"^record 3 is malformed: {message}$"):
+            records_from_json([good, good, good, record])
+
     @pytest.mark.parametrize("field, value, message", [
         ("preference", "-1", "preference must be nonnegative"),
         ("h", 0, r"h must be >= 1, got 0"),
@@ -596,6 +633,103 @@ class TestJsonDecoding:
     def test_labels_must_be_an_object(self, labels):
         with pytest.raises(ValidationError, match="labels must be a JSON object"):
             records_from_json([], labels)
+
+
+def reference_records(data, labels=None):
+    """Oracle for ``records_from_json`` on valid records: one record at a time, in order.
+
+    Preferences, h and labels are JSON integers or ``" +5 "``-style strings.
+    """
+    groups = {}
+    for record in data:
+        label = 0 if labels is None else int(labels[str(record["customer"])])
+        outcome = (record["campaign"], int(record["preference"]), int(record["h"]),
+                   record["responded"])
+        groups.setdefault(label, Counter())[outcome] += 1
+    return groups
+
+
+def int_or_text(values):
+    """A JSON integer, its decimal string, or the string padded and signed."""
+    return values.flatmap(lambda v: st.sampled_from([v, str(v), f" +{v} "]))
+
+
+@st.composite
+def histories(draw):
+    """(records, labels or None): int and str customers and campaigns, repeated records."""
+    record = st.fixed_dictionaries({
+        "customer": st.one_of(st.integers(0, 5), st.sampled_from(["a", "b", "3"])),
+        "campaign": st.sampled_from([0, 1, "0", "c"]),
+        "preference": int_or_text(st.integers(0, 12)),
+        "h": int_or_text(st.integers(1, 4)),
+        "responded": st.booleans(),
+    })
+    records = draw(st.lists(record, min_size=1, max_size=30))
+    records += draw(st.lists(st.sampled_from(records), max_size=10))
+    records = draw(st.permutations(records))
+    if not draw(st.booleans()):
+        return records, None
+    customers = sorted({str(r["customer"]) for r in records})
+    label = int_or_text(st.integers(0, 2))
+    return records, {customer: draw(label) for customer in customers}
+
+
+def assert_same_counts(result, expected):
+    """Equal dicts of equal Counters, and every key in the same order."""
+    assert result == expected
+    assert list(result) == list(expected)
+    for label, outcome_counts in expected.items():
+        assert list(result[label]) == list(outcome_counts)
+
+
+@given(histories())
+@settings(max_examples=200, deadline=None)
+def test_records_match_reference_count(history):
+    records, labels = history
+    expected = reference_records(records, labels)
+    assert_same_counts(records_from_json(records, labels), expected)
+    # the record-by-record count that runs when the column count fails
+    with mock.patch("mcap.learning._count_columns", return_value=None):
+        assert_same_counts(records_from_json(records, labels), expected)
+
+
+# each corruption of a valid record: (change to the record, change to the
+# record before it or None, message after "record <index>")
+CORRUPTIONS = {
+    "missing-field": (lambda r: {k: v for k, v in r.items() if k != "h"}, None,
+                      " is malformed: missing field 'h'"),
+    "non-object": (lambda r: list(r.values()), None,
+                   " is malformed: expected a JSON object, got list"),
+    # true, 2.0 and 1 are dict keys equal to 1, 2 and true
+    "bool-h": (lambda r: {**r, "h": True}, lambda r: {**r, "h": 1},
+               ": bad integer literal for h: True"),
+    "float-preference": (lambda r: {**r, "preference": 2.0}, lambda r: {**r, "preference": 2},
+                         ": bad integer literal for preference: 2.0"),
+    "int-responded": (lambda r: {**r, "responded": 1}, lambda r: {**r, "responded": True},
+                      ": responded must be true or false, got 1"),
+    "negative-preference": (lambda r: {**r, "preference": "-3"}, None,
+                            ": preference must be nonnegative"),
+    "zero-h": (lambda r: {**r, "h": 0}, None, ": h must be >= 1, got 0"),
+    "unlabelled": (lambda r: {**r, "customer": "ghost"}, None,
+                   ": customer 'ghost' has no category label"),
+}
+
+
+@given(histories(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_bad_record_is_named_by_its_index(history, corruption, data):
+    records, labels = history
+    if corruption == "unlabelled" and labels is None:
+        labels = {str(r["customer"]): 0 for r in records}
+    change, before, message = CORRUPTIONS[corruption]
+    idx = data.draw(st.integers(0 if before is None else 1, len(records)), label="index")
+    records = [*records[:idx], records[idx - 1] if idx else records[0], *records[idx:]]
+    if before is not None:
+        # the record before it is valid and counts the same outcome
+        records[idx - 1] = before(records[idx])
+    records[idx] = change(records[idx])
+    with pytest.raises(ValidationError, match=f"^record {idx}{re.escape(message)}$"):
+        records_from_json(records, labels)
 
 
 class TestFitCategories:
