@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, cycle
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -173,8 +173,12 @@ class Instance:
         # scale is a multiple of every denominator, so this is int(v * scale)
         # without a Fraction multiply
         scaled = {key: v.numerator * (scale // v.denominator) for key, v in distinct.items()}
-        rates = tuple(tuple(map(scaled.__getitem__, map(id, t.values))) for t in self.suppression)
-        weighted = tuple(tuple(map(mul, self.weights, row)) for row in self.preferences)
+        # every table has k + 1 values and every row k preferences: each
+        # matrix is one flat pass, chunked into rows
+        values = chain.from_iterable(t.values for t in self.suppression)
+        rates = tuple(zip(*[map(scaled.__getitem__, map(id, values))] * (self.k + 1)))
+        cells = chain.from_iterable(self.preferences)
+        weighted = tuple(zip(*[map(mul, cycle(self.weights), cells)] * self.k))
         return scale, rates, weighted
 
 
@@ -303,22 +307,23 @@ def validate_instance(inst: Instance) -> Instance:
     for i, table in enumerate(inst.suppression):
         if not isinstance(table, SuppressionTable):
             raise ValidationError(f"customer {i}: {table!r} is not a SuppressionTable")
-        if len(table) != inst.k + 1:
+        values = table.values
+        if len(values) != inst.k + 1:
             raise ValidationError(
                 f"customer {i}: suppression table must have {inst.k + 1} entries, "
-                f"got {len(table)}"
+                f"got {len(values)}"
             )
-        if table[0] != 0:
-            raise ValidationError(f"customer {i}: r(0) must be 0, got {table[0]}")
-        if checked.issuperset(map(id, table.values)):
+        if values[0] != 0:
+            raise ValidationError(f"customer {i}: r(0) must be 0, got {values[0]}")
+        if checked.issuperset(map(id, values)):
             continue
-        for h, v in enumerate(table.values):
+        for h, v in enumerate(values):
             # a Fraction's denominator is positive: this is 0 <= v <= 1
             if not 0 <= v.numerator <= v.denominator:
                 raise ValidationError(
                     f"customer {i}: suppression value r({h}) = {v} outside [0, 1]"
                 )
-        checked.update(map(id, table.values))
+        checked.update(map(id, values))
     check_tuple(inst.lower_bounds, "lower bounds")
     check_tuple(inst.upper_bounds, "upper bounds")
     if len(inst.lower_bounds) != inst.k or len(inst.upper_bounds) != inst.k:
@@ -367,7 +372,7 @@ def evaluate_fitness(inst: Instance, matrix: AssignmentMatrix) -> Fraction:
     for row, prefs, table in zip(matrix.entries, inst.preferences, inst.suppression):
         h = sum(row)
         if h:
-            terms.append((table[h], sum(compress(map(mul, weights, prefs), row))))
+            terms.append((table.values[h], sum(compress(map(mul, weights, prefs), row))))
     scale = lcm(*{r.denominator for r, _ in terms})
     return Fraction(sum(r.numerator * (scale // r.denominator) * v for r, v in terms), scale)
 

@@ -11,12 +11,17 @@ literal, after the same stripping, is ``[+-]?digits`` or
 Decimal and exponent forms such as ``"0.5"`` or ``"1e-5"`` are rejected: an
 exponent literal can stand for a number with millions of digits.
 
-A row is read in one call: a weights or preference row of plain ASCII
-digit strings, the form :func:`instance_to_dict` writes, converts with one
-``map``, and a suppression row whose literals were all seen before is one
-``map`` of dict lookups.  The per-cell parsers run only on a row that fails
-that check, to accept what the grammar allows or name the first offending
-cell, so the result and every error are those of a cell-by-cell read.
+The preference matrix is read in one pass when its rows are lists of one
+length holding plain ASCII digit strings, the form :func:`instance_to_dict`
+writes: one type check and one ``join`` over every cell, then one ``map`` of
+``int`` chunked into rows.  Any other matrix is read a row at a call, as the
+weights are: a row of plain ASCII digit strings converts with one ``map``.
+A suppression row whose literals were all seen before is one ``map`` of dict
+lookups.  The per-cell parsers run only on a row that fails these checks, to
+accept what the grammar allows or name the first offending cell, so the
+result and every error are those of a cell-by-cell read.  A matrix is
+written a row at a call too: its 0/1 entries are bytes, translated to
+``'0'``/``'1'``.
 
 :func:`parse_int` is the one integer grammar of every input file, DIMACS
 included, and :func:`read_text` the one reader: UTF-8 whatever the locale.
@@ -28,6 +33,7 @@ import functools
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .core import AssignmentMatrix, Instance, SuppressionTable, ValidationError
@@ -37,7 +43,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # ``issuperset`` walks an iterable in C and builds no set
 _STR = frozenset({str})
+_LIST = frozenset({list})
 _BIT_CHARS = frozenset("01")
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def fraction_from_str(text: str) -> Fraction:
@@ -97,6 +105,25 @@ def _ints(row: list, what: str) -> tuple[int, ...]:
     return tuple(parse_int(v, what) for v in row)
 
 
+def _matrix(rows: list) -> tuple[tuple[int, ...], ...]:
+    """The preference ``rows`` parsed as :func:`_ints` would parse them row by row.
+
+    A matrix of equal-length lists of ASCII digit strings converts in one
+    pass: one type check, one ``join`` and one ``map`` over every cell,
+    chunked into rows of that length.
+    """
+    if _LIST.issuperset(map(type, rows)) and len(set(map(len, rows))) == 1:
+        cells = list(chain.from_iterable(rows))
+        if _STR.issuperset(map(type, cells)):
+            text = "".join(cells)
+            if text.isdigit() and text.isascii():
+                try:
+                    return tuple(zip(*[map(int, cells)] * len(rows[0])))
+                except ValueError:  # an empty string, or one past the int digit limit
+                    pass
+    return tuple(_ints(_list(row, "a preference row"), "preference") for row in rows)
+
+
 def instance_to_dict(inst: Instance) -> dict:
     # one shared string per distinct integer: a reduced instance repeats a few
     # powers of ten over a million cells.  Suppression Fractions are not
@@ -119,10 +146,7 @@ def instance_from_dict(data: dict) -> Instance:
         n = parse_int(data["n"], "n")
         k = parse_int(data["k"], "k")
         weights = _ints(_list(data["weights"], "weights"), "weight")
-        preferences = tuple(
-            _ints(_list(row, "a preference row"), "preference")
-            for row in _list(data["preferences"], "preferences")
-        )
+        preferences = _matrix(_list(data["preferences"], "preferences"))
         # fitted and generated tables repeat a few grid values: parse each
         # distinct literal once and share the (immutable) Fraction
         parsed: dict[str, Fraction] = {}
@@ -163,7 +187,8 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 def matrix_to_dict(matrix: AssignmentMatrix) -> dict:
-    return {"rows": ["".join(map("01".__getitem__, row)) for row in matrix.entries]}
+    # a row of 0/1 ints is the bytes 0x00/0x01, which translate to '0'/'1'
+    return {"rows": [bytes(row).translate(_BIT_TEXT).decode() for row in matrix.entries]}
 
 
 def matrix_from_dict(data: dict) -> AssignmentMatrix:

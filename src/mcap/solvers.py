@@ -533,8 +533,13 @@ def greedy_construct(inst: Instance) -> SolveResult:
     pushed again: columns only close within a phase, so such a stale key is
     never worse than the row's true one, and the first entry popped with an
     open column is the global best by ``(gain desc, i asc, j asc)``, the
-    same cell a heap over every cell would pick.  ``explored`` counts the
-    row-heap pops.
+    same cell a heap over every cell would pick.  A popped row is re-ranked
+    in place of its entry (``heapreplace``); a row has one entry, so no two
+    entries tie and the pop order is the same as a pop and a push.
+    ``explored`` counts the row-heap pops.  Once every column of a phase has
+    closed, each entry left would pop and re-rank to no entry, so the phase
+    adds the heap's length to the count and stops: on binding 600x10
+    instances that is about 580 of some 2,200 pops.
     """
     started = time.perf_counter()
     n, k = inst.n, inst.k
@@ -563,20 +568,29 @@ def greedy_construct(inst: Instance) -> SolveResult:
         nonlocal pops, total
         heap = [entry for i in range(n) if (entry := best_cell(i, limit)) is not None]
         heapq.heapify(heap)
+        open_cols = sum(c < b for c, b in zip(cols, limit))
         while heap:
-            neg_gain, i, j = heapq.heappop(heap)
+            if not open_cols:
+                # each entry left would pop and re-rank to None
+                pops += len(heap)
+                break
+            neg_gain, i, j = heap[0]
             pops += 1
             if cols[j] < limit[j]:
                 if positive_only and neg_gain >= 0:
                     break
                 rows[i][j] = 1
                 cols[j] += 1
+                open_cols -= cols[j] == limit[j]
                 row_value[i] += weighted[i][j]
                 h[i] += 1
                 total -= neg_gain
             # the row changed, or the entry's column closed: re-rank the row
+            # in place of its entry, the only one it has
             if (entry := best_cell(i, limit)) is not None:
-                heapq.heappush(heap, entry)
+                heapq.heapreplace(heap, entry)
+            else:
+                heapq.heappop(heap)
 
     fill(inst.lower_bounds, positive_only=False)
     fill(inst.upper_bounds, positive_only=True)

@@ -2,8 +2,9 @@ import json
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mcap import cli, generate, io, reduction
 from mcap.core import AssignmentMatrix, Instance, SuppressionTable, ValidationError
@@ -176,6 +177,83 @@ def test_repeated_suppression_literals_share_one_fraction():
     values = [v for t in inst.suppression for v in t.values]
     assert values == [0, Fraction(1, 2), Fraction(1, 2)] * 2
     assert values[1] is values[2] is values[4] and values[0] is values[3]
+
+
+def row_by_row_preferences(rows: list) -> tuple[tuple[int, ...], ...]:
+    """The preference matrix read one row at a time: the oracle for the whole-matrix pass."""
+    return tuple(io._ints(io._list(row, "a preference row"), "preference") for row in rows)
+
+
+def read_outcome(data: dict):
+    """The instance ``data`` reads to, or the message of the error it raises."""
+    try:
+        return io.instance_from_dict(data)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# every cell is a digit string in about half of the matrices, so the one
+# pass reads them; the others mix in what sends it back to the rows
+DIGIT_CELLS = st.integers(0, 10**30).map(str) | st.sampled_from(["0", "007", "9"])
+OTHER_CELLS = st.sampled_from(
+    [7, 0, 10**25, " +5 ", "", "-3", "\u0663", Digits("7"), LONG, True]
+)
+
+
+@st.composite
+def preference_dicts(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    data = io.instance_to_dict(generate.random_instance(seed=draw(st.integers(0, 99)), n=n, k=k))
+    cells = DIGIT_CELLS if draw(st.booleans()) else DIGIT_CELLS | OTHER_CELLS
+    rows = draw(st.lists(st.lists(cells, min_size=k, max_size=k), min_size=n, max_size=n))
+    # one row of another length, one row that is no list, or neither
+    i = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "none", "shorter", "longer", "non-list"]))
+    if change == "shorter":
+        rows[i] = rows[i][:-1]
+    elif change == "longer":
+        rows[i] = [*rows[i], draw(DIGIT_CELLS)]
+    elif change == "non-list":
+        rows[i] = draw(st.sampled_from(["123", None, 5, {"0": "1"}, ("1",) * k]))
+    data["preferences"] = rows
+    return data
+
+
+def with_preferences(rows: list) -> dict:
+    data = small_instance_dict()
+    data["preferences"] = rows
+    return data
+
+
+@given(preference_dicts())
+# digit strings all, but one cell that int() refuses, or a str subclass
+@example(with_preferences([["1", "2", "3"], ["4", LONG, "6"]]))
+@example(with_preferences([["1", "2", "3"], ["4", "", "56"]]))
+@example(with_preferences([["1", "2", "3"], ["4", Digits("5"), "6"]]))
+@settings(max_examples=300, deadline=None)
+def test_whole_matrix_read_matches_the_row_by_row_read(data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_matrix", row_by_row_preferences)
+        expected = read_outcome(data)
+    assert read_outcome(data) == expected
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda k: st.lists(st.tuples(*[st.sampled_from((0, 1))] * k), max_size=8)
+))
+@example([])
+@example([(1,), (0,), (1,)])
+@settings(max_examples=200)
+def test_matrix_rows_are_written_as_digit_strings(rows):
+    matrix = AssignmentMatrix(tuple(rows))
+    expected = ["".join(map("01".__getitem__, row)) for row in rows]
+    assert io.matrix_to_dict(matrix) == {"rows": expected}
+
+
+def test_matrix_file_bytes(tmp_path):
+    io.write_matrix(AssignmentMatrix(((1, 0, 1), (0, 0, 0))), tmp_path / "m.json")
+    expected = b'{\n  "rows": [\n    "101",\n    "000"\n  ]\n}\n'
+    assert (tmp_path / "m.json").read_bytes() == expected
 
 
 def test_matrix_rejects_non_binary_characters():

@@ -158,6 +158,20 @@ def huge_preference_instance():
     ))
 
 
+def binding_instance(seed, n, k):
+    """A random instance with uppers n/4..n/3 and lowers 0..u/4, as the benchmark's greedy-scale.
+
+    Every column of greedy's lower-bound phase closes with hundreds of rows
+    still on its heap.
+    """
+    rng = random.Random(seed)
+    upper = tuple(rng.randint(n // 4, n // 3) for _ in range(k))
+    lower = tuple(rng.randint(0, u // 4) for u in upper)
+    return replace(
+        generate.random_instance(seed=seed, n=n, k=k), lower_bounds=lower, upper_bounds=upper
+    )
+
+
 PIN_INSTANCES = {
     "grid-30x4": lambda: generate.random_instance(seed=4, n=30, k=4),
     # upper bounds (23, 0, 25, 15): campaign 1 can never be assigned
@@ -172,6 +186,7 @@ PIN_INSTANCES = {
     "unbounded-30x4": lambda: generate.random_instance(seed=6, n=30, k=4, bounds="unbounded"),
     # local search climbs 48% above its greedy start over 187,257 checked moves
     "improving-100x8": lambda: generate.random_instance(seed=6, n=100, k=8),
+    "binding-600x10": lambda: binding_instance(seed=1, n=600, k=10),
 }
 
 PIN_SOLVERS = {
@@ -221,6 +236,9 @@ PINS = {
     ("local", "huge-prefs"): (
         "2032298738718956958493/2",
         "c915328d41948a860abd4e26ab64eb5700c3272224815d4cfc247673f17b22b4", 32,
+    ),
+    ("greedy", "binding-600x10"): (
+        "82995/4", "c75b82afc01a7330874ce0865412d7602f47128e9334aaf327c345f067a77c8b", 2127,
     ),
     ("greedy", "improving-100x8"): (
         "14183/4", "8677dcbfd747222e8d606203d17dba2568116dae6012feba68795d424c53f353", 410,
