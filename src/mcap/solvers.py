@@ -12,13 +12,17 @@ Exact routes:
   parent's sources (``floor``, a single high bit, on the states whose new
   campaign is at capacity), then takes one shifted add and one unmasked
   ``np.maximum``.  The subsets holding the outermost active campaign skip the
-  OR: they read only states below its capacity.  The layer buffers are updated
-  in place, so each subset's views into them are planned once per reachable
-  box and reused by every later layer, and the inner loop is two or three
-  ufunc calls on prebuilt views.  Integer keys pack each value with its
-  subset's mask, which ascends with the subset's index offset and so serves
-  as its rank: the maximum is order-free, and the documented tie-break
-  (ascending predecessor, then ascending subset) holds exactly.
+  OR: they read only states below its capacity.  Each layer packs every
+  subset's score into one array of the key type, and a subset adds a 0-d view
+  of its cell, so no step's add converts a Python integer.  The first layer,
+  where only the empty vector is reachable, is one scatter of that array.
+  The layer buffers are updated in place, so each subset's views into them
+  are planned once and reused by every later layer; while the reachable box
+  grows, only the views whose length changes are planned again.  The inner
+  loop is two or three ufunc calls on prebuilt views.  Integer keys pack each
+  value with its subset's mask, which ascends with the subset's index offset
+  and so serves as its rank: the maximum is order-free, and the documented
+  tie-break (ascending predecessor, then ascending subset) holds exactly.
   :func:`dp_guard` is its size check (:data:`DEFAULT_DP_STATE_LIMIT` and
   :data:`DP_CELL_LIMIT`, which counts the choices and the sweep's working
   set), shared with the CLI's ``auto`` method.
@@ -156,6 +160,13 @@ def _best_row(
     """
     # a reversed sort is stable too: equal preferences keep their order
     ranked = sorted(campaigns, key=weighted_i.__getitem__, reverse=True)
+    return _best_ranked_row(weighted_i, rates_i, ranked, kept)
+
+
+def _best_ranked_row(
+    weighted_i: Sequence[int], rates_i: Sequence[int], ranked: Sequence[int], kept: Sequence[int]
+) -> tuple[int, list[int]]:
+    """:func:`_best_row` over campaigns already ranked as it ranks them."""
     h = len(kept)
     prefix = sum(map(weighted_i.__getitem__, kept))
     best, best_t = rates_i[h] * prefix, 0
@@ -308,6 +319,16 @@ def dp_solve(inst: Instance) -> SolveResult:
     maximum is the same in any subset order.  Then the layer's masks are
     recorded through the candidate buffer and dropped.
 
+    The packed scores ``score << bits | mask`` of a layer are one array of
+    the key type, ``nmasks`` cells long, refilled in place: the subset
+    scores, a left shift by ``bits`` and an add of ``arange(nmasks)``, an
+    add rather than an OR, so the sweep ORs only poison arrays.  Each step
+    holds the 0-d view ``packed[mask, ...]``, so no ``np.add`` of the sweep
+    converts a Python integer.  Before customer 0 only state 0 is reachable,
+    and every active campaign has an upper bound of at least 1, so every
+    subset has headroom there: that layer is the scatter ``keys[offsets] =
+    packed``, one ufunc-free assignment, and needs no step plan.
+
     The last active campaign is the most significant digit, so a subset
     holding it has ``d`` at least that campaign's stride and reads only
     sources below ``size - d``, where the campaign is under its capacity:
@@ -317,11 +338,12 @@ def dp_solve(inst: Instance) -> SolveResult:
     poison array.  ``keys``, the stack and the candidate are allocated once
     and updated in place (``keys & -(1 << bits)`` into ``sources[0]``, then
     copied back into ``keys``), so every view into them stays valid across
-    layers.  A step's views depend on its layer only through the reach
-    bound ``hi``, so the list of steps, ``(mask, parent, poison, sources,
-    candidate, target)`` views in walk order, is built once per distinct
-    ``hi``: rebuilt while ``hi`` grows in the first ``max(upper_bounds)``
-    layers, then reused by every later one.
+    layers.  A step's views depend on its layer only through their length
+    ``min(size - d, hi)``, with ``hi`` the reach bound, so the list of steps,
+    ``(parent, poison, sources, score, candidate, target)`` views in walk
+    order, is built for the first ``hi`` and, while ``hi`` grows in the first
+    ``max(upper_bounds)`` layers, extended: only the steps whose length
+    changes get new views.  Every later layer reuses it.
 
     ``floor`` is the single high bit ``-(1 << L)``, ``L`` the bit length of
     ``(bound + 1) << bits`` and ``bound`` the sum of every customer's best
@@ -334,10 +356,10 @@ def dp_solve(inst: Instance) -> SolveResult:
     reachability.  Keys take ``np.min_scalar_type(floor)``: the narrowest of
     int8, int16, int32 and int64 that holds ``floor``, and Python integers
     (``dtype=object``) beyond int64, so no float enters.  That type holds
-    all of ``[floor, 1 << L)``, where every key lies, and every Python scalar
-    the sweep feeds to a ufunc (a packed score, ``-(1 << bits)`` and
-    ``nmasks - 1``), so no ufunc overflows or casts a wider result into
-    ``out=`` at any width.  Choices are masks in one ``(n, states)``
+    all of ``[floor, 1 << L)``, where every key and every packed score
+    lies, and the three Python scalars the sweep feeds to a ufunc once per
+    layer, ``bits``, ``-(1 << bits)`` and ``nmasks - 1``, so no ufunc
+    overflows or casts a wider result into ``out=`` at any width.  Choices are masks in one ``(n, states)``
     array of the smallest unsigned dtype; :func:`dp_guard` bounds the states
     per layer, and the choice cells and working set in total.
 
@@ -371,9 +393,11 @@ def dp_solve(inst: Instance) -> SolveResult:
     for mask in range(1, nmasks):
         low = mask & -mask
         deltas[mask] = deltas[mask ^ low] + box.strides[active[low.bit_length() - 1]]
-    # depth first: lexicographic order of the masks' ascending bit lists puts
-    # every subset right after the prefix it extends by its highest bit
-    walk = sorted(range(1, nmasks), key=lambda mask: [b for b in range(bits) if mask >> b & 1])
+    # depth first: every subset right after the prefix it extends by its
+    # highest bit, the lexicographic order of the masks' ascending bit lists
+    walk = []
+    for b in reversed(range(bits)):
+        walk = [1 << b, *[1 << b | mask for mask in walk], *walk]
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
     floor = -(1 << ((bound + 1) << bits).bit_length())
@@ -402,39 +426,61 @@ def dp_solve(inst: Instance) -> SolveResult:
     # holding the last bit reads its parent's, so none needs a slot of its own
     sources = [np.empty(size, dtype=dtype) for _ in range(max(bits, 1))]
     cand = np.empty(size, dtype=dtype)
-    planned = None
+    # packed[mask] is the layer's score of subset mask, shifted, plus mask;
+    # each step adds its 0-d view, so no step's add converts a Python integer
+    packed = np.empty(nmasks, dtype=dtype)
+    ranks = np.arange(nmasks).astype(dtype)
+    offsets = np.array(deltas)
+    steps = [None] * len(walk)
+    lengths = [0] * len(walk)
+    # the reach before customer 0, state 0 alone, takes the scatter, not a plan
+    planned = 1
     for i in range(n):
-        hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
-        if hi != planned:
-            # keys, the stack and cand are updated in place, so views into
-            # them stay valid; they depend on the layer only through hi,
-            # which stops growing once i reaches the largest upper bound
-            steps, planned = [], hi
-            for mask in walk:
-                # state s moves to s + d; a poisoned source, one without
-                # headroom in some campaign of the mask, stays negative
-                d = deltas[mask]
-                m = min(size - d, hi)
-                depth = mask.bit_count()
-                top = mask.bit_length() - 1
-                parent = sources[depth - 1][:m]
-                if top == bits - 1:
-                    # the sources [0, size - d) hold the last campaign below
-                    # its capacity, so its poison is all 0 and the OR a copy
-                    steps.append((mask, parent, None, parent, cand[:m], keys[d:d + m]))
-                else:
-                    steps.append(
-                        (mask, parent, poison[top][:m], sources[depth][:m], cand[:m], keys[d:d + m])
-                    )
-        np.bitwise_and(keys, -(1 << bits), out=sources[0])
-        # the empty subset scores 0 with mask 0: the previous layer itself
-        np.copyto(keys, sources[0])
-        scores = _subset_scores(weighted[i], rates[i], active)
-        for mask, parent, blocked, src, out, tgt in steps:
-            if blocked is not None:
-                np.bitwise_or(parent, blocked, out=src)
-            np.add(src, (scores[mask] << bits) | mask, out=out)
-            np.maximum(tgt, out, out=tgt)
+        packed[:] = _subset_scores(weighted[i], rates[i], active)
+        np.left_shift(packed, bits, out=packed)
+        np.add(packed, ranks, out=packed)
+        if i == 0:
+            # only state 0 is reachable, and every active campaign has
+            # headroom there, so subset mask lands on its offset alone
+            keys[offsets] = packed
+        else:
+            hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
+            if hi != planned:
+                # keys, the stack and cand are updated in place, so views
+                # into them stay valid; they depend on the layer only
+                # through each step's length, which stops growing once i
+                # reaches the largest upper bound
+                planned = hi
+                for t, mask in enumerate(walk):
+                    # state s moves to s + d; a poisoned source, one without
+                    # headroom in some campaign of the mask, stays negative
+                    d = deltas[mask]
+                    m = min(size - d, hi)
+                    if m == lengths[t]:
+                        continue
+                    lengths[t] = m
+                    depth = mask.bit_count()
+                    top = mask.bit_length() - 1
+                    parent = sources[depth - 1][:m]
+                    score = packed[mask, ...]
+                    if top == bits - 1:
+                        # the sources [0, size - d) hold the last campaign
+                        # below its capacity, so its poison is all 0 and the
+                        # OR a copy
+                        steps[t] = (parent, None, parent, score, cand[:m], keys[d:d + m])
+                    else:
+                        steps[t] = (
+                            parent, poison[top][:m], sources[depth][:m], score,
+                            cand[:m], keys[d:d + m],
+                        )
+            np.bitwise_and(keys, -(1 << bits), out=sources[0])
+            # the empty subset scores 0 with mask 0: the previous layer itself
+            np.copyto(keys, sources[0])
+            for parent, blocked, src, score, out, tgt in steps:
+                if blocked is not None:
+                    np.bitwise_or(parent, blocked, out=src)
+                np.add(src, score, out=out)
+                np.maximum(tgt, out, out=tgt)
         np.bitwise_and(keys, nmasks - 1, out=cand)
         choices[i] = cand
 
@@ -608,8 +654,10 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     changes by at most 1 and the matrix stays feasible.  The best such row
     is the kept cells plus the top ``t`` of the others by ``w_j * p_ij``
     (ties to the smaller campaign), maximized over ``t`` (ties to the
-    smaller ``t``): :func:`_best_row` with ``kept``.  A single-cell flip
-    changes one cell of one row, so it is a row move too.
+    smaller ``t``): :func:`_best_row` with ``kept``.  That ranking never
+    changes, so each row's campaigns are ranked once per search and a row
+    move filters the row's ranking.  A single-cell flip changes one cell of
+    one row, so it is a row move too.
 
     The search alternates two phases until a swap phase applies nothing:
 
@@ -652,6 +700,9 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     row_value = [sum(compress(weighted[i], rows[i])) for i in range(n)]
     cols = list(report.column_sums)
     total = sum(rates[i][h[i]] * row_value[i] for i in range(n))
+    # each row's campaigns as _best_row ranks them, by descending weighted
+    # preference, ties to the smaller campaign; the order never changes
+    ranked = [sorted(range(k), key=row.__getitem__, reverse=True) for row in weighted]
     moves_checked = 0
     # column-major, so a column's best free gain is one C-level max; a sweep
     # leaves them to be refreshed, for the rows it changed, before the swaps
@@ -678,14 +729,15 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
         # replace row i by its best row under the column bounds when that
         # scores strictly more, and return the gain (0 when it does not)
         row, weighted_i = rows[i], weighted[i]
+        # filtering the row's ranking keeps _best_row's order
         kept, campaigns = [], []
-        for j, cell in enumerate(row):
-            if cell:
+        for j in ranked[i]:
+            if row[j]:
                 (kept if cols[j] == lower[j] else campaigns).append(j)
             elif cols[j] < upper[j]:
                 campaigns.append(j)
         current = rates[i][h[i]] * row_value[i]
-        best, cells = _best_row(weighted_i, rates[i], campaigns, kept)
+        best, cells = _best_ranked_row(weighted_i, rates[i], campaigns, kept)
         if best <= current:
             return 0
         for j in range(k):

@@ -519,6 +519,10 @@ SWEEP_PATHS = {
     # one active campaign: no poison array, every step adds to the base
     "single-active": (5, (0, 2, 0), (0, 3, 0)),
     "single-campaign": (7, (3,), (5,)),
+    # one customer: the layer is the scatter from state 0 alone, with no plan
+    "one-customer": (1, (0, 0, 0, 0), (1, 0, 1, 0)),
+    "one-customer-filled": (1, (1, 0, 1, 0), (1, 0, 1, 0)),
+    "one-customer-no-active": (1, (0, 0), (0, 0)),
 }
 
 
@@ -548,7 +552,8 @@ def test_dp_back_to_back_solves_share_nothing():
 ])
 def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
     # only subsets without the last active campaign OR in a poison array:
-    # 2^(active - 1) - 1 of them per layer
+    # 2^(active - 1) - 1 of them per layer, after customer 0's, which is a
+    # scatter from state 0 and ORs nothing
     inst = sweep_instance(n, (0,) * len(upper), upper)
     active = sum(1 for u in upper if u)
     calls = []
@@ -560,8 +565,54 @@ def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
 
     monkeypatch.setattr(np, "bitwise_or", counting_or)
     result = dp_solve(inst)
-    assert len(calls) == (n * (2 ** (active - 1) - 1) if active else 0)
+    assert len(calls) == ((n - 1) * (2 ** (active - 1) - 1) if active else 0)
     assert result.fitness == brute_force_solve(inst).fitness
+
+
+def test_dp_one_customer_with_object_keys():
+    # the scatter from state 0 alone, with keys beyond int64
+    inst = huge_preference_instance()
+    inst = validate_instance(replace(
+        inst, n=1, preferences=inst.preferences[:1], suppression=inst.suppression[:1],
+        lower_bounds=(1, 0, 0), upper_bounds=(1, 1, 1),
+    ))
+    _, rates, weighted = inst.scaled
+    assert solvers._best_row(weighted[0], rates[0], range(inst.k))[0] << inst.k >= 2**63
+    assert_dp_matches_oracles(inst)
+
+
+def test_dp_solves_a_reduced_formula_to_its_threshold():
+    # 4 active campaigns over 40 states: the dense oracle's size
+    formula, planted = generate.random_planted_formula(2, 3, 1)
+    red = reduction.reduce_3sat(formula)
+    assert reduction.satisfies(formula, planted)
+    assert_dp_matches_dense_sweep(red.instance)
+    assert dp_solve(red.instance).fitness == red.threshold
+
+
+@pytest.mark.parametrize("bound, width", [
+    (2**5 - 2, "int8"), (2**13 - 2, "int16"), (2**29 - 2, "int32"), (2**61 - 2, "int64"),
+    (2**61 - 1, "object"),
+])
+def test_dp_adds_no_python_integer(monkeypatch, bound, width):
+    # every score the sweep adds is a 0-d view of the packed scores, in the
+    # keys' own type, so no np.add converts a Python integer
+    inst = key_switch_instance(bound)
+    rows, fitness, explored = dense_dp_sweep(inst)
+    dtypes = set()
+    add = np.add
+
+    def strict_add(*args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            assert not isinstance(arg, int), f"np.add got the Python integer {arg}"
+        dtypes.add(args[0].dtype)
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(np, "add", strict_add)
+    result = dp_solve(inst)
+    assert dtypes == {np.dtype(width)}
+    assert result.matrix == AssignmentMatrix.from_rows(rows)
+    assert (result.fitness, result.stats.explored) == (fitness, explored)
 
 
 class TestConstantSuppression:
