@@ -43,7 +43,11 @@ Heuristic routes (no optimality guarantee, always feasible):
   swap scan until a swap scan applies nothing.  The swap scan keeps a table
   of every cell's flip gain, updates only the rows a move touches, and tests
   each set cell against its column's best free-row gain before walking swap
-  partners, so each step is O(nk).
+  partners, so each step is O(nk).  A row's ceiling is its best score with
+  no column bound, and the ceilings sum to the ``[0, n]`` relaxation bound: a
+  row move on a row at its ceiling returns at once, and a sweep that leaves
+  the total on that bound ends the search, since no swap can gain, counting
+  the skipped scan in closed form so ``explored`` is unchanged.
 
 Internally every solver scores with plain integers: every suppression value
 is multiplied by the least common denominator of all table entries, so row
@@ -683,10 +687,24 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     ``best_in[j]`` is positive, and only then are its partners walked, up to
     the first improving one.  A scan step is O(nk).
 
-    ``explored`` counts one per row visited in a sweep, plus, in the swap
-    scans, one per set cell visited and one per free row tried as a partner,
-    as a scan that walks every partner would: a set cell without an
-    improving swap adds ``n - cols[j]``.
+    A row's ceiling is its best score with no column bound, ``_best_row``
+    over all campaigns, computed once per search from the same ranking.
+    Rates are nonnegative, and every row a move can pick is a subset of the
+    row's campaigns, so none scores above the ceiling: a row move on a row
+    that already scores its ceiling returns 0 before filtering anything.
+    The ceilings sum to the ``[0, n]`` relaxation bound.  When a sweep
+    leaves the total on it, every row is at its ceiling and no swap can
+    gain, so the search skips the gain table's refresh and the final scan
+    and stops.  ``optimal`` stays false there too, as for every heuristic
+    answer.
+
+    ``explored`` counts one per row visited in a sweep, idle rows included,
+    plus, in the swap scans, one per set cell visited and one per free row
+    tried as a partner, as a scan that walks every partner would: a set cell
+    without an improving swap adds ``n - cols[j]``.  The scan a stop skips
+    would find no improving swap, so it adds its count in closed form,
+    ``sum(cols[j] * (1 + n - cols[j]))``, and ``explored`` is the same as
+    without the stop.
     """
     report = check_feasibility(inst, start)
     if not report.feasible:
@@ -703,6 +721,10 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     # each row's campaigns as _best_row ranks them, by descending weighted
     # preference, ties to the smaller campaign; the order never changes
     ranked = [sorted(range(k), key=row.__getitem__, reverse=True) for row in weighted]
+    # each row's best score with no column bound; their sum is the [0, n]
+    # relaxation bound, which no feasible matrix exceeds
+    ceiling = [_best_ranked_row(weighted[i], rates[i], ranked[i], ())[0] for i in range(n)]
+    bound = sum(ceiling)
     moves_checked = 0
     # column-major, so a column's best free gain is one C-level max; a sweep
     # leaves them to be refreshed, for the rows it changed, before the swaps
@@ -728,6 +750,10 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
     def row_move(i: int) -> int:
         # replace row i by its best row under the column bounds when that
         # scores strictly more, and return the gain (0 when it does not)
+        current = rates[i][h[i]] * row_value[i]
+        if current >= ceiling[i]:
+            # every row the move can pick scores at most the ceiling
+            return 0
         row, weighted_i = rows[i], weighted[i]
         # filtering the row's ranking keeps _best_row's order
         kept, campaigns = [], []
@@ -736,7 +762,6 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
                 (kept if cols[j] == lower[j] else campaigns).append(j)
             elif cols[j] < upper[j]:
                 campaigns.append(j)
-        current = rates[i][h[i]] * row_value[i]
         best, cells = _best_ranked_row(weighted_i, rates[i], campaigns, kept)
         if best <= current:
             return 0
@@ -787,6 +812,12 @@ def local_search(inst: Instance, start: AssignmentMatrix) -> SolveResult:
 
     while True:
         total += sweep()
+        if total == bound:
+            # every row is at its ceiling, so no swap gains: count the
+            # final scan as improve() would, one per set cell plus its
+            # column's free rows, and stop
+            moves_checked += sum(c * (1 + n - c) for c in cols)
+            break
         for i in stale:
             set_gains(i)
         stale.clear()

@@ -923,6 +923,48 @@ def test_local_search_matches_rescan(seed, n, k, pref_max, family, bounds, from_
     assert result.stats.explored == explored
 
 
+def ceiling_sum(inst):
+    """The scaled ``[0, n]`` relaxation bound: every row's best score with no column bound."""
+    _, rates, weighted = inst.scaled
+    return sum(solvers._best_row(weighted[i], rates[i], range(inst.k))[0] for i in range(inst.n))
+
+
+def test_local_search_stops_at_the_row_ceilings():
+    # (a) every row of the unbounded optimum is at its ceiling: the sweep
+    # visits each row once, the search stops, and explored adds the swap
+    # scan's count in closed form
+    for seed in range(8):
+        n = 1 + seed % 12
+        inst = generate.random_instance(seed=seed, n=n, k=1 + seed % 6, bounds="unbounded")
+        start = solve_unbounded(inst).matrix
+        result = local_search(inst, start)
+        cols = start.column_sums()
+        assert result.matrix == start
+        assert result.stats.explored == n + sum(c * (1 + n - c) for c in cols)
+        assert result.optimal is False
+    # (b) binding instances as heuristic-auto builds them, scaled down: some
+    # searches end on the ceiling sum and some below it, and both match the
+    # oracle, which knows no ceiling
+    outcomes = set()
+    for idx in range(48):
+        n = 4 + idx % 9
+        rng = random.Random(idx)
+        upper = tuple(rng.randint(n // 2, n) for _ in range(4))
+        lower = tuple(rng.randint(0, u // 2) if idx % 3 == 2 else 0 for u in upper)
+        inst = replace(
+            generate.random_instance(seed=idx, n=n, k=4), lower_bounds=lower, upper_bounds=upper
+        )
+        start = greedy_construct(inst).matrix
+        rows, total, explored = rescan_local_search(inst, start)
+        result = local_search(inst, start)
+        assert result.matrix == AssignmentMatrix.from_rows(rows)
+        assert result.fitness == Fraction(total, inst.scaled[0])
+        assert result.stats.explored == explored
+        assert result.optimal is False
+        outcomes.add(total == ceiling_sum(inst))
+    assert outcomes == {True, False}
+
+
 @given(
     st.integers(0, 2**32),
     st.integers(1, 8),
