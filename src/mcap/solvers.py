@@ -12,9 +12,14 @@ Exact routes:
   parent's sources (``floor``, a single high bit, on the states whose new
   campaign is at capacity), then takes one shifted add and one unmasked
   ``np.maximum``.  The subsets holding the outermost active campaign skip the
-  OR: they read only states below its capacity.  Each layer packs every
-  subset's score into one array of the key type, and a subset adds a 0-d view
-  of its cell, so no step's add converts a Python integer.  The first layer,
+  OR: they read only states below its capacity.  A layer whose subsets
+  mostly score 0, as a reduced 3-CNF's do, adds those by one *rank pass*
+  instead: a zero-score subset's packed score is the sum of its mask bits, so
+  one OR, add and maximum per campaign, on the layer itself, adds every
+  subset at that rank, and only the positive-score subsets are walked, with
+  the same keys and tie-breaks.  Each layer packs its subsets' scores into
+  one array of the key type, and a subset adds a 0-d view of its cell, so no
+  step's add converts a Python integer.  The first layer,
   where only the empty vector is reachable, is one scatter of that array.
   The layer buffers are updated in place, so each subset's views into them
   are planned once and reused by every later layer; while the reachable box
@@ -82,8 +87,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import prod
+from itertools import combinations, compress
+from math import comb, prod
 from typing import Sequence
 
 from .capacity import CapacityBox
@@ -148,6 +153,32 @@ def _subset_scores(
         weighted[mask] = weighted[mask ^ low] + weighted_prefs[campaign_of_bit[low.bit_length() - 1]]
         scores[mask] = rates[mask.bit_count()] * weighted[mask]
     return scores
+
+
+def _positive_subsets(
+    weighted_prefs: Sequence[int], rates: Sequence[int], campaign_of_bit: list[int]
+) -> list[tuple[int, int]]:
+    """``(mask, score)`` of every subset that :func:`_subset_scores` scores above 0.
+
+    Weighted preferences and rates are nonnegative, so a subset of ``h``
+    campaigns scores above 0 exactly when ``rate[h] > 0`` and it holds some
+    campaign of positive weighted preference: ``q >= 1`` of those and
+    ``h - q`` of the rest.  Only those subsets are built, in no fixed order.
+    """
+    cells = [(1 << b, weighted_prefs[j]) for b, j in enumerate(campaign_of_bit)]
+    positive = [cell for cell in cells if cell[1]]
+    zero = [bit for bit, value in cells if not value]
+    found = []
+    for h, rate in enumerate(rates[1:len(cells) + 1], 1):
+        if not rate:
+            continue
+        for q in range(max(1, h - len(zero)), min(h, len(positive)) + 1):
+            rests = [sum(rest) for rest in combinations(zero, h - q)]
+            for chosen in combinations(positive, q):
+                mask = sum(bit for bit, _ in chosen)
+                score = rate * sum(value for _, value in chosen)
+                found.extend((mask | rest, score) for rest in rests)
+    return found
 
 
 def _best_row(
@@ -333,6 +364,41 @@ def dp_solve(inst: Instance) -> SolveResult:
     subset has headroom there: that layer is the scatter ``keys[offsets] =
     packed``, one ufunc-free assignment, and needs no step plan.
 
+    A later layer whose subsets mostly score 0 takes the *rank pass* for
+    them.  A zero-score subset's packed score is its rank ``rank(S) =
+    sum(1 << b for b in S)``, which is additive over campaigns.  So right
+    after the sources are copied into ``keys``, one pass per active campaign
+    ``b``, in ascending order, ORs ``poison[b]`` into ``keys[:m]`` (no OR for
+    the last campaign), adds ``1 << b`` and takes the ``np.maximum`` into
+    ``keys[d_b:d_b + m]``, all through ``cand``.  Here ``d_b`` is the
+    campaign's stride and ``m = min(size - d_b, reach)``, where ``reach``
+    starts at ``hi`` and grows by ``d_b`` after each campaign, since each
+    campaign also reads the states the earlier ones just reached.  The pass
+    leaves in each state the maximum over every source and subset ``S`` of
+    ``source + rank(S)``.  Rank bits cannot carry, so a path with headroom
+    reaches each intermediate state with the source's digit ``b``, and the
+    poison there is the source's.  The zero-score subsets are added exactly.
+    A positive-score subset has ``rank(S) < packed(S)``, so the layer still
+    takes the walk's steps for those subsets, in walk order, plus the OR of
+    every prefix they extend.  Every reachable state then ends on the walk's
+    key and mask; an unreachable one stays negative, though perhaps at
+    another negative key, which nothing reads.  The pass uses ``keys``,
+    ``cand`` and the poison arrays, so :func:`dp_guard`'s array count is
+    unchanged.  Its scores are built for the positive subsets only
+    (:func:`_positive_subsets`), and the rank adds take 0-d views of
+    ``arange(nmasks)`` in the key type.
+
+    The walk makes 2 or 3 ufunc calls per subset, and the pass at most 3 per
+    campaign and per positive-score subset, plus the prefix ORs.  A layer
+    takes the pass when ``3 * (bits + positives) <= nmasks``, with
+    ``positives``, the sum over ``h`` with ``rate[h] > 0`` of ``C(bits, h) -
+    C(zero, h)``, counted from its rates and its ``zero`` active campaigns of
+    weighted preference 0.  So a layer over 3 or fewer campaigns always
+    walks, and one over 8 takes the pass with up to 77 of its 255 subsets
+    positive.  On the benchmark's corpora of seeds 1-10 it takes every
+    sat-reduction layer after the first (1,440 of 1,440) and 5 of dp-grid's
+    1,760, whose layers have 3 or 4 campaigns.
+
     The last active campaign is the most significant digit, so a subset
     holding it has ``d`` at least that campaign's stride and reads only
     sources below ``size - d``, where the campaign is under its capacity:
@@ -402,6 +468,9 @@ def dp_solve(inst: Instance) -> SolveResult:
     walk = []
     for b in reversed(range(bits)):
         walk = [1 << b, *[1 << b | mask for mask in walk], *walk]
+    position = [0] * nmasks
+    for t, mask in enumerate(walk):
+        position[mask] = t
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
     floor = -(1 << ((bound + 1) << bits).bit_length())
@@ -439,10 +508,30 @@ def dp_solve(inst: Instance) -> SolveResult:
     lengths = [0] * len(walk)
     # the reach before customer 0, state 0 alone, takes the scatter, not a plan
     planned = 1
+    rank_planned = 0
     for i in range(n):
-        packed[:] = _subset_scores(weighted[i], rates[i], active)
-        np.left_shift(packed, bits, out=packed)
-        np.add(packed, ranks, out=packed)
+        rates_i, weighted_i = rates[i], weighted[i]
+        # the walk makes 2 or 3 ufunc calls per subset, the rank pass at most
+        # 3 per campaign and per positive-score subset plus the ORs of their
+        # prefixes; a layer takes the pass where that bound is at most one
+        # call per subset, which no layer over 1 to 3 campaigns meets
+        ranked = False
+        if i and 3 * bits < nmasks:
+            # a subset of h campaigns scores 0 when rate[h] is 0 or all its
+            # campaigns have weighted preference 0
+            zero = sum(1 for j in active if not weighted_i[j])
+            positives = sum(
+                comb(bits, h) - comb(zero, h) for h in range(1, bits + 1) if rates_i[h]
+            )
+            ranked = 3 * (bits + positives) <= nmasks
+        if ranked:
+            scored = _positive_subsets(weighted_i, rates_i, active)
+            for mask, score in scored:
+                packed[mask] = score << bits | mask
+        else:
+            packed[:] = _subset_scores(weighted_i, rates_i, active)
+            np.left_shift(packed, bits, out=packed)
+            np.add(packed, ranks, out=packed)
         if i == 0:
             # only state 0 is reachable, and every active campaign has
             # headroom there, so subset mask lands on its offset alone
@@ -480,11 +569,52 @@ def dp_solve(inst: Instance) -> SolveResult:
             np.bitwise_and(keys, -(1 << bits), out=sources[0])
             # the empty subset scores 0 with mask 0: the previous layer itself
             np.copyto(keys, sources[0])
-            for parent, blocked, src, score, out, tgt in steps:
-                if blocked is not None:
-                    np.bitwise_or(parent, blocked, out=src)
-                np.add(src, score, out=out)
-                np.maximum(tgt, out, out=tgt)
+            if ranked:
+                if rank_planned != hi:
+                    # planned only for layers that take the pass; each
+                    # campaign adds to keys itself, so it reads the states
+                    # that the campaigns before it reached
+                    rank_planned = hi
+                    rank_steps = []
+                    reach = hi
+                    for b in range(bits):
+                        d = deltas[1 << b]
+                        m = min(size - d, reach)
+                        blocked = poison[b][:m] if b < bits - 1 else None
+                        rank_steps.append(
+                            (keys[:m], blocked, cand[:m], ranks[1 << b, ...], keys[d:d + m])
+                        )
+                        reach += d
+                # every subset S at rank(S), the sum of its bits: the zero-score
+                # subsets exactly, the others below their packed scores
+                for src, blocked, out, rank, tgt in rank_steps:
+                    if blocked is not None:
+                        np.bitwise_or(src, blocked, out=out)
+                        src = out
+                    np.add(src, rank, out=out)
+                    np.maximum(tgt, out, out=tgt)
+                # the positive-score subsets walk as below, in walk order, with
+                # the OR of every prefix they extend
+                run = {}
+                for mask, _ in scored:
+                    run[position[mask]] = True
+                    prefix = mask ^ (1 << (mask.bit_length() - 1))
+                    while prefix and position[prefix] not in run:
+                        run[position[prefix]] = False
+                        prefix ^= 1 << (prefix.bit_length() - 1)
+                for t in sorted(run):
+                    parent, blocked, src, score, out, tgt = steps[t]
+                    if blocked is not None:
+                        np.bitwise_or(parent, blocked, out=src)
+                    if run[t]:
+                        np.add(src, score, out=out)
+                        np.maximum(tgt, out, out=tgt)
+            else:
+                for parent, blocked, src, score, out, tgt in steps:
+                    if blocked is not None:
+                        np.bitwise_or(parent, blocked, out=src)
+                    np.add(src, score, out=out)
+                    np.maximum(tgt, out, out=tgt)
         np.bitwise_and(keys, nmasks - 1, out=cand)
         choices[i] = cand
 

@@ -66,6 +66,44 @@ def wide_instances(draw, max_n=3, min_k=5, max_k=8, pref_max=9, max_states=2048)
 
 
 @st.composite
+def sparse_instances(draw, pref_max=9, max_n=4, min_k=5, max_k=8, max_states=512):
+    """An instance over many campaigns whose rows are mostly zero-score subsets.
+
+    Each row is *sparse* (an indicator table at ``h`` 1 or 2, and a nonzero
+    preference in at most two campaigns), as a reduced 3-CNF's rows are, or
+    *dense* (a grid table and every preference drawn), so sparse and dense
+    layers mix in one sweep.  Upper bounds are mostly positive, so many
+    campaigns are active; up to two trailing campaigns have upper 0, and the
+    box stays within ``max_states``.
+    """
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(min_k, max_k))
+    trailing = draw(st.integers(0, 2))
+    weights = tuple(draw(st.integers(1, 5)) for _ in range(k))
+    prefs, tables = [], []
+    for _ in range(n):
+        if draw(st.booleans()) or draw(st.booleans()):
+            nonzero = draw(st.sets(st.integers(0, k - 1), max_size=2))
+            prefs.append(tuple(
+                draw(st.integers(0, pref_max)) if j in nonzero else 0 for j in range(k)
+            ))
+            tables.append(SuppressionTable.indicator(draw(st.integers(1, 2)), k))
+        else:
+            prefs.append(tuple(draw(st.integers(0, pref_max)) for _ in range(k)))
+            tables.append(_table(draw, "grid", k))
+    upper, states = [], 1
+    for j in range(k):
+        high = 0 if j >= k - trailing else min(n, max_states // states - 1)
+        upper.append(draw(st.integers(min(1, high), high)))
+        states *= upper[-1] + 1
+    lower = tuple(draw(st.integers(0, u)) for u in upper)
+    return validate_instance(
+        Instance(n=n, k=k, weights=weights, preferences=tuple(prefs), suppression=tuple(tables),
+                 lower_bounds=lower, upper_bounds=tuple(upper))
+    )
+
+
+@st.composite
 def instance_matrix_pairs(draw, **kwargs):
     """An instance plus an arbitrary (not necessarily feasible) binary matrix."""
     inst = draw(instances(**kwargs))

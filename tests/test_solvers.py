@@ -33,7 +33,9 @@ from mcap.solvers import (
     solve_constant_suppression,
     solve_unbounded,
 )
-from strategies import feasible_pairs, instances, random_feasible_matrix, wide_instances
+from strategies import (
+    feasible_pairs, instances, random_feasible_matrix, sparse_instances, wide_instances,
+)
 
 
 def single_customer_instance(lower=(0, 0)):
@@ -543,6 +545,18 @@ def test_dp_back_to_back_solves_share_nothing():
         assert_dp_matches_oracles(inst)
 
 
+def constant_instance(n, upper, seed=0):
+    """A seeded instance whose every subset scores above 0: constant rate 3/4, preferences 1-9."""
+    rng = random.Random(seed)
+    k = len(upper)
+    return validate_instance(Instance(
+        n=n, k=k, weights=tuple(rng.randint(1, 5) for _ in range(k)),
+        preferences=tuple(tuple(rng.randint(1, 9) for _ in range(k)) for _ in range(n)),
+        suppression=(SuppressionTable.constant(Fraction(3, 4), k),) * n,
+        lower_bounds=(0,) * k, upper_bounds=tuple(upper),
+    ))
+
+
 @pytest.mark.parametrize("n, upper", [
     (3, (2, 0, 1)),
     (4, (1, 2, 0, 1)),
@@ -553,9 +567,14 @@ def test_dp_back_to_back_solves_share_nothing():
 def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
     # only subsets without the last active campaign OR in a poison array:
     # 2^(active - 1) - 1 of them per layer, after customer 0's, which is a
-    # scatter from state 0 and ORs nothing
-    inst = sweep_instance(n, (0,) * len(upper), upper)
-    active = sum(1 for u in upper if u)
+    # scatter from state 0 and ORs nothing; every nonempty subset scores
+    # above 0, so every layer walks all of them and none takes the rank pass
+    inst = constant_instance(n, upper)
+    _, rates, weighted = inst.scaled
+    columns = [j for j, u in enumerate(upper) if u]
+    for row, r in zip(weighted, rates):
+        assert all(solvers._subset_scores(row, r, columns)[1:])
+    active = len(columns)
     calls = []
     bitwise_or = np.bitwise_or
 
@@ -567,6 +586,111 @@ def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
     result = dp_solve(inst)
     assert len(calls) == ((n - 1) * (2 ** (active - 1) - 1) if active else 0)
     assert result.fitness == brute_force_solve(inst).fitness
+
+
+def rank_pass_layers(inst):
+    """The customers after the first whose layer takes the DP's rank pass.
+
+    The positive-score subsets are counted from every subset's score: a
+    layer takes the pass when ``3 * (bits + positives) <= nmasks``.
+    """
+    _, rates, weighted = inst.scaled
+    active = [j for j in range(inst.k) if inst.upper_bounds[j] > 0]
+    bits = len(active)
+    return [
+        i for i in range(1, inst.n)
+        if 3 * (bits + sum(map(bool, solvers._subset_scores(weighted[i], rates[i], active))))
+        <= 1 << bits
+    ]
+
+
+@given(
+    st.lists(st.sampled_from((0, 0, 1, 7, 10**20)), min_size=0, max_size=8).flatmap(
+        lambda weighted: st.tuples(
+            st.just(weighted),
+            st.lists(st.sampled_from((0, 0, 1, 3)), min_size=len(weighted) + 1,
+                     max_size=len(weighted) + 1),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_positive_subsets_are_the_positive_scores(case):
+    weighted, rates = case
+    campaigns = list(range(len(weighted)))
+    found = solvers._positive_subsets(weighted, rates, campaigns)
+    scores = solvers._subset_scores(weighted, rates, campaigns)
+    assert sorted(found) == [(mask, score) for mask, score in enumerate(scores) if score]
+
+
+# sparse rows (an indicator table and at most two nonzero preferences) take
+# the rank pass, dense ones walk every subset; pref_max 0 and 1 tie many
+# rows, and 2**66 puts the keys beyond int64
+@given(st.sampled_from((0, 1, 9, 2**66)).flatmap(
+    lambda pref_max: sparse_instances(pref_max=pref_max)
+))
+@settings(max_examples=200, deadline=None)
+def test_dp_rank_pass_matches_oracles(inst):
+    assert_dp_matches_dense_sweep(inst)
+    if inst.n * inst.k <= solvers.DEFAULT_BRUTE_FORCE_CELLS:
+        assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+def test_dp_rank_pass_with_object_keys():
+    # huge_preference_instance's preferences near 10^20, one per row, the
+    # other four 0, with indicator tables: every layer after customer 0 takes
+    # the rank pass, with keys beyond int64
+    rng = random.Random(2009)
+    n, k = 4, 5
+    prefs = []
+    for _ in range(n):
+        row = [0] * k
+        row[rng.randrange(k)] = rng.randint(0, 10**20)
+        prefs.append(tuple(row))
+    inst = validate_instance(Instance(
+        n=n, k=k, weights=(3, 1, 2, 1, 2), preferences=tuple(prefs),
+        suppression=tuple(SuppressionTable.indicator(1 + i % 2, k) for i in range(n)),
+        lower_bounds=(1, 0, 2, 0, 1), upper_bounds=(2, 1, 2, 1, 2),
+    ))
+    _, rates, weighted = inst.scaled
+    bound = sum(solvers._best_row(weighted[i], rates[i], range(k))[0] for i in range(n))
+    assert bound << k >= 2**63
+    assert rank_pass_layers(inst) == list(range(1, n))
+    assert_dp_matches_oracles(inst)
+
+
+def test_dp_rank_pass_runs_on_every_reduced_layer(monkeypatch):
+    # every row of a reduced 3-CNF has an indicator table and one to three
+    # nonzero preferences, so every layer after customer 0 takes the rank
+    # pass: one np.maximum per active campaign and one per positive-score
+    # subset, where the walk takes one per nonempty subset; every add still
+    # takes a 0-d view of the keys' type, not a Python integer
+    red = reduction.reduce_3sat(generate.random_planted_formula(3, 5, 3)[0])
+    inst = red.instance
+    _, rates, weighted = inst.scaled
+    active = [j for j in range(inst.k) if inst.upper_bounds[j] > 0]
+    assert rank_pass_layers(inst) == list(range(1, inst.n))
+    expected = sum(
+        len(active) + sum(map(bool, solvers._subset_scores(weighted[i], rates[i], active)))
+        for i in range(1, inst.n)
+    )
+    assert expected < (inst.n - 1) * ((1 << len(active)) - 1)
+    calls = []
+    maximum, add = np.maximum, np.add
+
+    def counting_maximum(*args, **kwargs):
+        calls.append(1)
+        return maximum(*args, **kwargs)
+
+    def strict_add(*args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            assert not isinstance(arg, int), f"np.add got the Python integer {arg}"
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", counting_maximum)
+    monkeypatch.setattr(np, "add", strict_add)
+    result = dp_solve(inst)
+    assert len(calls) == expected
+    assert result.fitness == red.threshold
 
 
 def test_dp_one_customer_with_object_keys():
