@@ -12,22 +12,27 @@ Exact routes:
   parent's sources (``floor``, a single high bit, on the states whose new
   campaign is at capacity), then takes one shifted add and one unmasked
   ``np.maximum``.  The subsets holding the outermost active campaign skip the
-  OR: they read only states below its capacity.  A layer whose subsets
-  mostly score 0, as a reduced 3-CNF's do, adds those by one *rank pass*
-  instead: a zero-score subset's packed score is the sum of its mask bits, so
-  one OR, add and maximum per campaign, on the layer itself, adds every
-  subset at that rank, and only the positive-score subsets are walked, with
-  the same keys and tie-breaks.  Each layer packs its subsets' scores into
-  one array of the key type, and a subset adds a 0-d view of its cell, so no
-  step's add converts a Python integer.  The first layer,
-  where only the empty vector is reachable, is one scatter of that array.
-  The layer buffers are updated in place, so each subset's views into them
-  are planned once and reused by every later layer; while the reachable box
-  grows, only the views whose length changes are planned again.  The inner
-  loop is two or three ufunc calls on prebuilt views.  Integer keys pack each
-  value with its subset's mask, which ascends with the subset's index offset
-  and so serves as its rank: the maximum is order-free, and the documented
-  tie-break (ascending predecessor, then ascending subset) holds exactly.
+  OR: they read only states below its capacity.  A layer can instead add its
+  subsets by one *count pass* per subset size ``h`` of positive rate: a
+  size-``h`` subset's packed score is a sum of one share per campaign,
+  ``rate[h] * weighted << bits | 1 << b``, whose mask bits never carry, so
+  one OR, add and maximum per (campaign, count) step extends the subsets of
+  ``c - 1`` campaigns into those of ``c``.  The sizes of rate 0 score 0, and
+  one *rank pass* on the layer itself, one step per campaign, adds every
+  subset at its mask first.  A layer takes the passes when they make fewer
+  ufunc calls than the walk, as every reduced 3-CNF layer after the first
+  does, with the same keys and tie-breaks.  Each walking layer packs its
+  subsets' scores into one array of the key type, and a subset adds a 0-d
+  view of its cell, so no step's add converts a Python integer.  The first
+  layer, where only the empty vector is reachable, is one scatter of that
+  array.  The layer buffers are updated in place, so each subset's views
+  into them are planned once and reused by every later layer; while the
+  reachable box grows, only the views whose length changes are planned
+  again.  The inner loop is two or three ufunc calls on prebuilt views.
+  Integer keys pack each value with its subset's mask, which ascends with
+  the subset's index offset and so serves as its rank: the maximum is
+  order-free, and the documented tie-break (ascending predecessor, then
+  ascending subset) holds exactly.
   :func:`dp_guard` is its size check (:data:`DEFAULT_DP_STATE_LIMIT` and
   :data:`DP_CELL_LIMIT`, which counts the choices and the sweep's working
   set), shared with the CLI's ``auto`` method.
@@ -87,8 +92,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
-from math import comb, prod
+from itertools import compress
+from math import prod
 from typing import Sequence
 
 from .capacity import CapacityBox
@@ -153,32 +158,6 @@ def _subset_scores(
         weighted[mask] = weighted[mask ^ low] + weighted_prefs[campaign_of_bit[low.bit_length() - 1]]
         scores[mask] = rates[mask.bit_count()] * weighted[mask]
     return scores
-
-
-def _positive_subsets(
-    weighted_prefs: Sequence[int], rates: Sequence[int], campaign_of_bit: list[int]
-) -> list[tuple[int, int]]:
-    """``(mask, score)`` of every subset that :func:`_subset_scores` scores above 0.
-
-    Weighted preferences and rates are nonnegative, so a subset of ``h``
-    campaigns scores above 0 exactly when ``rate[h] > 0`` and it holds some
-    campaign of positive weighted preference: ``q >= 1`` of those and
-    ``h - q`` of the rest.  Only those subsets are built, in no fixed order.
-    """
-    cells = [(1 << b, weighted_prefs[j]) for b, j in enumerate(campaign_of_bit)]
-    positive = [cell for cell in cells if cell[1]]
-    zero = [bit for bit, value in cells if not value]
-    found = []
-    for h, rate in enumerate(rates[1:len(cells) + 1], 1):
-        if not rate:
-            continue
-        for q in range(max(1, h - len(zero)), min(h, len(positive)) + 1):
-            rests = [sum(rest) for rest in combinations(zero, h - q)]
-            for chosen in combinations(positive, q):
-                mask = sum(bit for bit, _ in chosen)
-                score = rate * sum(value for _, value in chosen)
-                found.extend((mask | rest, score) for rest in rests)
-    return found
 
 
 def _best_row(
@@ -354,50 +333,68 @@ def dp_solve(inst: Instance) -> SolveResult:
     maximum is the same in any subset order.  Then the layer's masks are
     recorded through the candidate buffer and dropped.
 
-    The packed scores ``score << bits | mask`` of a layer are one array of
-    the key type, ``nmasks`` cells long, refilled in place: the subset
-    scores, a left shift by ``bits`` and an add of ``arange(nmasks)``, an
-    add rather than an OR, so the sweep ORs only poison arrays.  Each step
-    holds the 0-d view ``packed[mask, ...]``, so no ``np.add`` of the sweep
-    converts a Python integer.  Before customer 0 only state 0 is reachable,
-    and every active campaign has an upper bound of at least 1, so every
-    subset has headroom there: that layer is the scatter ``keys[offsets] =
-    packed``, one ufunc-free assignment, and needs no step plan.
+    The packed scores ``score << bits | mask`` of a walking layer are one
+    array of the key type, ``nmasks`` cells long, refilled in place: the
+    subset scores, a left shift by ``bits`` and an add of
+    ``arange(nmasks)``, an add rather than an OR, so the sweep ORs only
+    poison arrays.  Each step holds the 0-d view ``packed[mask, ...]``, so
+    no ``np.add`` of the sweep converts a Python integer; the passes' steps
+    hold 0-d views of ``part``, an array of the key type too.  Before
+    customer 0 only state 0 is reachable, and every active campaign has an
+    upper bound of at least 1, so every subset has headroom there: that
+    layer is the scatter ``keys[offsets] = packed``, one ufunc-free
+    assignment, and needs no step plan.
 
-    A later layer whose subsets mostly score 0 takes the *rank pass* for
-    them.  A zero-score subset's packed score is its rank ``rank(S) =
-    sum(1 << b for b in S)``, which is additive over campaigns.  So right
-    after the sources are copied into ``keys``, one pass per active campaign
-    ``b``, in ascending order, ORs ``poison[b]`` into ``keys[:m]`` (no OR for
-    the last campaign), adds ``1 << b`` and takes the ``np.maximum`` into
-    ``keys[d_b:d_b + m]``, all through ``cand``.  Here ``d_b`` is the
+    A later layer may add its subsets by *passes* over its campaigns
+    instead of the walk.  For a size ``h`` with ``rate[h] > 0``, the packed
+    score of a subset ``S`` of ``h`` campaigns is the sum over ``b`` in
+    ``S`` of ``part[h, b] = rate[h] * weighted[b] << bits | 1 << b``: the
+    mask bits are distinct, so they never carry.  The *count pass* of size
+    ``h`` keeps ``h + 1`` count arrays: ``A_0``, the sources
+    (``sources[0]``), ``A_1`` to ``A_{h-1}``, the stack's next arrays filled
+    with ``floor``, and ``A_h``, which is ``keys``.  For each active
+    campaign ``b`` in ascending order, and each count ``c`` in descending
+    order from ``min(h, b + 1)`` down to ``max(1, h - (bits - 1 - b))``
+    (``c - 1`` campaigns below ``b``, room for ``h - c`` above it), it ORs
+    ``poison[b][:m]`` into ``A_{c-1}[:m]`` (no OR for the last campaign),
+    adds the 0-d view ``part[h, b, ...]`` and takes the ``np.maximum`` into
+    ``A_c[d_b:d_b + m]``, all through ``cand``.  Here ``d_b`` is the
     campaign's stride and ``m = min(size - d_b, reach)``, where ``reach``
-    starts at ``hi`` and grows by ``d_b`` after each campaign, since each
-    campaign also reads the states the earlier ones just reached.  The pass
-    leaves in each state the maximum over every source and subset ``S`` of
-    ``source + rank(S)``.  Rank bits cannot carry, so a path with headroom
-    reaches each intermediate state with the source's digit ``b``, and the
-    poison there is the source's.  The zero-score subsets are added exactly.
-    A positive-score subset has ``rank(S) < packed(S)``, so the layer still
-    takes the walk's steps for those subsets, in walk order, plus the OR of
-    every prefix they extend.  Every reachable state then ends on the walk's
-    key and mask; an unreachable one stays negative, though perhaps at
-    another negative key, which nothing reads.  The pass uses ``keys``,
-    ``cand`` and the poison arrays, so :func:`dp_guard`'s array count is
-    unchanged.  Its scores are built for the positive subsets only
-    (:func:`_positive_subsets`), and the rank adds take 0-d views of
-    ``arange(nmasks)`` in the key type.
+    starts at ``hi`` and grows by ``d_b`` after each campaign.  Descending
+    counts keep ``A_{c-1}`` free of subsets holding ``b`` while ``A_c``
+    reads it, so each path adds each campaign once and ``A_c`` holds, per
+    state, the best source plus the score of some ``c`` campaigns that
+    reach it.  No digit carries on a path with headroom, so each
+    intermediate state has the source's digit ``b`` and the poison there is
+    the source's.  ``keys`` thus takes exactly the walk's maximum over the
+    subsets of size ``h``.
 
-    The walk makes 2 or 3 ufunc calls per subset, and the pass at most 3 per
-    campaign and per positive-score subset, plus the prefix ORs.  A layer
-    takes the pass when ``3 * (bits + positives) <= nmasks``, with
-    ``positives``, the sum over ``h`` with ``rate[h] > 0`` of ``C(bits, h) -
-    C(zero, h)``, counted from its rates and its ``zero`` active campaigns of
-    weighted preference 0.  So a layer over 3 or fewer campaigns always
-    walks, and one over 8 takes the pass with up to 77 of its 255 subsets
-    positive.  On the benchmark's corpora of seeds 1-10 it takes every
-    sat-reduction layer after the first (1,440 of 1,440) and 5 of dp-grid's
-    1,760, whose layers have 3 or 4 campaigns.
+    The sizes of rate 0 take no count pass.  Their subsets score 0, so
+    their packed score is the rank ``rank(S) = sum(1 << b for b in S)``.
+    The *rank pass* adds them right after the sources are copied into
+    ``keys``, as a pass with ``A_0 = A_1 = keys`` and ``part[0, b] = 1 <<
+    b``: one step per campaign, each reading the states the earlier ones
+    just reached.  It leaves in each state the maximum over every source and
+    subset ``S`` of ``source + rank(S)``.  That is exact for the sizes of
+    rate 0 and at most the packed score for the others, whose count passes
+    then add them exactly.  The rank pass reads ``keys`` in place, so it
+    runs before any count pass writes there; the count passes read the
+    sources, which nothing overwrites.  Every reachable state then ends on
+    the walk's key and mask; an unreachable one stays negative, though
+    perhaps at another negative key, which nothing reads.  The passes use
+    ``keys``, ``cand``, the poison arrays and the stack, which the walk
+    alone uses otherwise, so :func:`dp_guard`'s array count is unchanged.
+
+    The walk makes ``2 * 2^(bits - 1) + 3 * (2^(bits - 1) - 1)`` ufunc
+    calls per layer: 2 per subset holding the last campaign and 3 per other
+    nonempty one.  The passes make ``3 * bits`` for the rank pass, when
+    some size has rate 0, plus ``3 * h * (bits - h + 1)`` calls and ``h -
+    1`` fills per count pass.  A layer takes the passes when they make fewer,
+    so a layer over 3 or fewer campaigns always walks.  On the benchmark's
+    corpora of seeds 1-10 they take every sat-reduction layer after the
+    first (1,440 of 1,440, 8 campaigns, a rank pass and one count pass) and
+    15 of dp-grid's 1,760 (4 campaigns and one size of positive rate); a
+    layer with every rate positive takes them from 7 campaigns up.
 
     The last active campaign is the most significant digit, so a subset
     holding it has ``d`` at least that campaign's stride and reads only
@@ -411,9 +408,12 @@ def dp_solve(inst: Instance) -> SolveResult:
     layers.  A step's views depend on its layer only through their length
     ``min(size - d, hi)``, with ``hi`` the reach bound, so the list of steps,
     ``(parent, poison, sources, score, candidate, target)`` views in walk
-    order, is built for the first ``hi`` and, while ``hi`` grows in the first
-    ``max(upper_bounds)`` layers, extended: only the steps whose length
-    changes get new views.  Every later layer reuses it.
+    order, is built at the ``hi`` of the first layer that walks and, when a
+    later walking layer finds ``hi`` grown (it grows in the first
+    ``max(upper_bounds)`` layers), extended: only the steps whose length
+    changes get new views.  Every later walking layer reuses it.  The
+    passes' steps are kept per size the same way, and built again for each
+    new ``hi``.
 
     ``floor`` is the single high bit ``-(1 << L)``, ``L`` the bit length of
     ``(bound + 1) << bits`` and ``bound`` the sum of every customer's best
@@ -468,9 +468,12 @@ def dp_solve(inst: Instance) -> SolveResult:
     walk = []
     for b in reversed(range(bits)):
         walk = [1 << b, *[1 << b | mask for mask in walk], *walk]
-    position = [0] * nmasks
-    for t, mask in enumerate(walk):
-        position[mask] = t
+    # ufunc calls per layer: the walk's 2 per subset holding the last
+    # campaign and 3 per other nonempty one, against 3 per campaign for the
+    # rank pass and, per count pass of size h, 3 per (campaign, count) step
+    # plus h - 1 fills
+    walk_calls = 5 * (nmasks >> 1) - 3
+    pass_calls = [3 * bits] + [3 * h * (bits - h + 1) + h - 1 for h in range(1, bits + 1)]
     # scores are nonnegative, so no reachable value exceeds this bound
     bound = sum(_best_row(weighted[i], rates[i], active)[0] for i in range(n))
     floor = -(1 << ((bound + 1) << bits).bit_length())
@@ -504,30 +507,35 @@ def dp_solve(inst: Instance) -> SolveResult:
     packed = np.empty(nmasks, dtype=dtype)
     ranks = np.arange(nmasks).astype(dtype)
     offsets = np.array(deltas)
+    # part[h, b] is campaign b's share of a size-h subset's packed score,
+    # rate[h] * weighted << bits | 1 << b; row 0, the rank pass's, is 1 << b
+    part = np.zeros((bits + 1, bits), dtype=dtype)
+    part[0] = [1 << b for b in range(bits)]
     steps = [None] * len(walk)
     lengths = [0] * len(walk)
     # the reach before customer 0, state 0 alone, takes the scatter, not a plan
     planned = 1
-    rank_planned = 0
+    # the rank pass (key 0) and count passes (key h) planned for reach passes_hi
+    passes = {}
+    passes_hi = 0
     for i in range(n):
         rates_i, weighted_i = rates[i], weighted[i]
-        # the walk makes 2 or 3 ufunc calls per subset, the rank pass at most
-        # 3 per campaign and per positive-score subset plus the ORs of their
-        # prefixes; a layer takes the pass where that bound is at most one
-        # call per subset, which no layer over 1 to 3 campaigns meets
-        ranked = False
-        if i and 3 * bits < nmasks:
-            # a subset of h campaigns scores 0 when rate[h] is 0 or all its
-            # campaigns have weighted preference 0
-            zero = sum(1 for j in active if not weighted_i[j])
-            positives = sum(
-                comb(bits, h) - comb(zero, h) for h in range(1, bits + 1) if rates_i[h]
-            )
-            ranked = 3 * (bits + positives) <= nmasks
-        if ranked:
-            scored = _positive_subsets(weighted_i, rates_i, active)
-            for mask, score in scored:
-                packed[mask] = score << bits | mask
+        # the sizes whose subsets take a count pass, or None when the layer
+        # walks; the walk always takes fewer calls over 3 or fewer campaigns
+        counted = None
+        if i and bits > 3:
+            sizes = [h for h in range(1, bits + 1) if rates_i[h]]
+            # every subset of a size of rate 0 scores 0: the rank pass, key
+            # 0, adds them, first
+            if len(sizes) < bits:
+                sizes.insert(0, 0)
+            if sum(pass_calls[h] for h in sizes) < walk_calls:
+                counted = sizes
+        if counted is not None:
+            row = [weighted_i[j] for j in active]
+            for h in counted:
+                if h:
+                    part[h] = [rates_i[h] * w << bits | 1 << b for b, w in enumerate(row)]
         else:
             packed[:] = _subset_scores(weighted_i, rates_i, active)
             np.left_shift(packed, bits, out=packed)
@@ -538,7 +546,7 @@ def dp_solve(inst: Instance) -> SolveResult:
             keys[offsets] = packed
         else:
             hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
-            if hi != planned:
+            if counted is None and hi != planned:
                 # keys, the stack and cand are updated in place, so views
                 # into them stay valid; they depend on the layer only
                 # through each step's length, which stops growing once i
@@ -569,52 +577,57 @@ def dp_solve(inst: Instance) -> SolveResult:
             np.bitwise_and(keys, -(1 << bits), out=sources[0])
             # the empty subset scores 0 with mask 0: the previous layer itself
             np.copyto(keys, sources[0])
-            if ranked:
-                if rank_planned != hi:
-                    # planned only for layers that take the pass; each
-                    # campaign adds to keys itself, so it reads the states
-                    # that the campaigns before it reached
-                    rank_planned = hi
-                    rank_steps = []
-                    reach = hi
-                    for b in range(bits):
-                        d = deltas[1 << b]
-                        m = min(size - d, reach)
-                        blocked = poison[b][:m] if b < bits - 1 else None
-                        rank_steps.append(
-                            (keys[:m], blocked, cand[:m], ranks[1 << b, ...], keys[d:d + m])
-                        )
-                        reach += d
-                # every subset S at rank(S), the sum of its bits: the zero-score
-                # subsets exactly, the others below their packed scores
-                for src, blocked, out, rank, tgt in rank_steps:
-                    if blocked is not None:
-                        np.bitwise_or(src, blocked, out=out)
-                        src = out
-                    np.add(src, rank, out=out)
-                    np.maximum(tgt, out, out=tgt)
-                # the positive-score subsets walk as below, in walk order, with
-                # the OR of every prefix they extend
-                run = {}
-                for mask, _ in scored:
-                    run[position[mask]] = True
-                    prefix = mask ^ (1 << (mask.bit_length() - 1))
-                    while prefix and position[prefix] not in run:
-                        run[position[prefix]] = False
-                        prefix ^= 1 << (prefix.bit_length() - 1)
-                for t in sorted(run):
-                    parent, blocked, src, score, out, tgt = steps[t]
-                    if blocked is not None:
-                        np.bitwise_or(parent, blocked, out=src)
-                    if run[t]:
-                        np.add(src, score, out=out)
-                        np.maximum(tgt, out, out=tgt)
-            else:
+            if counted is None:
                 for parent, blocked, src, score, out, tgt in steps:
                     if blocked is not None:
                         np.bitwise_or(parent, blocked, out=src)
                     np.add(src, score, out=out)
                     np.maximum(tgt, out, out=tgt)
+            else:
+                if passes_hi != hi:
+                    # like the walk's, the views depend on the layer only
+                    # through the reach
+                    passes_hi, passes = hi, {}
+                for h in counted:
+                    if h not in passes:
+                        # a count pass of size h extends, per campaign b, the
+                        # subsets of c - 1 campaigns in counts[c - 1] into
+                        # counts[c]: the sources, h - 1 arrays of the stack,
+                        # idle outside the walk, and keys; the rank pass adds
+                        # every subset at its rank within keys itself
+                        if h:
+                            counts = [*sources[:h], keys]
+                            fills = counts[1:h]
+                        else:
+                            counts, fills = [keys, keys], []
+                        pass_steps = []
+                        # each campaign also reads the states that the
+                        # campaigns before it reached
+                        reach = hi
+                        for b in range(bits):
+                            d = deltas[1 << b]
+                            m = min(size - d, reach)
+                            blocked = poison[b][:m] if b < bits - 1 else None
+                            # descending, so counts[c - 1] holds no subset
+                            # with b yet; a count c needs c - 1 campaigns
+                            # below b and leaves room for h - c above it
+                            for c in (range(min(h, b + 1), max(1, h - bits + 1 + b) - 1, -1)
+                                      if h else (1,)):
+                                pass_steps.append((
+                                    counts[c - 1][:m], blocked, cand[:m], part[h, b, ...],
+                                    counts[c][d:d + m],
+                                ))
+                            reach += d
+                        passes[h] = fills, pass_steps
+                    fills, pass_steps = passes[h]
+                    for counts in fills:
+                        counts.fill(floor)
+                    for src, blocked, out, score, tgt in pass_steps:
+                        if blocked is not None:
+                            np.bitwise_or(src, blocked, out=out)
+                            src = out
+                        np.add(src, score, out=out)
+                        np.maximum(tgt, out, out=tgt)
         np.bitwise_and(keys, nmasks - 1, out=cand)
         choices[i] = cand
 

@@ -104,6 +104,34 @@ def sparse_instances(draw, pref_max=9, max_n=4, min_k=5, max_k=8, max_states=512
 
 
 @st.composite
+def dense_instances(draw, pref_max=9, max_n=4, min_k=6, max_k=9, max_states=2048):
+    """An instance over many campaigns whose every subset size has a positive rate.
+
+    Each row has a grid table with levels 1/4 to 1 and no level 0.  Upper
+    bounds are 1 or 2 while the box stays within ``max_states`` and 0 once it
+    would not, so most campaigns are active.
+    """
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(min_k, max_k))
+    weights = tuple(draw(st.integers(1, 5)) for _ in range(k))
+    prefs = tuple(tuple(draw(st.integers(0, pref_max)) for _ in range(k)) for _ in range(n))
+    tables = tuple(
+        SuppressionTable((Fraction(0),) + tuple(Fraction(draw(st.integers(1, 4)), 4) for _ in range(k)))
+        for _ in range(n)
+    )
+    upper, states = [], 1
+    for _ in range(k):
+        high = min(2, n, max_states // states - 1)
+        upper.append(draw(st.integers(min(1, high), high)))
+        states *= upper[-1] + 1
+    lower = tuple(draw(st.integers(0, u)) for u in upper)
+    return validate_instance(
+        Instance(n=n, k=k, weights=weights, preferences=prefs, suppression=tables,
+                 lower_bounds=lower, upper_bounds=tuple(upper))
+    )
+
+
+@st.composite
 def instance_matrix_pairs(draw, **kwargs):
     """An instance plus an arbitrary (not necessarily feasible) binary matrix."""
     inst = draw(instances(**kwargs))

@@ -109,9 +109,11 @@ def test_satisfiability_equals_threshold_reachability(capsys):
 
     # Note: every valid 3-CNF at these shapes is satisfiable (a 3-literal
     # clause falsifies 1/8 of assignments, so unsatisfiability needs at least
-    # 8 clauses, whose reduced instance is beyond the exact solvers).  The
-    # unsat direction is covered by its contrapositive: every matrix that
-    # reaches the threshold extracts to a verified satisfying assignment.
+    # 8 clauses; the 8 polarities of 3 variables reduce to 30x11, whose
+    # 3,125,000 states per layer make 168.75M cells against dp_guard's 10^8
+    # limit, so the DP refuses it).  The unsat direction is covered by its
+    # contrapositive: every matrix that reaches the threshold extracts to a
+    # verified satisfying assignment.
     rng = random.Random(3000)
     formulas = [FOUR_CLAUSE] + [
         random_formula(rng.randrange(2**32), *rng.choice(SMALL_SHAPES))

@@ -34,7 +34,8 @@ from mcap.solvers import (
     solve_unbounded,
 )
 from strategies import (
-    feasible_pairs, instances, random_feasible_matrix, sparse_instances, wide_instances,
+    dense_instances, feasible_pairs, instances, random_feasible_matrix, sparse_instances,
+    wide_instances,
 )
 
 
@@ -588,43 +589,32 @@ def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
     assert result.fitness == brute_force_solve(inst).fitness
 
 
-def rank_pass_layers(inst):
-    """The customers after the first whose layer takes the DP's rank pass.
+def count_pass_layers(inst):
+    """The customers after the first whose DP layer takes the rank and count passes.
 
-    The positive-score subsets are counted from every subset's score: a
-    layer takes the pass when ``3 * (bits + positives) <= nmasks``.
+    Maps each to its passes in order: 0 for the rank pass, which runs first
+    when some subset size has rate 0, then each size ``h`` of positive rate.
+    A layer over more than 3 active campaigns takes them when their ufunc
+    calls, ``3 * bits`` for the rank pass and ``3 * h * (bits - h + 1) + h -
+    1`` per count pass, are fewer than the walk's ``5 * 2^(bits - 1) - 3``.
     """
-    _, rates, weighted = inst.scaled
-    active = [j for j in range(inst.k) if inst.upper_bounds[j] > 0]
-    bits = len(active)
-    return [
-        i for i in range(1, inst.n)
-        if 3 * (bits + sum(map(bool, solvers._subset_scores(weighted[i], rates[i], active))))
-        <= 1 << bits
-    ]
-
-
-@given(
-    st.lists(st.sampled_from((0, 0, 1, 7, 10**20)), min_size=0, max_size=8).flatmap(
-        lambda weighted: st.tuples(
-            st.just(weighted),
-            st.lists(st.sampled_from((0, 0, 1, 3)), min_size=len(weighted) + 1,
-                     max_size=len(weighted) + 1),
-        )
-    )
-)
-@settings(max_examples=300, deadline=None)
-def test_positive_subsets_are_the_positive_scores(case):
-    weighted, rates = case
-    campaigns = list(range(len(weighted)))
-    found = solvers._positive_subsets(weighted, rates, campaigns)
-    scores = solvers._subset_scores(weighted, rates, campaigns)
-    assert sorted(found) == [(mask, score) for mask, score in enumerate(scores) if score]
+    _, rates, _ = inst.scaled
+    bits = sum(1 for u in inst.upper_bounds if u)
+    layers = {}
+    for i in range(1, inst.n):
+        sizes = [h for h in range(1, bits + 1) if rates[i][h]]
+        passes = ([0] if len(sizes) < bits else []) + sizes
+        calls = sum(3 * bits if h == 0 else 3 * h * (bits - h + 1) + h - 1 for h in passes)
+        if bits > 3 and calls < 5 * 2 ** (bits - 1) - 3:
+            layers[i] = passes
+    return layers
 
 
 # sparse rows (an indicator table and at most two nonzero preferences) take
-# the rank pass, dense ones walk every subset; pref_max 0 and 1 tie many
-# rows, and 2**66 puts the keys beyond int64
+# the rank pass and one count pass; dense ones (grid tables) walk every
+# subset over 6 or fewer campaigns unless few sizes have a positive rate, and
+# take count passes over more; pref_max 0 and 1 tie many rows, and 2**66 puts
+# the keys beyond int64
 @given(st.sampled_from((0, 1, 9, 2**66)).flatmap(
     lambda pref_max: sparse_instances(pref_max=pref_max)
 ))
@@ -638,7 +628,7 @@ def test_dp_rank_pass_matches_oracles(inst):
 def test_dp_rank_pass_with_object_keys():
     # huge_preference_instance's preferences near 10^20, one per row, the
     # other four 0, with indicator tables: every layer after customer 0 takes
-    # the rank pass, with keys beyond int64
+    # the rank pass and the count pass of its one size, with keys beyond int64
     rng = random.Random(2009)
     n, k = 4, 5
     prefs = []
@@ -654,26 +644,27 @@ def test_dp_rank_pass_with_object_keys():
     _, rates, weighted = inst.scaled
     bound = sum(solvers._best_row(weighted[i], rates[i], range(k))[0] for i in range(n))
     assert bound << k >= 2**63
-    assert rank_pass_layers(inst) == list(range(1, n))
+    assert count_pass_layers(inst) == {i: [0, 1 + i % 2] for i in range(1, n)}
     assert_dp_matches_oracles(inst)
 
 
 def test_dp_rank_pass_runs_on_every_reduced_layer(monkeypatch):
-    # every row of a reduced 3-CNF has an indicator table and one to three
-    # nonzero preferences, so every layer after customer 0 takes the rank
-    # pass: one np.maximum per active campaign and one per positive-score
-    # subset, where the walk takes one per nonempty subset; every add still
-    # takes a 0-d view of the keys' type, not a Python integer
+    # every row of a reduced 3-CNF has an indicator table, so every layer
+    # after customer 0 takes the rank pass, one np.maximum per active
+    # campaign, and the count pass of its one size h, one per (campaign,
+    # count) step, h * (bits - h + 1), where the walk takes one per nonempty
+    # subset; every add still takes a 0-d view of the keys' type, not a
+    # Python integer
     red = reduction.reduce_3sat(generate.random_planted_formula(3, 5, 3)[0])
     inst = red.instance
-    _, rates, weighted = inst.scaled
-    active = [j for j in range(inst.k) if inst.upper_bounds[j] > 0]
-    assert rank_pass_layers(inst) == list(range(1, inst.n))
+    bits = sum(1 for u in inst.upper_bounds if u)
+    layers = count_pass_layers(inst)
+    assert list(layers) == list(range(1, inst.n))
+    assert all(passes[0] == 0 and len(passes) == 2 for passes in layers.values())
     expected = sum(
-        len(active) + sum(map(bool, solvers._subset_scores(weighted[i], rates[i], active)))
-        for i in range(1, inst.n)
+        bits if h == 0 else h * (bits - h + 1) for passes in layers.values() for h in passes
     )
-    assert expected < (inst.n - 1) * ((1 << len(active)) - 1)
+    assert expected < (inst.n - 1) * ((1 << bits) - 1)
     calls = []
     maximum, add = np.maximum, np.add
 
@@ -691,6 +682,97 @@ def test_dp_rank_pass_runs_on_every_reduced_layer(monkeypatch):
     result = dp_solve(inst)
     assert len(calls) == expected
     assert result.fitness == red.threshold
+
+
+# dense rows (grid tables with no rate 0) over 6 to 9 campaigns with uppers
+# 1 or 2: a layer over 7 or more active campaigns takes one count pass per
+# subset size and no rank pass, one over 6 or fewer walks; pref_max 0 makes
+# every subset score 0 at a positive rate, and 2**66 puts the keys beyond
+# int64
+@given(st.sampled_from((0, 1, 9, 2**66)).flatmap(
+    lambda pref_max: dense_instances(pref_max=pref_max)
+))
+@settings(max_examples=60, deadline=None)
+def test_dp_count_passes_match_oracles(inst):
+    bits = sum(1 for u in inst.upper_bounds if u)
+    layers = count_pass_layers(inst)
+    if bits >= 7:
+        assert layers == {i: list(range(1, bits + 1)) for i in range(1, inst.n)}
+    else:
+        assert layers == {}
+    assert_dp_matches_dense_sweep(inst)
+    if inst.n * inst.k <= solvers.DEFAULT_BRUTE_FORCE_CELLS:
+        assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+def mixed_instance(pattern, upper, seed=0):
+    """A seeded instance whose layer ``i`` counts where ``pattern[i]`` is "c" and walks at "w".
+
+    A counted row has an indicator table at 1 or 2, a walked one a grid table
+    with no rate 0; customer 0's layer is the scatter either way.
+    """
+    rng = random.Random(seed)
+    n, k = len(pattern), len(upper)
+    return validate_instance(Instance(
+        n=n, k=k, weights=tuple(rng.randint(1, 5) for _ in range(k)),
+        preferences=tuple(tuple(rng.randint(0, 9) for _ in range(k)) for _ in range(n)),
+        suppression=tuple(
+            SuppressionTable.indicator(rng.randint(1, 2), k) if kind == "c"
+            else SuppressionTable(
+                (Fraction(0),) + tuple(Fraction(rng.randint(1, 4), 4) for _ in range(k))
+            )
+            for kind in pattern
+        ),
+        lower_bounds=tuple(rng.randint(0, u // 2) for u in upper), upper_bounds=tuple(upper),
+    ))
+
+
+# five active campaigns, so a walked layer and a counted one mix in one
+# solve; the box grows until customer max(upper), so each path plans its
+# views at the reach where it first runs and again as the reach grows
+MIXED_PATHS = {
+    # the walk is first planned at the second layer's reach, then extended
+    "walk-after-count": ("wcwcwc", (4, 3, 4, 2, 4)),
+    # the count passes are first planned at the third layer's reach
+    "count-after-walk": ("wwcwcw", (4, 4, 3, 4, 2)),
+    # the walk is first planned once the box is full
+    "late-switch": ("wcccww", (2, 1, 2, 1, 2)),
+    # one shape of the brute force's size
+    "small": ("wcwc", (2, 1, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PATHS))
+@pytest.mark.parametrize("seed", range(3))
+def test_dp_mixes_walk_and_count_layers(name, seed):
+    pattern, upper = MIXED_PATHS[name]
+    inst = mixed_instance(pattern, upper, seed)
+    assert list(count_pass_layers(inst)) == [i for i, kind in enumerate(pattern) if i and kind == "c"]
+    assert_dp_matches_dense_sweep(inst)
+    if inst.n * inst.k <= solvers.DEFAULT_BRUTE_FORCE_CELLS:
+        assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
+
+
+def test_dp_count_pass_with_object_keys():
+    # huge_preference_instance's preferences near 10^20 over seven campaigns,
+    # with grid tables of no rate 0: every layer after customer 0 takes a
+    # count pass per subset size and no rank pass, with keys beyond int64
+    rng = random.Random(2009)
+    n, k = 4, 7
+    prefs = tuple(tuple(rng.randint(0, 10**20) for _ in range(k)) for _ in range(n))
+    tables = tuple(
+        SuppressionTable((Fraction(0),) + tuple(Fraction(rng.randint(1, 4), 4) for _ in range(k)))
+        for _ in range(n)
+    )
+    inst = validate_instance(Instance(
+        n=n, k=k, weights=(3, 1, 2, 1, 2, 3, 1), preferences=prefs, suppression=tables,
+        lower_bounds=(1, 0, 2, 0, 1, 0, 1), upper_bounds=(2, 1, 2, 1, 2, 1, 1),
+    ))
+    _, rates, weighted = inst.scaled
+    bound = sum(solvers._best_row(weighted[i], rates[i], range(k))[0] for i in range(n))
+    assert bound << k >= 2**63
+    assert count_pass_layers(inst) == {i: list(range(1, k + 1)) for i in range(1, n)}
+    assert_dp_matches_dense_sweep(inst)
 
 
 def test_dp_one_customer_with_object_keys():
