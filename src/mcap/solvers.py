@@ -19,16 +19,15 @@ Exact routes:
   one OR, add and maximum per (campaign, count) step extends the subsets of
   ``c - 1`` campaigns into those of ``c``.  The sizes of rate 0 score 0, and
   one *rank pass* on the layer itself, one step per campaign, adds every
-  subset at its mask first.  A layer takes the passes when they make fewer
-  ufunc calls than the walk, as every reduced 3-CNF layer after the first
-  does, with the same keys and tie-breaks.  Each walking layer packs its
-  subsets' scores into one array of the key type, and a subset adds a 0-d
-  view of its cell, so no step's add converts a Python integer.  The first
-  layer, where only the empty vector is reachable, is one scatter of that
-  array.  The layer buffers are updated in place, so each subset's views
-  into them are planned once and reused by every later layer; while the
-  reachable box grows, only the views whose length changes are planned
-  again.  The inner loop is two or three ufunc calls on prebuilt views.
+  subset at its mask first.  A layer, customer 0's included, takes the
+  passes when they make fewer ufunc calls than the walk, as every reduced
+  3-CNF layer does, with the same keys and tie-breaks.  Each walking layer
+  packs its subsets' scores into one array of the key type, and a subset
+  adds a 0-d view of its cell, so no step's add converts a Python integer.
+  The layer buffers are updated in place, so the steps of the walk and of
+  each pass, views into them, are planned once per reach of the box and
+  reused by every layer at that reach.  Both run one step loop: two or
+  three ufunc calls per step on prebuilt views.
   Integer keys pack each value with its subset's mask, which ascends with
   the subset's index offset and so serves as its rank: the maximum is
   order-free, and the documented tie-break (ascending predecessor, then
@@ -339,14 +338,10 @@ def dp_solve(inst: Instance) -> SolveResult:
     ``arange(nmasks)``, an add rather than an OR, so the sweep ORs only
     poison arrays.  Each step holds the 0-d view ``packed[mask, ...]``, so
     no ``np.add`` of the sweep converts a Python integer; the passes' steps
-    hold 0-d views of ``part``, an array of the key type too.  Before
-    customer 0 only state 0 is reachable, and every active campaign has an
-    upper bound of at least 1, so every subset has headroom there: that
-    layer is the scatter ``keys[offsets] = packed``, one ufunc-free
-    assignment, and needs no step plan.
+    hold 0-d views of ``part``, an array of the key type too.
 
-    A later layer may add its subsets by *passes* over its campaigns
-    instead of the walk.  For a size ``h`` with ``rate[h] > 0``, the packed
+    A layer may add its subsets by *passes* over its campaigns instead of
+    the walk.  For a size ``h`` with ``rate[h] > 0``, the packed
     score of a subset ``S`` of ``h`` campaigns is the sum over ``b`` in
     ``S`` of ``part[h, b] = rate[h] * weighted[b] << bits | 1 << b``: the
     mask bits are distinct, so they never carry.  The *count pass* of size
@@ -390,11 +385,13 @@ def dp_solve(inst: Instance) -> SolveResult:
     nonempty one.  The passes make ``3 * bits`` for the rank pass, when
     some size has rate 0, plus ``3 * h * (bits - h + 1)`` calls and ``h -
     1`` fills per count pass.  A layer takes the passes when they make fewer,
-    so a layer over 3 or fewer campaigns always walks.  On the benchmark's
-    corpora of seeds 1-10 they take every sat-reduction layer after the
-    first (1,440 of 1,440, 8 campaigns, a rank pass and one count pass) and
-    15 of dp-grid's 1,760 (4 campaigns and one size of positive rate); a
-    layer with every rate positive takes them from 7 campaigns up.
+    so a layer over 3 or fewer campaigns always walks.  Customer 0's layer
+    follows the same rule: only state 0 is reachable before it, at reach 1,
+    and every active campaign has headroom there.  On the benchmark's
+    corpora of seeds 1-10 the passes take every sat-reduction layer (1,520
+    of 1,520, 8 campaigns, a rank pass and one count pass) and 17 of
+    dp-grid's 1,800 (4 campaigns and one size of positive rate); a layer
+    with every rate positive takes them from 7 campaigns up.
 
     The last active campaign is the most significant digit, so a subset
     holding it has ``d`` at least that campaign's stride and reads only
@@ -405,15 +402,15 @@ def dp_solve(inst: Instance) -> SolveResult:
     poison array.  ``keys``, the stack and the candidate are allocated once
     and updated in place (``keys & -(1 << bits)`` into ``sources[0]``, then
     copied back into ``keys``), so every view into them stays valid across
-    layers.  A step's views depend on its layer only through their length
-    ``min(size - d, hi)``, with ``hi`` the reach bound, so the list of steps,
-    ``(parent, poison, sources, score, candidate, target)`` views in walk
-    order, is built at the ``hi`` of the first layer that walks and, when a
-    later walking layer finds ``hi`` grown (it grows in the first
-    ``max(upper_bounds)`` layers), extended: only the steps whose length
-    changes get new views.  Every later walking layer reuses it.  The
-    passes' steps are kept per size the same way, and built again for each
-    new ``hi``.
+    layers.  A step's views depend on its layer only through their length,
+    ``min(size - d, hi)`` with ``hi`` the reach bound, so one dict keeps the
+    plan of the walk (key None), of the rank pass (0) and of each count pass
+    (``h``) at the current ``hi``, each built when a layer first needs it,
+    and drops them all when ``hi`` grows, which it does in the first
+    ``max(upper_bounds)`` layers.  Every step of either path is ``(source,
+    poison, ored, score, candidate, target)``: the OR of the poison into
+    the source, when there is one, writes ``ored``, which is the source
+    otherwise; the add writes the candidate and the maximum the target.
 
     ``floor`` is the single high bit ``-(1 << L)``, ``L`` the bit length of
     ``(bound + 1) << bits`` and ``bound`` the sum of every customer's best
@@ -506,128 +503,102 @@ def dp_solve(inst: Instance) -> SolveResult:
     # each step adds its 0-d view, so no step's add converts a Python integer
     packed = np.empty(nmasks, dtype=dtype)
     ranks = np.arange(nmasks).astype(dtype)
-    offsets = np.array(deltas)
     # part[h, b] is campaign b's share of a size-h subset's packed score,
     # rate[h] * weighted << bits | 1 << b; row 0, the rank pass's, is 1 << b
     part = np.zeros((bits + 1, bits), dtype=dtype)
     part[0] = [1 << b for b in range(bits)]
-    steps = [None] * len(walk)
-    lengths = [0] * len(walk)
-    # the reach before customer 0, state 0 alone, takes the scatter, not a plan
-    planned = 1
-    # the rank pass (key 0) and count passes (key h) planned for reach passes_hi
-    passes = {}
-    passes_hi = 0
+
+    def plan(key, hi):
+        """The arrays to fill with ``floor`` and the steps of plan ``key`` at reach ``hi``."""
+        steps = []
+        if key is None:
+            for mask in walk:
+                # state s moves to s + d; a poisoned source, one without
+                # headroom in some campaign of the mask, stays negative
+                d = deltas[mask]
+                m = min(size - d, hi)
+                depth, top = mask.bit_count(), mask.bit_length() - 1
+                src = sources[depth - 1][:m]
+                # the sources [0, size - d) of a subset holding the last
+                # campaign hold it below its capacity, so its poison would be
+                # all 0 and the OR a copy
+                blocked = poison[top][:m] if top < bits - 1 else None
+                steps.append((
+                    src, blocked, src if blocked is None else sources[depth][:m],
+                    packed[mask, ...], cand[:m], keys[d:d + m],
+                ))
+            return [], steps
+        # a count pass of size h extends, per campaign b, the subsets of c - 1
+        # campaigns in counts[c - 1] into counts[c]: the sources, h - 1 arrays
+        # of the stack, idle outside the walk, and keys; the rank pass adds
+        # every subset at its rank within keys itself
+        counts = [*sources[:key], keys] if key else [keys, keys]
+        # each campaign also reads the states that the campaigns before it
+        # reached
+        reach = hi
+        for b in range(bits):
+            d = deltas[1 << b]
+            m = min(size - d, reach)
+            blocked = poison[b][:m] if b < bits - 1 else None
+            # one view both ORed into and added into: two views of the same
+            # cells would make each ufunc check them for overlap
+            out = cand[:m]
+            # descending, so counts[c - 1] holds no subset with b yet; a count
+            # c needs c - 1 campaigns below b and leaves room for key - c above
+            for c in range(min(key, b + 1), max(1, key - bits + 1 + b) - 1, -1) if key else (1,):
+                src = counts[c - 1][:m]
+                steps.append((
+                    src, blocked, src if blocked is None else out, part[key, b, ...], out,
+                    counts[c][d:d + m],
+                ))
+            reach += d
+        return counts[1:key], steps
+
+    # the steps of the walk (key None) and of each pass (key 0 or h) at the
+    # reach planned; keys, the stack and cand are updated in place, so the
+    # views stay valid, and they depend on the layer only through the reach,
+    # which stops growing once i reaches the largest upper bound
+    plans = {}
+    planned = 0
     for i in range(n):
         rates_i, weighted_i = rates[i], weighted[i]
-        # the sizes whose subsets take a count pass, or None when the layer
-        # walks; the walk always takes fewer calls over 3 or fewer campaigns
-        counted = None
-        if i and bits > 3:
+        # the walk, or the passes in order: the walk always takes fewer calls
+        # over 3 or fewer campaigns
+        layer = [None]
+        if bits > 3:
             sizes = [h for h in range(1, bits + 1) if rates_i[h]]
             # every subset of a size of rate 0 scores 0: the rank pass, key
             # 0, adds them, first
             if len(sizes) < bits:
                 sizes.insert(0, 0)
             if sum(pass_calls[h] for h in sizes) < walk_calls:
-                counted = sizes
-        if counted is not None:
-            row = [weighted_i[j] for j in active]
-            for h in counted:
-                if h:
-                    part[h] = [rates_i[h] * w << bits | 1 << b for b, w in enumerate(row)]
-        else:
+                layer = sizes
+        if layer[0] is None:
             packed[:] = _subset_scores(weighted_i, rates_i, active)
             np.left_shift(packed, bits, out=packed)
             np.add(packed, ranks, out=packed)
-        if i == 0:
-            # only state 0 is reachable, and every active campaign has
-            # headroom there, so subset mask lands on its offset alone
-            keys[offsets] = packed
         else:
-            hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
-            if counted is None and hi != planned:
-                # keys, the stack and cand are updated in place, so views
-                # into them stay valid; they depend on the layer only
-                # through each step's length, which stops growing once i
-                # reaches the largest upper bound
-                planned = hi
-                for t, mask in enumerate(walk):
-                    # state s moves to s + d; a poisoned source, one without
-                    # headroom in some campaign of the mask, stays negative
-                    d = deltas[mask]
-                    m = min(size - d, hi)
-                    if m == lengths[t]:
-                        continue
-                    lengths[t] = m
-                    depth = mask.bit_count()
-                    top = mask.bit_length() - 1
-                    parent = sources[depth - 1][:m]
-                    score = packed[mask, ...]
-                    if top == bits - 1:
-                        # the sources [0, size - d) hold the last campaign
-                        # below its capacity, so its poison is all 0 and the
-                        # OR a copy
-                        steps[t] = (parent, None, parent, score, cand[:m], keys[d:d + m])
-                    else:
-                        steps[t] = (
-                            parent, poison[top][:m], sources[depth][:m], score,
-                            cand[:m], keys[d:d + m],
-                        )
-            np.bitwise_and(keys, -(1 << bits), out=sources[0])
-            # the empty subset scores 0 with mask 0: the previous layer itself
-            np.copyto(keys, sources[0])
-            if counted is None:
-                for parent, blocked, src, score, out, tgt in steps:
-                    if blocked is not None:
-                        np.bitwise_or(parent, blocked, out=src)
-                    np.add(src, score, out=out)
-                    np.maximum(tgt, out, out=tgt)
-            else:
-                if passes_hi != hi:
-                    # like the walk's, the views depend on the layer only
-                    # through the reach
-                    passes_hi, passes = hi, {}
-                for h in counted:
-                    if h not in passes:
-                        # a count pass of size h extends, per campaign b, the
-                        # subsets of c - 1 campaigns in counts[c - 1] into
-                        # counts[c]: the sources, h - 1 arrays of the stack,
-                        # idle outside the walk, and keys; the rank pass adds
-                        # every subset at its rank within keys itself
-                        if h:
-                            counts = [*sources[:h], keys]
-                            fills = counts[1:h]
-                        else:
-                            counts, fills = [keys, keys], []
-                        pass_steps = []
-                        # each campaign also reads the states that the
-                        # campaigns before it reached
-                        reach = hi
-                        for b in range(bits):
-                            d = deltas[1 << b]
-                            m = min(size - d, reach)
-                            blocked = poison[b][:m] if b < bits - 1 else None
-                            # descending, so counts[c - 1] holds no subset
-                            # with b yet; a count c needs c - 1 campaigns
-                            # below b and leaves room for h - c above it
-                            for c in (range(min(h, b + 1), max(1, h - bits + 1 + b) - 1, -1)
-                                      if h else (1,)):
-                                pass_steps.append((
-                                    counts[c - 1][:m], blocked, cand[:m], part[h, b, ...],
-                                    counts[c][d:d + m],
-                                ))
-                            reach += d
-                        passes[h] = fills, pass_steps
-                    fills, pass_steps = passes[h]
-                    for counts in fills:
-                        counts.fill(floor)
-                    for src, blocked, out, score, tgt in pass_steps:
-                        if blocked is not None:
-                            np.bitwise_or(src, blocked, out=out)
-                            src = out
-                        np.add(src, score, out=out)
-                        np.maximum(tgt, out, out=tgt)
+            row = [weighted_i[j] for j in active]
+            for h in layer:
+                if h:
+                    part[h] = [rates_i[h] * w << bits | 1 << b for b, w in enumerate(row)]
+        hi = sum(min(i, cap) * stride for cap, stride in zip(box.caps, box.strides)) + 1
+        if hi != planned:
+            plans, planned = {}, hi
+        np.bitwise_and(keys, -(1 << bits), out=sources[0])
+        # the empty subset scores 0 with mask 0: the previous layer itself
+        np.copyto(keys, sources[0])
+        for key in layer:
+            if key not in plans:
+                plans[key] = plan(key, hi)
+            fills, steps = plans[key]
+            for counts in fills:
+                counts.fill(floor)
+            for src, blocked, ored, score, out, tgt in steps:
+                if blocked is not None:
+                    np.bitwise_or(src, blocked, out=ored)
+                np.add(ored, score, out=out)
+                np.maximum(tgt, out, out=tgt)
         np.bitwise_and(keys, nmasks - 1, out=cand)
         choices[i] = cand
 

@@ -522,7 +522,7 @@ SWEEP_PATHS = {
     # one active campaign: no poison array, every step adds to the base
     "single-active": (5, (0, 2, 0), (0, 3, 0)),
     "single-campaign": (7, (3,), (5,)),
-    # one customer: the layer is the scatter from state 0 alone, with no plan
+    # one customer: the layer walks from state 0 alone, at reach 1
     "one-customer": (1, (0, 0, 0, 0), (1, 0, 1, 0)),
     "one-customer-filled": (1, (1, 0, 1, 0), (1, 0, 1, 0)),
     "one-customer-no-active": (1, (0, 0), (0, 0)),
@@ -537,12 +537,15 @@ def test_dp_sweep_paths_match_oracles(name, seed):
 
 
 def test_dp_back_to_back_solves_share_nothing():
-    # object keys, then small keys over other boxes and campaign counts: no
-    # buffer, view or step plan of one call may reach the next
+    # object keys, then small keys over other boxes and campaign counts, and
+    # a solve whose customer 0 takes the passes: no buffer, view or step plan
+    # of one call may reach the next
     big = huge_preference_instance()
     small = sweep_instance(4, (0, 1, 0), (4, 2, 1), seed=3)
     trailing = sweep_instance(5, (0, 0, 3, 0), (2, 0, 3, 0), seed=1)
-    for inst in (big, small, trailing, small, big):
+    counted = mixed_instance("cwcw", (2, 1, 1, 2, 1), seed=1)
+    assert 0 in count_pass_layers(counted)
+    for inst in (big, small, counted, trailing, counted, small, big):
         assert_dp_matches_oracles(inst)
 
 
@@ -567,9 +570,9 @@ def constant_instance(n, upper, seed=0):
 ])
 def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
     # only subsets without the last active campaign OR in a poison array:
-    # 2^(active - 1) - 1 of them per layer, after customer 0's, which is a
-    # scatter from state 0 and ORs nothing; every nonempty subset scores
-    # above 0, so every layer walks all of them and none takes the rank pass
+    # 2^(active - 1) - 1 of them per layer, customer 0's included; every
+    # nonempty subset scores above 0, so every layer walks all of them and
+    # none takes the rank pass
     inst = constant_instance(n, upper)
     _, rates, weighted = inst.scaled
     columns = [j for j, u in enumerate(upper) if u]
@@ -585,12 +588,12 @@ def test_dp_skips_the_outermost_or(monkeypatch, n, upper):
 
     monkeypatch.setattr(np, "bitwise_or", counting_or)
     result = dp_solve(inst)
-    assert len(calls) == ((n - 1) * (2 ** (active - 1) - 1) if active else 0)
+    assert len(calls) == (n * (2 ** (active - 1) - 1) if active else 0)
     assert result.fitness == brute_force_solve(inst).fitness
 
 
 def count_pass_layers(inst):
-    """The customers after the first whose DP layer takes the rank and count passes.
+    """The customers whose DP layer takes the rank and count passes.
 
     Maps each to its passes in order: 0 for the rank pass, which runs first
     when some subset size has rate 0, then each size ``h`` of positive rate.
@@ -601,7 +604,7 @@ def count_pass_layers(inst):
     _, rates, _ = inst.scaled
     bits = sum(1 for u in inst.upper_bounds if u)
     layers = {}
-    for i in range(1, inst.n):
+    for i in range(inst.n):
         sizes = [h for h in range(1, bits + 1) if rates[i][h]]
         passes = ([0] if len(sizes) < bits else []) + sizes
         calls = sum(3 * bits if h == 0 else 3 * h * (bits - h + 1) + h - 1 for h in passes)
@@ -627,8 +630,8 @@ def test_dp_rank_pass_matches_oracles(inst):
 
 def test_dp_rank_pass_with_object_keys():
     # huge_preference_instance's preferences near 10^20, one per row, the
-    # other four 0, with indicator tables: every layer after customer 0 takes
-    # the rank pass and the count pass of its one size, with keys beyond int64
+    # other four 0, with indicator tables: every layer takes the rank pass and
+    # the count pass of its one size, with keys beyond int64
     rng = random.Random(2009)
     n, k = 4, 5
     prefs = []
@@ -644,13 +647,13 @@ def test_dp_rank_pass_with_object_keys():
     _, rates, weighted = inst.scaled
     bound = sum(solvers._best_row(weighted[i], rates[i], range(k))[0] for i in range(n))
     assert bound << k >= 2**63
-    assert count_pass_layers(inst) == {i: [0, 1 + i % 2] for i in range(1, n)}
+    assert count_pass_layers(inst) == {i: [0, 1 + i % 2] for i in range(n)}
     assert_dp_matches_oracles(inst)
 
 
 def test_dp_rank_pass_runs_on_every_reduced_layer(monkeypatch):
-    # every row of a reduced 3-CNF has an indicator table, so every layer
-    # after customer 0 takes the rank pass, one np.maximum per active
+    # every row of a reduced 3-CNF has an indicator table, so every layer,
+    # customer 0's included, takes the rank pass, one np.maximum per active
     # campaign, and the count pass of its one size h, one per (campaign,
     # count) step, h * (bits - h + 1), where the walk takes one per nonempty
     # subset; every add still takes a 0-d view of the keys' type, not a
@@ -659,12 +662,12 @@ def test_dp_rank_pass_runs_on_every_reduced_layer(monkeypatch):
     inst = red.instance
     bits = sum(1 for u in inst.upper_bounds if u)
     layers = count_pass_layers(inst)
-    assert list(layers) == list(range(1, inst.n))
+    assert list(layers) == list(range(inst.n))
     assert all(passes[0] == 0 and len(passes) == 2 for passes in layers.values())
     expected = sum(
         bits if h == 0 else h * (bits - h + 1) for passes in layers.values() for h in passes
     )
-    assert expected < (inst.n - 1) * ((1 << bits) - 1)
+    assert expected < inst.n * ((1 << bits) - 1)
     calls = []
     maximum, add = np.maximum, np.add
 
@@ -697,7 +700,7 @@ def test_dp_count_passes_match_oracles(inst):
     bits = sum(1 for u in inst.upper_bounds if u)
     layers = count_pass_layers(inst)
     if bits >= 7:
-        assert layers == {i: list(range(1, bits + 1)) for i in range(1, inst.n)}
+        assert layers == {i: list(range(1, bits + 1)) for i in range(inst.n)}
     else:
         assert layers == {}
     assert_dp_matches_dense_sweep(inst)
@@ -709,7 +712,7 @@ def mixed_instance(pattern, upper, seed=0):
     """A seeded instance whose layer ``i`` counts where ``pattern[i]`` is "c" and walks at "w".
 
     A counted row has an indicator table at 1 or 2, a walked one a grid table
-    with no rate 0; customer 0's layer is the scatter either way.
+    with no rate 0; customer 0's layer follows its letter like every other.
     """
     rng = random.Random(seed)
     n, k = len(pattern), len(upper)
@@ -731,7 +734,8 @@ def mixed_instance(pattern, upper, seed=0):
 # solve; the box grows until customer max(upper), so each path plans its
 # views at the reach where it first runs and again as the reach grows
 MIXED_PATHS = {
-    # the walk is first planned at the second layer's reach, then extended
+    # the walk is first planned at the second layer's reach, then again as
+    # the reach grows
     "walk-after-count": ("wcwcwc", (4, 3, 4, 2, 4)),
     # the count passes are first planned at the third layer's reach
     "count-after-walk": ("wwcwcw", (4, 4, 3, 4, 2)),
@@ -739,6 +743,12 @@ MIXED_PATHS = {
     "late-switch": ("wcccww", (2, 1, 2, 1, 2)),
     # one shape of the brute force's size
     "small": ("wcwc", (2, 1, 1, 2, 1)),
+    # customer 0 takes the passes at reach 1, and the walk is first planned
+    # at the second layer's reach
+    "count-first": ("cwcwcw", (4, 3, 4, 2, 4)),
+    "count-first-small": ("cwcw", (2, 1, 1, 2, 1)),
+    # one customer: the passes from state 0 alone
+    "one-customer": ("c", (1, 1, 1, 1, 1)),
 }
 
 
@@ -747,7 +757,7 @@ MIXED_PATHS = {
 def test_dp_mixes_walk_and_count_layers(name, seed):
     pattern, upper = MIXED_PATHS[name]
     inst = mixed_instance(pattern, upper, seed)
-    assert list(count_pass_layers(inst)) == [i for i, kind in enumerate(pattern) if i and kind == "c"]
+    assert list(count_pass_layers(inst)) == [i for i, kind in enumerate(pattern) if kind == "c"]
     assert_dp_matches_dense_sweep(inst)
     if inst.n * inst.k <= solvers.DEFAULT_BRUTE_FORCE_CELLS:
         assert dp_solve(inst).fitness == brute_force_solve(inst).fitness
@@ -755,8 +765,9 @@ def test_dp_mixes_walk_and_count_layers(name, seed):
 
 def test_dp_count_pass_with_object_keys():
     # huge_preference_instance's preferences near 10^20 over seven campaigns,
-    # with grid tables of no rate 0: every layer after customer 0 takes a
-    # count pass per subset size and no rank pass, with keys beyond int64
+    # with grid tables of no rate 0: every layer takes a count pass per
+    # subset size and no rank pass, with keys beyond int64; then its first
+    # customer alone, whose one layer takes them from state 0
     rng = random.Random(2009)
     n, k = 4, 7
     prefs = tuple(tuple(rng.randint(0, 10**20) for _ in range(k)) for _ in range(n))
@@ -771,12 +782,20 @@ def test_dp_count_pass_with_object_keys():
     _, rates, weighted = inst.scaled
     bound = sum(solvers._best_row(weighted[i], rates[i], range(k))[0] for i in range(n))
     assert bound << k >= 2**63
-    assert count_pass_layers(inst) == {i: list(range(1, k + 1)) for i in range(1, n)}
+    assert count_pass_layers(inst) == {i: list(range(1, k + 1)) for i in range(n)}
     assert_dp_matches_dense_sweep(inst)
+    one = validate_instance(replace(
+        inst, n=1, preferences=prefs[:1], suppression=tables[:1],
+        lower_bounds=(1, 0, 0, 0, 1, 0, 0), upper_bounds=(1,) * k,
+    ))
+    _, rates, weighted = one.scaled
+    assert solvers._best_row(weighted[0], rates[0], range(k))[0] << k >= 2**63
+    assert count_pass_layers(one) == {0: list(range(1, k + 1))}
+    assert_dp_matches_oracles(one)
 
 
 def test_dp_one_customer_with_object_keys():
-    # the scatter from state 0 alone, with keys beyond int64
+    # the walk from state 0 alone, at reach 1, with keys beyond int64
     inst = huge_preference_instance()
     inst = validate_instance(replace(
         inst, n=1, preferences=inst.preferences[:1], suppression=inst.suppression[:1],
