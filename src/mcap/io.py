@@ -14,14 +14,13 @@ exponent literal can stand for a number with millions of digits.
 The preference matrix is read in one pass when its rows are lists of one
 length holding plain ASCII digit strings, the form :func:`instance_to_dict`
 writes: one type check and one ``join`` over every cell, then one ``map`` of
-``int`` chunked into rows.  Any other matrix is read a row at a call, as the
-weights are: a row of plain ASCII digit strings converts with one ``map``.
-A suppression row whose literals were all seen before is one ``map`` of dict
-lookups.  The per-cell parsers run only on a row that fails these checks, to
-accept what the grammar allows or name the first offending cell, so the
-result and every error are those of a cell-by-cell read.  A matrix is
-written a row at a call too: its 0/1 entries are bytes, translated to
-``'0'``/``'1'``.
+``int`` chunked into rows.  Any other matrix is read cell by cell with
+:func:`parse_int`, as the weights and bounds are, to accept what the grammar
+allows or name the first offending cell.  A suppression row whose literals
+were all seen before is one ``map`` of dict lookups, and any other is read
+cell by cell.  So the result and every error are those of a cell-by-cell
+read.  A matrix is written a row at a call: its 0/1 entries are bytes,
+translated to ``'0'``/``'1'``.
 
 :func:`parse_int` is the one integer grammar of every input file, DIMACS
 included, and :func:`read_text` the one reader: UTF-8 whatever the locale.
@@ -93,20 +92,8 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _ints(row: list, what: str) -> tuple[int, ...]:
-    """``row``'s values parsed by :func:`parse_int`, a row of ASCII digit strings in one call."""
-    if _STR.issuperset(map(type, row)):  # parse_int refuses a str subclass
-        text = "".join(row)
-        if text.isdigit() and text.isascii():
-            try:
-                return tuple(map(int, row))
-            except ValueError:  # an empty string, or one past the int digit limit
-                pass
-    return tuple(parse_int(v, what) for v in row)
-
-
 def _matrix(rows: list) -> tuple[tuple[int, ...], ...]:
-    """The preference ``rows`` parsed as :func:`_ints` would parse them row by row.
+    """The preference ``rows`` parsed as :func:`parse_int` would parse them cell by cell.
 
     A matrix of equal-length lists of ASCII digit strings converts in one
     pass: one type check, one ``join`` and one ``map`` over every cell,
@@ -114,14 +101,16 @@ def _matrix(rows: list) -> tuple[tuple[int, ...], ...]:
     """
     if _LIST.issuperset(map(type, rows)) and len(set(map(len, rows))) == 1:
         cells = list(chain.from_iterable(rows))
-        if _STR.issuperset(map(type, cells)):
+        if _STR.issuperset(map(type, cells)):  # parse_int refuses a str subclass
             text = "".join(cells)
             if text.isdigit() and text.isascii():
                 try:
                     return tuple(zip(*[map(int, cells)] * len(rows[0])))
                 except ValueError:  # an empty string, or one past the int digit limit
                     pass
-    return tuple(_ints(_list(row, "a preference row"), "preference") for row in rows)
+    return tuple(
+        tuple(parse_int(v, "preference") for v in _list(row, "a preference row")) for row in rows
+    )
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -145,7 +134,7 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         n = parse_int(data["n"], "n")
         k = parse_int(data["k"], "k")
-        weights = _ints(_list(data["weights"], "weights"), "weight")
+        weights = tuple(parse_int(w, "weight") for w in _list(data["weights"], "weights"))
         preferences = _matrix(_list(data["preferences"], "preferences"))
         # fitted and generated tables repeat a few grid values: parse each
         # distinct literal once and share the (immutable) Fraction

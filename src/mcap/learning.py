@@ -11,8 +11,8 @@ the satisfied count is a sum over level pairs ``a <= b`` of ``(grid+1) x
 (grid+1)`` tables, built once per fit from the sorted outcome counts without
 listing a pair; a branch and bound over the levels, bounded by slices of
 those tables, finds the best table and certifies it.  The records are
-counted per category label in whole-column passes, with a record-by-record
-count behind them that names the first bad record
+counted per category label in whole-column passes; when those refuse, a
+record-by-record check names the first bad record
 (:func:`records_from_json`), and :func:`fit_categories` fits one table per
 label.
 
@@ -33,7 +33,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
-from .core import GuardExceededError, SuppressionTable, ValidationError, check_int
+from .core import GuardExceededError, InternalCheckError, SuppressionTable, ValidationError
+from .core import check_int
 from .io import json_object, parse_int
 
 if TYPE_CHECKING:
@@ -334,7 +335,8 @@ def _count_columns(data: list, labels: dict[str, int] | None) -> dict[int, Count
             preference, h = parse_int(preference, "preference"), parse_int(h, "h")
             _check_outcome(preference, h, responded)
             groups[label][campaign, preference, h, responded] += count
-    except (KeyError, TypeError, ValidationError):
+    except (KeyError, TypeError, ValueError, ValidationError):
+        # ValueError: str() of an integer past the int digit limit
         return None
     return dict(groups)
 
@@ -346,10 +348,10 @@ def records_from_json(data, labels=None) -> dict[int, Counter]:
     category 0.  Every label is parsed, and a record's is ``labels[str(customer)]``:
     JSON object keys are always strings, record customers need not be.
 
-    The records are counted in whole-column passes (:func:`_count_columns`);
-    if that fails on any record, they are counted again one at a time, which
-    names the first bad record by its index.  So the counts, their key order
-    and every error are those of the record-by-record count.
+    The records are counted in whole-column passes (:func:`_count_columns`),
+    whose counts and key order are those of a record-by-record count.  They
+    refuse only when some record is bad, so the records are then checked one
+    at a time, and the first bad record is named by its index.
     """
     if not isinstance(data, list):
         raise ValidationError("historical data must be a JSON array of records")
@@ -360,26 +362,23 @@ def records_from_json(data, labels=None) -> dict[int, Counter]:
     counted = _count_columns(data, labels)
     if counted is not None:
         return counted
-    groups: defaultdict[int, Counter] = defaultdict(Counter)
     for idx, obj in enumerate(data):
         json_object(obj, f"record {idx} is malformed")
         try:
             customer = _record_id(obj["customer"], "customer")
-            campaign = _record_id(obj["campaign"], "campaign")
-            preference = parse_int(obj["preference"], "preference")
-            h = parse_int(obj["h"], "h")
-            responded = obj["responded"]
-            _check_outcome(preference, h, responded)
+            _record_id(obj["campaign"], "campaign")
+            preference, h = parse_int(obj["preference"], "preference"), parse_int(obj["h"], "h")
+            _check_outcome(preference, h, obj["responded"])
+            if labels is not None and str(customer) not in labels:
+                raise ValidationError(f"customer {customer!r} has no category label")
         except KeyError as exc:
             field = exc.args[0]
             raise ValidationError(f"record {idx} is malformed: missing field {field!r}") from exc
         except ValidationError as exc:
             raise ValidationError(f"record {idx}: {exc}") from exc
-        label = 0 if labels is None else labels.get(str(customer))
-        if label is None:
-            raise ValidationError(f"record {idx}: customer {customer!r} has no category label")
-        groups[label][campaign, preference, h, responded] += 1
-    return dict(groups)
+        except ValueError as exc:  # str() of an integer past the int digit limit
+            raise ValidationError(f"record {idx}: an integer is too long to print") from exc
+    raise InternalCheckError("the column count refused records that each pass its checks")
 
 
 def fit_categories(

@@ -333,12 +333,11 @@ def dp_solve(inst: Instance) -> SolveResult:
     recorded through the candidate buffer and dropped.
 
     The packed scores ``score << bits | mask`` of a walking layer are one
-    array of the key type, ``nmasks`` cells long, refilled in place: the
-    subset scores, a left shift by ``bits`` and an add of
-    ``arange(nmasks)``, an add rather than an OR, so the sweep ORs only
-    poison arrays.  Each step holds the 0-d view ``packed[mask, ...]``, so
-    no ``np.add`` of the sweep converts a Python integer; the passes' steps
-    hold 0-d views of ``part``, an array of the key type too.
+    array of the key type, ``nmasks`` cells long, refilled in place from
+    Python integers packed as ``part``'s are.  Each step holds the 0-d view
+    ``packed[mask, ...]``, so no ``np.add`` of the sweep converts a Python
+    integer; the passes' steps hold 0-d views of ``part``, an array of the
+    key type too.
 
     A layer may add its subsets by *passes* over its campaigns instead of
     the walk.  For a size ``h`` with ``rate[h] > 0``, the packed
@@ -384,14 +383,17 @@ def dp_solve(inst: Instance) -> SolveResult:
     calls per layer: 2 per subset holding the last campaign and 3 per other
     nonempty one.  The passes make ``3 * bits`` for the rank pass, when
     some size has rate 0, plus ``3 * h * (bits - h + 1)`` calls and ``h -
-    1`` fills per count pass.  A layer takes the passes when they make fewer,
-    so a layer over 3 or fewer campaigns always walks.  Customer 0's layer
-    follows the same rule: only state 0 is reachable before it, at reach 1,
-    and every active campaign has headroom there.  On the benchmark's
-    corpora of seeds 1-10 the passes take every sat-reduction layer (1,520
-    of 1,520, 8 campaigns, a rank pass and one count pass) and 17 of
-    dp-grid's 1,800 (4 campaigns and one size of positive rate); a layer
-    with every rate positive takes them from 7 campaigns up.
+    1`` fills per count pass.  A layer over 4 or more campaigns takes the
+    passes when they make fewer.  One over 3 or fewer always walks by a
+    guard on ``bits``, not by the count: at 2 or 3 campaigns with every
+    rate 0 the rank pass alone makes fewer calls (6 < 7, 9 < 17).
+    Customer 0's layer follows the same rule: only state 0 is reachable
+    before it, at reach 1, and every active campaign has headroom there.
+    On the benchmark's corpora of seeds 1-10 the passes take every
+    sat-reduction layer (1,520 of 1,520, 8 campaigns, a rank pass and one
+    count pass) and 17 of dp-grid's 1,800 (4 campaigns and one size of
+    positive rate); a layer with every rate positive takes them from 7
+    campaigns up.
 
     The last active campaign is the most significant digit, so a subset
     holding it has ``d`` at least that campaign's stride and reads only
@@ -499,10 +501,10 @@ def dp_solve(inst: Instance) -> SolveResult:
     # holding the last bit reads its parent's, so none needs a slot of its own
     sources = [np.empty(size, dtype=dtype) for _ in range(max(bits, 1))]
     cand = np.empty(size, dtype=dtype)
-    # packed[mask] is the layer's score of subset mask, shifted, plus mask;
-    # each step adds its 0-d view, so no step's add converts a Python integer
+    # packed[mask] is score << bits | mask, with score the layer's score of
+    # subset mask, packed in Python as part's shares are; each step adds its
+    # 0-d view, so no step's add converts a Python integer
     packed = np.empty(nmasks, dtype=dtype)
-    ranks = np.arange(nmasks).astype(dtype)
     # part[h, b] is campaign b's share of a size-h subset's packed score,
     # rate[h] * weighted << bits | 1 << b; row 0, the rank pass's, is 1 << b
     part = np.zeros((bits + 1, bits), dtype=dtype)
@@ -562,8 +564,9 @@ def dp_solve(inst: Instance) -> SolveResult:
     planned = 0
     for i in range(n):
         rates_i, weighted_i = rates[i], weighted[i]
-        # the walk, or the passes in order: the walk always takes fewer calls
-        # over 3 or fewer campaigns
+        # the walk, or the passes in order; over 3 or fewer campaigns the
+        # layer walks, though with every rate 0 the rank pass would make fewer
+        # calls
         layer = [None]
         if bits > 3:
             sizes = [h for h in range(1, bits + 1) if rates_i[h]]
@@ -574,9 +577,8 @@ def dp_solve(inst: Instance) -> SolveResult:
             if sum(pass_calls[h] for h in sizes) < walk_calls:
                 layer = sizes
         if layer[0] is None:
-            packed[:] = _subset_scores(weighted_i, rates_i, active)
-            np.left_shift(packed, bits, out=packed)
-            np.add(packed, ranks, out=packed)
+            scores = _subset_scores(weighted_i, rates_i, active)
+            packed[:] = [score << bits | mask for mask, score in enumerate(scores)]
         else:
             row = [weighted_i[j] for j in active]
             for h in layer:

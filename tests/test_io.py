@@ -124,8 +124,9 @@ ROW_IDS = ["true", "float", "null", "empty", "space", "plus", "minus", "arabic-i
 @pytest.mark.parametrize("cell, message", ROW_CELLS, ids=ROW_IDS)
 @pytest.mark.parametrize("field", ["weights", "preferences"])
 def test_a_bad_cell_after_valid_ones_is_named(field, cell, message):
-    # every row is read in one call when it is all ASCII digit strings; any
-    # other row is read cell by cell, to the same values or the same error
+    # the preference matrix is read in one pass when every cell is an ASCII
+    # digit string; the weights and any other matrix are read cell by cell,
+    # to the same values or the same error
     data = small_instance_dict()
     row = data["weights"] if field == "weights" else data["preferences"][1]
     row[1] = cell
@@ -179,9 +180,12 @@ def test_repeated_suppression_literals_share_one_fraction():
     assert values[1] is values[2] is values[4] and values[0] is values[3]
 
 
-def row_by_row_preferences(rows: list) -> tuple[tuple[int, ...], ...]:
-    """The preference matrix read one row at a time: the oracle for the whole-matrix pass."""
-    return tuple(io._ints(io._list(row, "a preference row"), "preference") for row in rows)
+def cell_by_cell_preferences(rows: list) -> tuple[tuple[int, ...], ...]:
+    """The preference matrix read one cell at a time: the oracle for the whole-matrix pass."""
+    return tuple(
+        tuple(io.parse_int(v, "preference") for v in io._list(row, "a preference row"))
+        for row in rows
+    )
 
 
 def read_outcome(data: dict):
@@ -231,9 +235,9 @@ def with_preferences(rows: list) -> dict:
 @example(with_preferences([["1", "2", "3"], ["4", "", "56"]]))
 @example(with_preferences([["1", "2", "3"], ["4", Digits("5"), "6"]]))
 @settings(max_examples=300, deadline=None)
-def test_whole_matrix_read_matches_the_row_by_row_read(data):
+def test_whole_matrix_read_matches_the_cell_by_cell_read(data):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_matrix", row_by_row_preferences)
+        mp.setattr(io, "_matrix", cell_by_cell_preferences)
         expected = read_outcome(data)
     assert read_outcome(data) == expected
 

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +14,12 @@ from hypothesis import example, given, settings
 
 import mcap
 from mcap import learning
-from mcap.core import GuardExceededError, SuppressionTable, ValidationError
+from mcap.core import (
+    GuardExceededError,
+    InternalCheckError,
+    SuppressionTable,
+    ValidationError,
+)
 from mcap.learning import (
     TABLE_CELL_LIMIT,
     FitResult,
@@ -628,6 +634,17 @@ class TestJsonDecoding:
         good = {"customer": 3, "campaign": 1, "preference": 5, "h": 2, "responded": True}
         with pytest.raises(ValidationError, match="^record 1: customer 'ghost' has no category label$"):
             records_from_json([good, {**good, "customer": "ghost"}], {"3": 0})
+        # str() of an integer past the int digit limit raises ValueError: in
+        # the label lookup, or in the message of a bad field
+        huge = {**good, "customer": 10**5000}
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            message = "^record 1: an integer is too long to print$"
+            with pytest.raises(ValidationError, match=message):
+                records_from_json([good, huge], {"3": 0})
+            with pytest.raises(ValidationError, match=message):
+                records_from_json([good, {**good, "h": -(10**5000)}])
+        # without labels the customer is never converted
+        assert records_from_json([good, huge]) == {0: Counter({(1, 5, 2, True): 2})}
 
     @pytest.mark.parametrize("labels", [[], [["a", 0]], "a"])
     def test_labels_must_be_an_object(self, labels):
@@ -688,9 +705,11 @@ def test_records_match_reference_count(history):
     records, labels = history
     expected = reference_records(records, labels)
     assert_same_counts(records_from_json(records, labels), expected)
-    # the record-by-record count that runs when the column count fails
+    # the column count refuses only a bad record, so the record-by-record
+    # check that runs after a refusal finds none here and says so
     with mock.patch("mcap.learning._count_columns", return_value=None):
-        assert_same_counts(records_from_json(records, labels), expected)
+        with pytest.raises(InternalCheckError):
+            records_from_json(records, labels)
 
 
 # each corruption of a valid record: (change to the record, change to the
